@@ -11,7 +11,7 @@ from .errors import (
     ShapeError,
     TracelessViolation,
 )
-from .linalg import DEFAULT_TOL, inner
+from .linalg import DEFAULT_TOL, gram
 
 __all__ = [
     "Subspace",
@@ -62,8 +62,7 @@ def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
         if norm == 0.0 or abs(np.trace(b)) > tol * norm:
             raise TracelessViolation(i, abs(np.trace(b)))
     lambdas = np.array(mats)
-    gram = np.array([[inner(a, b) for b in mats] for a in mats])
-    cond = np.linalg.cond(gram)
+    cond = np.linalg.cond(gram(lambdas))
     if not np.isfinite(cond) or cond > 1.0 / tol:
         raise DependentBasis(
             f"basis is linearly dependent at tolerance (Gram condition {cond:.3e})"
@@ -74,14 +73,14 @@ def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
 def dual_data(B, tol=DEFAULT_TOL):
     """Gram matrix, its inverse, and the dual basis lambda^a = g^{ba} lambda_b."""
     lam = B.lambdas
-    gram = np.array([[inner(a, b) for b in lam] for a in lam])
-    cond = np.linalg.cond(gram)
+    g = gram(lam)
+    cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1.0 / tol:
         raise ConditioningError(f"Gram matrix condition number {cond:.3e} exceeds 1/tol")
-    gram_inv = np.linalg.inv(gram)
+    gram_inv = np.linalg.inv(g)
     # lambda^a = g^{ba} lambda_b
     duals = np.einsum("ba,bij->aij", gram_inv, lam)
-    return DualData(gram=gram, gram_inv=gram_inv, duals=duals)
+    return DualData(gram=g, gram_inv=gram_inv, duals=duals)
 
 
 def eta(B, D, f):
@@ -119,9 +118,8 @@ def matrix_basis_duals(gammas, tol=DEFAULT_TOL):
         raise DependentBasis(
             f"need {m * m} matrices of shape ({m}, {m}) for a full basis, got {gam.shape}"
         )
-    gram = np.array([[inner(a, b) for b in gam] for a in gam])
-    cond = np.linalg.cond(gram)
+    g = gram(gam)
+    cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1.0 / tol:
         raise DependentBasis(f"gamma matrices are not a basis (Gram condition {cond:.3e})")
-    gram_inv = np.linalg.inv(gram)
-    return np.einsum("ba,bij->aij", gram_inv, gam)
+    return np.einsum("ba,bij->aij", np.linalg.inv(g), gam)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import matrix_basis_duals
 from .errors import DegreeError, ShapeError
-from .linalg import DEFAULT_TOL, dagger, rank_nullspace, span_projector
+from .linalg import DEFAULT_TOL, dagger, lift_to_slots, rank_nullspace, span_projector
 
 __all__ = [
     "FormTower",
@@ -49,7 +49,6 @@ class FormTower:
     max_degree: int
     projectors: dict = field(repr=False)     # p >= 2 -> Pi_p on C^{n^p}
     ranks: dict = field(default_factory=dict)  # p -> D_p
-    relation_bases: dict = field(repr=False, default_factory=dict)
 
     @property
     def n(self):
@@ -89,6 +88,11 @@ class Form:
             raise DegreeError("form degrees do not match")
 
 
+def _relation_span(left_null, p):
+    """Degree-p relation span: ``left_null`` lifted to every adjacent slot pair."""
+    return np.hstack([lift_to_slots(left_null, p, q) for q in range(1, p)])
+
+
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
     """Canonical coefficient projectors up to ``max_degree``.
 
@@ -101,30 +105,17 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     n = G.subspace.n
     left_null = rank_nullspace(G.P.T, tol=tol).nullspace  # n^2 x (n^2 - R)
     projectors = {}
-    relation_bases = {}
     ranks = {0: 1, 1: n}
     for p in range(2, max_degree + 1):
         dim = n ** p
         if left_null.shape[1] == 0:
             projectors[p] = np.eye(dim, dtype=complex)
-            relation_bases[p] = np.zeros((dim, 0), dtype=complex)
             ranks[p] = dim
             continue
-        blocks = []
-        for q in range(1, p):
-            left = np.eye(n ** (q - 1), dtype=complex)
-            right = np.eye(n ** (p - q - 1), dtype=complex)
-            blocks.append(np.kron(np.kron(left, left_null), right))
-        span = np.hstack(blocks)
-        proj_onto_relations = span_projector(span, tol=tol)
-        pi = np.eye(dim, dtype=complex) - proj_onto_relations
-        projectors[p] = pi
-        relation_bases[p] = span
+        proj_onto_relations = span_projector(_relation_span(left_null, p), tol=tol)
+        projectors[p] = np.eye(dim, dtype=complex) - proj_onto_relations
         ranks[p] = dim - int(round(np.real(np.trace(proj_onto_relations))))
-    return FormTower(
-        ga=G, max_degree=max_degree, projectors=projectors,
-        ranks=ranks, relation_bases=relation_bases,
-    )
+    return FormTower(ga=G, max_degree=max_degree, projectors=projectors, ranks=ranks)
 
 
 def canonicalize(tower, degree, coeffs):
@@ -269,9 +260,13 @@ def form_norm(xi):
 def epsilon_check(G, p, tol=DEFAULT_TOL):
     """Solvability of the higher-form coefficient chain at degree p.
 
-    Solves the linear system equating the alpha-contraction of epsilon at
-    every adjacent slot placement; returns (exists, basis, dim) where
-    ``exists`` means a nonzero solution exists at tolerance.
+    The chain asks for eps_t, t = 0..p-2, whose lifts X = (1 (x) alpha (x) 1)
+    eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
+    the solutions are the X in every lifted range(alpha): the complement of
+    conj(relation span), which is conj(range Pi_p) and has dimension D_p.
+    Each eps_t = (1 (x) beta (x) 1) X.  Returns (exists, basis, dim) where
+    ``exists`` means a nonzero solution exists at tolerance; basis columns
+    use the unknown layout x[t, A, r] with A in n^(p-2) row-major.
     """
     if p < 3:
         raise ValueError("epsilon_check requires p >= 3")
@@ -279,27 +274,19 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     R = G.R
     if R == 0:
         return False, None, 0
-    alpha = G.alpha.reshape(n, n, R)
-    nin = n ** (p - 2)
-    nunk = (p - 1) * nin * R
-    rows = []
-    # unknown layout: x[t, A, r], t = 0..p-2, A in n^(p-2) row-major, r = 0..R-1
-    def block(t, a_tuple):
-        """Coefficient row of sum_r alpha^{(a_t a_{t+1})}_r eps^{A_t}_{r,t}."""
-        row = np.zeros(nunk, dtype=complex)
-        rest = a_tuple[:t] + a_tuple[t + 2:]
-        A = int(np.ravel_multi_index(rest, (n,) * (p - 2))) if p > 2 else 0
-        base = (t * nin + A) * R
-        row[base:base + R] = alpha[a_tuple[t], a_tuple[t + 1]]
-        return row
-
-    for a_tuple in np.ndindex(*(n,) * p):
-        for t in range(p - 2):
-            rows.append(block(t, a_tuple) - block(t + 1, a_tuple))
-    M = np.array(rows)
-    res = rank_nullspace(M / max(np.linalg.norm(M), 1.0), tol=tol)
-    dim = res.nullspace.shape[1]
-    return dim > 0, (res.nullspace if dim else None), dim
+    left_null = rank_nullspace(G.P.T, tol=tol).nullspace
+    if left_null.shape[1] == 0:
+        X = np.eye(n ** p, dtype=complex)
+    else:
+        X = rank_nullspace(_relation_span(left_null, p).T, tol=tol).nullspace
+    dim = X.shape[1]
+    if dim == 0:
+        return False, None, 0
+    Xr = X.reshape((n,) * p + (dim,))
+    beta = G.beta.reshape(R, n, n)
+    eps = [np.moveaxis(np.tensordot(beta, Xr, axes=([1, 2], [t, t + 1])), 0, -2)
+           .reshape(n ** (p - 2) * R, dim) for t in range(p - 1)]
+    return True, np.vstack(eps), dim
 
 
 def check_structure_equations(tower, tol=DEFAULT_TOL):

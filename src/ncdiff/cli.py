@@ -88,17 +88,25 @@ class _IOFail(Exception):
     pass
 
 
-def _structure(B, alpha_embedded, mode, tol):
-    if mode == "embedded":
-        if alpha_embedded is None:
+def _structure(args):
+    """Load and validate ``args.file`` and build its generalised-algebra structure."""
+    B, alpha = _load(args.file, args.tol)
+    if args.alpha == "embedded":
+        if alpha is None:
             raise ConfigError("--alpha embedded requested but file has no alpha")
-        return genalg.use_relations(B, alpha_embedded, tol=tol)
-    return genalg.detect_structure(B, tol=tol)
+        return genalg.use_relations(B, alpha, tol=args.tol)
+    return genalg.detect_structure(B, tol=args.tol)
+
+
+def _finish(args, sections, seed=None):
+    """Render the report on ``args.file``; exit code from the section statuses."""
+    _render(_report(args, _digest(args.file), sections, seed=seed), args.format)
+    return EXIT_OK if all(s["status"] == "pass" for s in sections) else EXIT_VERIFY
 
 
 def cmd_analyze(args):
-    B, alpha = _load(args.file, args.tol)
-    G = _structure(B, alpha, args.alpha, args.tol)
+    G = _structure(args)
+    B = G.subspace
     rep_ga = genalg.verify_ga(G, tol=args.tol)
     rho_norm = float(np.linalg.norm(G.rho))
     sections = [
@@ -124,20 +132,14 @@ def cmd_analyze(args):
                  span_dim=rep_ga["span_dim"],
                  span_dim_bound=rep_ga["span_dim_bound"]),
     ]
-    rep = _report(args, _digest(args.file), sections)
-    _render(rep, args.format)
-    return EXIT_OK if all(s["status"] == "pass" for s in sections) else EXIT_VERIFY
+    return _finish(args, sections)
 
 
 def cmd_forms(args):
-    B, alpha = _load(args.file, args.tol)
-    G = _structure(B, alpha, args.alpha, args.tol)
+    G = _structure(args)
     if G.R == 0:
-        rep = _report(args, _digest(args.file),
-                      [_section("omega2_trivial", True, R=0,
-                                note="no relations detected; dim(Omega^2) = 0")])
-        _render(rep, args.format)
-        return EXIT_OK
+        return _finish(args, [_section("omega2_trivial", True, R=0,
+                                       note="no relations detected; dim(Omega^2) = 0")])
     tower = calculus.build_tower(G, args.max_degree, tol=args.tol)
     sections = [_section("ranks", True,
                          D={str(p): tower.ranks[p] for p in sorted(tower.ranks)})]
@@ -145,9 +147,7 @@ def cmd_forms(args):
         exists, _, dim = calculus.epsilon_check(G, p, tol=args.tol)
         sections.append(_section(f"epsilon_degree_{p}", True,
                                  exists=bool(exists), solution_dim=dim))
-    rep = _report(args, _digest(args.file), sections)
-    _render(rep, args.format)
-    return EXIT_OK
+    return _finish(args, sections)
 
 
 def _verify_sections(G, tower, args, rng):
@@ -215,24 +215,16 @@ def _verify_sections(G, tower, args, rng):
 
 
 def cmd_verify(args):
-    B, alpha = _load(args.file, args.tol)
-    G = _structure(B, alpha, args.alpha, args.tol)
+    G = _structure(args)
     if G.R == 0:
-        rep = _report(args, _digest(args.file),
-                      [_section("omega2_trivial", True, R=0)], seed=args.seed)
-        _render(rep, args.format)
-        return EXIT_OK
+        return _finish(args, [_section("omega2_trivial", True, R=0)], seed=args.seed)
     tower = calculus.build_tower(G, args.max_degree, tol=args.tol)
     rng = np.random.default_rng(args.seed)
-    sections = _verify_sections(G, tower, args, rng)
-    rep = _report(args, _digest(args.file), sections, seed=args.seed)
-    _render(rep, args.format)
-    return EXIT_OK if all(s["status"] == "pass" for s in sections) else EXIT_VERIFY
+    return _finish(args, _verify_sections(G, tower, args, rng), seed=args.seed)
 
 
 def cmd_equiv(args):
-    B, alpha = _load(args.file, args.tol)
-    G = _structure(B, alpha, args.alpha, args.tol)
+    G = _structure(args)
     tower = calculus.build_tower(G, 2, tol=args.tol)
     try:
         with open(args.transform) as fh:
@@ -240,13 +232,11 @@ def cmd_equiv(args):
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise _IOFail(f"cannot read transform file {args.transform!r}: {exc}")
     U = maps.Conjugation.from_matrix(u)
-    rep_eq = maps.check_equivalence(U, B, tower, trials=args.trials,
+    rep_eq = maps.check_equivalence(U, G.subspace, tower, trials=args.trials,
                                     seed=args.seed, tol=args.tol)
     sections = [_section(k, rep_eq[k] < 1e-8, residual=float(rep_eq[k]))
                 for k in ("coframe", "theta", "products", "d_commutation")]
-    rep = _report(args, _digest(args.file), sections, seed=args.seed)
-    _render(rep, args.format)
-    return EXIT_OK if rep_eq["passed"] else EXIT_VERIFY
+    return _finish(args, sections, seed=args.seed)
 
 
 def cmd_catalog(args):
@@ -262,6 +252,16 @@ def cmd_catalog(args):
     rep = _report(args, "", sections)
     _render(rep, args.format)
     return EXIT_OK
+
+
+def _at_least(low):
+    """argparse type: an int no smaller than ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _add_common(p, need_file=True):
@@ -286,15 +286,15 @@ def build_parser():
     p = sub.add_parser("forms", help="build the form tower and report ranks")
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_at_least(1), default=3)
     p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("verify", help="run every identity suite")
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_at_least(2), default=3)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("equiv", help="check conjugation equivalence")
@@ -302,7 +302,7 @@ def build_parser():
     p.add_argument("transform", help="matrix JSON for the conjugating u")
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("catalog", help="emit a built-in example algebra")

@@ -1,4 +1,4 @@
-"""JSON codecs for algebra definitions and forms.
+"""JSON codecs for algebra definitions.
 
 Algebra file schema: {"m": int, "label": str, "basis": [Matrix, ...],
 "alpha": [Column, ...] (optional)} where Matrix = {"re": [[...]],
@@ -15,7 +15,6 @@ __all__ = [
     "matrix_from_json",
     "load_algebra",
     "save_algebra",
-    "form_to_json",
 ]
 
 
@@ -59,21 +58,3 @@ def save_algebra(path, m, label, basis, alpha=None):
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def form_to_json(form, threshold=0.0):
-    """Serialize a form, keeping only nonzero coefficient entries."""
-    n = form.tower.n
-    p = form.degree
-    entries = []
-    if p == 0:
-        if np.linalg.norm(form.coeffs) > threshold:
-            entries.append({"index": [], "matrix": matrix_to_json(form.coeffs)})
-    else:
-        flat = form.coeffs.reshape((n ** p,) + form.coeffs.shape[-2:])
-        for k in range(n ** p):
-            if np.linalg.norm(flat[k]) > threshold:
-                idx = list(np.unravel_index(k, (n,) * p))
-                entries.append(
-                    {"index": [int(i) for i in idx], "matrix": matrix_to_json(flat[k])}
-                )
-    return {"degree": p, "coefficients": entries}

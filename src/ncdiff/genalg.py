@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import dual_data, eta_perp
+from .algebra import dual_data
 from .errors import DependentRelations, InvalidRelation
-from .linalg import DEFAULT_TOL, inner, rank_nullspace
+from .linalg import DEFAULT_TOL, rank_nullspace
 
 __all__ = [
     "GAStructure",
@@ -49,14 +49,12 @@ class GAStructure:
 def structure_constants(B, D):
     """F^a_bc = <lambda^a, lambda_b lambda_c>, t_bc = tr(lambda_b lambda_c),
     rho_bc = eta_perp(lambda_b lambda_c)."""
-    n, m = B.n, B.m
     prod = np.einsum("bij,cjk->bcik", B.lambdas, B.lambdas)
     F = np.einsum("aij,bcij->abc", D.duals.conj(), prod)
     t = np.einsum("bcii->bc", prod)
-    rho = np.empty((n, n, m, m), dtype=complex)
-    for b in range(n):
-        for c in range(n):
-            rho[b, c] = eta_perp(B, D, prod[b, c])
+    # eta_perp of every product: subtract its eta part F^a_bc lambda_a and its trace part
+    rho = (prod - np.einsum("abc,aij->bcij", F, B.lambdas)
+           - np.einsum("bc,ij->bcij", t / B.m, np.eye(B.m)))
     return F, t, rho
 
 
@@ -67,8 +65,12 @@ def detect_relations(B, D, tol=DEFAULT_TOL):
     v^{ab} to sum_ab v^{ab} eta_perp(lambda_a lambda_b).  R = 0 is a valid
     result and means B is not a generalised algebra (for nontrivial 2-forms).
     """
-    n, m = B.n, B.m
     _, _, rho = structure_constants(B, D)
+    return _relations_from_rho(rho, D, tol)
+
+
+def _relations_from_rho(rho, D, tol):
+    n, m = rho.shape[0], rho.shape[2]
     M = rho.reshape(n * n, m * m).T  # columns indexed by the pair (a, b)
     # Judge significance against the size of the products themselves, so a
     # rho of pure rounding noise (products fully inside B + C.1) gives the
@@ -101,7 +103,7 @@ def detect_structure(B, D=None, tol=DEFAULT_TOL):
     if D is None:
         D = dual_data(B, tol=tol)
     F, t, rho = structure_constants(B, D)
-    alpha, R = detect_relations(B, D, tol=tol)
+    alpha, R = _relations_from_rho(rho, D, tol)
     beta, P = build_projector(alpha, tol=tol)
     return GAStructure(
         subspace=B, dual=D, R=R, alpha=alpha, beta=beta, P=P,

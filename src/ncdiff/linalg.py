@@ -31,6 +31,16 @@ def inner(f, g):
     return complex(np.trace(f.conj().T @ g))
 
 
+def gram(a, b=None):
+    """Trace inner products G[i, j] = <a_i, b_j> of two stacks of matrices.
+
+    ``b`` defaults to ``a``, giving the Gram matrix of ``a``.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = a if b is None else np.asarray(b, dtype=complex)
+    return np.einsum("aij,bij->ab", a.conj(), b)
+
+
 @dataclass(frozen=True)
 class RankResult:
     """Numerical rank data for a complex matrix.
@@ -83,16 +93,17 @@ def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
 
 
 def lift_to_slots(Q, p, q):
-    """Embed a pair operator Q on C^n (x) C^n into slots (q, q+1) of (C^n)^(x p).
+    """Embed a pair block Q (n^2 x k) on C^n (x) C^n into slots (q, q+1) of (C^n)^(x p).
 
-    Slot 1 is the leftmost tensor factor; 1 <= q <= p-1.
+    Slot 1 is the leftmost tensor factor; 1 <= q <= p-1.  A square Q is a
+    pair operator; a rectangular Q lifts its columns, giving n^p x n^(p-2) k.
     """
     Q = np.asarray(Q, dtype=complex)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ShapeError(f"pair operator must be square, got {Q.shape}")
+    if Q.ndim != 2:
+        raise ShapeError(f"pair block must be 2-d, got {Q.shape}")
     n = round(Q.shape[0] ** 0.5)
     if n * n != Q.shape[0]:
-        raise ShapeError(f"pair operator size {Q.shape[0]} is not a perfect square")
+        raise ShapeError(f"pair block row count {Q.shape[0]} is not a perfect square")
     if not (1 <= q <= p - 1):
         raise IndexError(f"slot q={q} out of range for p={p}")
     left = np.eye(n ** (q - 1), dtype=complex)

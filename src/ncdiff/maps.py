@@ -21,7 +21,7 @@ from .calculus import (
 )
 from .errors import ConfigError, DegreeError, ShapeError, SingularTransform
 from .genalg import use_relations
-from .linalg import DEFAULT_TOL, inner
+from .linalg import DEFAULT_TOL, gram
 
 __all__ = [
     "LinearMap",
@@ -184,7 +184,7 @@ def lie_derivative(tower, f, xi):
         return scalar_form(tower, -first)
     # W[b, c] = <lambda^b, [f, lambda_c]>
     comm = np.einsum("ij,cjk->cik", f, B.lambdas) - np.einsum("cij,jk->cik", B.lambdas, f)
-    W = np.array([[inner(duals[b], comm[c]) for c in range(n)] for b in range(n)])
+    W = gram(duals, comm)
     flat = xi.coeffs.reshape(n ** p, m, m)
     if p == 1:
         X = flat

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ncdiff import calculus, genalg
+from ncdiff import calculus, catalog, genalg
+from ncdiff.algebra import validate_subspace
 from ncdiff.calculus import (
     canonicalize,
     check_structure_equations,
@@ -149,10 +150,58 @@ def test_structure_equations(pauli_tower, clock3_tower, su2_m3_tower):
         assert rep["relation_form"] < 1e-10
 
 
-def test_epsilon_su2(su2_m3_structure):
-    exists, _, dim = epsilon_check(su2_m3_structure, 3)
-    assert exists
-    assert dim >= 1
+def _catalog_structure(name, m):
+    e = catalog.build_entry(name, m)
+    if e.suggested_alpha is None:
+        return genalg.detect_structure(e.subspace)
+    return genalg.use_relations(e.subspace, e.suggested_alpha)
+
+
+def _generic_structure(m, n, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
+    return genalg.detect_structure(validate_subspace(m, list(lam)))
+
+
+def _chain_equations(G, p):
+    """Dense chain system: (1 (x) alpha (x) 1) eps_t equal at adjacent t."""
+    n, R = G.subspace.n, G.R
+    # Unknown layout x[t, A, r]: move r behind the pair-free slots A.
+    lifts = [np.kron(np.kron(np.eye(n ** t), G.alpha), np.eye(n ** (p - 2 - t)))
+             .reshape(n ** p, n ** t, R, n ** (p - 2 - t)).transpose(0, 1, 3, 2)
+             .reshape(n ** p, n ** (p - 2) * R) for t in range(p - 1)]
+    rows = []
+    for t in range(p - 2):
+        row = [np.zeros((n ** p, n ** (p - 2) * R), dtype=complex)] * (p - 1)
+        row[t], row[t + 1] = lifts[t], -lifts[t + 1]
+        rows.append(np.hstack(row))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("make, p", [
+    pytest.param(lambda: _catalog_structure("su2", 3), 3, id="su2-m3-p3"),
+    pytest.param(lambda: _catalog_structure("su2", 3), 4, id="su2-m3-p4"),
+    pytest.param(lambda: _catalog_structure("su2", 4), 3, id="su2-m4-p3"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 3, id="ellipsoid-m4-p3"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), 3, id="clock-shift-m5-p3"),
+    pytest.param(lambda: _catalog_structure("a0", 2), 4, id="a0-m2-p4"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4-p4"),
+    pytest.param(lambda: _generic_structure(4, 5, 1), 4, id="generic-m4-n5-p4"),
+    pytest.param(lambda: _generic_structure(2, 2, 2), 5, id="generic-m2-n2-p5"),
+    pytest.param(lambda: _generic_structure(3, 3, 3), 4, id="generic-m3-n3-p4"),
+])
+def test_epsilon_chain_matches_tower(make, p):
+    G = make()
+    exists, basis, dim = epsilon_check(G, p)
+    assert dim == calculus.build_tower(G, p).ranks[p]
+    assert exists == (dim > 0)
+    if dim == 0:
+        assert basis is None
+        return
+    assert np.linalg.matrix_rank(basis) == dim
+    residual = np.linalg.norm(_chain_equations(G, p) @ basis, axis=0)
+    assert np.all(residual < 1e-10 * np.linalg.norm(basis, axis=0))
 
 
 def test_epsilon_requires_degree_3(su2_m3_structure):

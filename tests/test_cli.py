@@ -142,3 +142,18 @@ def test_ncg_tol_env(monkeypatch):
     monkeypatch.setenv("NCG_TOL", "1e-6")
     args = cli.build_parser().parse_args(["analyze", "x.json"])
     assert args.tol == 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["forms", "FILE", "--max-degree", "0"],
+    ["verify", "FILE", "--max-degree", "1"],
+    ["verify", "FILE", "--trials", "0"],
+    ["equiv", "FILE", "FILE", "--trials", "0"],
+], ids=["forms-max-degree-0", "verify-max-degree-1", "verify-trials-0", "equiv-trials-0"])
+def test_bad_arguments_exit_2(capsys, clock_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([clock_file if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1

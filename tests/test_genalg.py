@@ -117,3 +117,15 @@ def test_t_symmetric(rng):
     D = algebra.dual_data(B)
     _, t, _ = genalg.structure_constants(B, D)
     assert np.allclose(t, t.T)
+
+
+def test_rho_matches_eta_perp(rng):
+    lam = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+    B = algebra.validate_subspace(3, list(lam))
+    D = algebra.dual_data(B)
+    _, _, rho = genalg.structure_constants(B, D)
+    for b in range(B.n):
+        for c in range(B.n):
+            ref = algebra.eta_perp(B, D, lam[b] @ lam[c])
+            assert np.allclose(rho[b, c], ref, atol=1e-12)

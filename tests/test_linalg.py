@@ -4,6 +4,7 @@ import pytest
 from ncdiff.errors import ShapeError
 from ncdiff.linalg import (
     dagger,
+    gram,
     inner,
     lift_to_slots,
     rank_nullspace,
@@ -27,6 +28,15 @@ def test_inner_conjugate_linearity():
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert inner(2j * f, g) == pytest.approx(-2j * inner(f, g))
     assert inner(f, g) == pytest.approx(np.conj(inner(g, f)))
+
+
+def test_gram_matches_inner():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    ref = np.array([[inner(x, y) for y in b] for x in a])
+    assert np.allclose(gram(a, b), ref, atol=1e-12)
+    assert np.allclose(gram(a), [[inner(x, y) for y in a] for x in a], atol=1e-12)
 
 
 def test_inner_shape_mismatch():
@@ -71,11 +81,18 @@ def test_lift_to_slots():
     assert np.allclose(lift_to_slots(Q, 3, 1), np.kron(Q, np.eye(2)))
     assert np.allclose(lift_to_slots(Q, 3, 2), np.kron(np.eye(2), Q))
     assert np.allclose(lift_to_slots(Q, 2, 1), Q)
+    # A rectangular n^2 x k block lifts its columns: n^p x n^(p-2) k.
+    K = np.arange(12, dtype=complex).reshape(4, 3)
+    assert lift_to_slots(K, 3, 1).shape == (8, 6)
+    assert np.allclose(lift_to_slots(K, 3, 1), np.kron(K, np.eye(2)))
+    assert np.allclose(lift_to_slots(K, 3, 2), np.kron(np.eye(2), K))
 
 
 def test_lift_to_slots_bounds():
     with pytest.raises(IndexError):
         lift_to_slots(np.eye(4), 2, 2)
+    with pytest.raises(ShapeError):
+        lift_to_slots(np.ones((3, 2)), 3, 1)
 
 
 def test_span_projector():
