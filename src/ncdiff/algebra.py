@@ -10,6 +10,7 @@ from .errors import (
     DependentBasis,
     ShapeError,
     TracelessViolation,
+    ValidationError,
 )
 from .linalg import DEFAULT_TOL, gram
 
@@ -58,6 +59,8 @@ def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
     for i, b in enumerate(mats):
         if b.shape != (m, m):
             raise ShapeError(f"basis element {i} has shape {b.shape}, expected ({m}, {m})")
+        if not np.all(np.isfinite(b)):
+            raise ValidationError(f"basis element {i} has a non-finite entry")
         norm = np.linalg.norm(b)
         if norm == 0.0 or abs(np.trace(b)) > tol * norm:
             raise TracelessViolation(i, abs(np.trace(b)))

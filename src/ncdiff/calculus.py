@@ -1,14 +1,16 @@
 """The differential calculus over a generalised algebra: co-frame 1-forms,
-the tower of p-form coefficient projectors, wedge product, contraction,
-the insertion map chi, and the exterior derivative d = -[theta, .] + chi.
+the tower of p-form relation spaces, wedge product, contraction, the
+insertion map chi, and the exterior derivative d = -[theta, .] + chi.
 
+Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
+the ideal generated by the quadratic relations: the left null space of P
+lifted to every adjacent slot pair.  The tower keeps an orthonormal basis
+Q_p of that relation span per degree (no columns when a degree has none).
 A degree-p form is stored by its canonical coefficient table: an array of
-shape (n,)*p + (m, m) whose pair-index content lies in the image of the
-canonical projector Pi_p.  Pi_p projects onto the orthogonal complement of
-the adjacent-slot relation span (the left null space of P lifted to every
-adjacent slot pair), so two coefficient tables describe the same form iff
-they canonicalize identically.  The contraction tensor on p-tuples of
-derivations is conj(Pi_p); at degree 2 it reduces to the projector P itself.
+shape (n,)*p + (m, m) whose pair-index content is orthogonal to range(Q_p),
+so two coefficient tables describe the same form iff they canonicalize
+identically.  Evaluating a canonical form on derivations (e_b1, ..., e_bp)
+reads its coefficient at (b1, ..., bp).
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ import numpy as np
 
 from .algebra import matrix_basis_duals
 from .errors import DegreeError, ShapeError
-from .linalg import DEFAULT_TOL, dagger, lift_to_slots, rank_nullspace, span_projector
+from .linalg import DEFAULT_TOL, dagger, lift_to_slots, rank_nullspace, span_basis
 
 __all__ = [
     "FormTower",
@@ -43,12 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormTower:
-    """Per-degree canonical projectors Pi_p and ranks D_p for one calculus."""
+    """Per-degree relation bases and ranks for one calculus.
+
+    ``relations[p]`` is an orthonormal basis Q_p (n^p x (n^p - D_p)) of the
+    degree-p relation span, for p = 0..max_degree; ``ranks[p]`` is D_p.
+    """
 
     ga: object
     max_degree: int
-    projectors: dict = field(repr=False)     # p >= 2 -> Pi_p on C^{n^p}
-    ranks: dict = field(default_factory=dict)  # p -> D_p
+    relations: dict = field(repr=False)
+    ranks: dict = field(default_factory=dict)
 
     @property
     def n(self):
@@ -94,38 +100,30 @@ def _relation_span(left_null, p):
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
-    """Canonical coefficient projectors up to ``max_degree``.
+    """Relation bases and ranks up to ``max_degree``.
 
     The degree-p relation span is the sum over adjacent slot pairs of the
-    left null space of P; Pi_p is the orthogonal projector onto its
-    complement and D_p its rank.
+    left null space of P; Q_p is an orthonormal basis of it and
+    D_p = n^p - rank Q_p.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n = G.subspace.n
     left_null = rank_nullspace(G.P.T, tol=tol).nullspace  # n^2 x (n^2 - R)
-    projectors = {}
-    ranks = {0: 1, 1: n}
+    relations = {p: np.zeros((n ** p, 0), dtype=complex) for p in (0, 1)}
     for p in range(2, max_degree + 1):
-        dim = n ** p
-        if left_null.shape[1] == 0:
-            projectors[p] = np.eye(dim, dtype=complex)
-            ranks[p] = dim
-            continue
-        proj_onto_relations = span_projector(_relation_span(left_null, p), tol=tol)
-        projectors[p] = np.eye(dim, dtype=complex) - proj_onto_relations
-        ranks[p] = dim - int(round(np.real(np.trace(proj_onto_relations))))
-    return FormTower(ga=G, max_degree=max_degree, projectors=projectors, ranks=ranks)
+        relations[p] = span_basis(_relation_span(left_null, p), tol=tol)
+    ranks = {p: n ** p - Q.shape[1] for p, Q in relations.items()}
+    return FormTower(ga=G, max_degree=max_degree, relations=relations, ranks=ranks)
 
 
 def canonicalize(tower, degree, coeffs):
-    """Project a raw coefficient table onto the canonical subspace."""
-    if degree < 2:
-        return np.asarray(coeffs, dtype=complex)
+    """Remove the relation component Q_p Q_p^dag of a raw coefficient table."""
+    _check_degree(tower, degree)
     n, m = tower.n, tower.m
-    pi = tower.projectors[degree]
+    Q = tower.relations[degree]
     flat = np.asarray(coeffs, dtype=complex).reshape(n ** degree, m * m)
-    return (pi @ flat).reshape((n,) * degree + (m, m))
+    return (flat - Q @ (Q.conj().T @ flat)).reshape((n,) * degree + (m, m))
 
 
 def _check_degree(tower, p):
@@ -192,22 +190,18 @@ def wedge(xi, zeta):
 def contract(xi, indices):
     """Evaluate xi on the derivations (e_{b1}, ..., e_{bp}).
 
-    The contraction tensor is conj(Pi_p); for xi = theta^a theta^b this
-    returns the projector entry P^{ab}_{cd} times the identity.
+    The coefficients of a form are canonical, so this is the coefficient at
+    (b1, ..., bp); for xi = theta^a theta^b it is the entry P^{ab}_{b1 b2}
+    of the projector times the identity.
     """
     p = xi.degree
     indices = tuple(indices)
     if len(indices) != p:
         raise ShapeError(f"need {p} indices, got {len(indices)}")
-    n, m = xi.tower.n, xi.tower.m
-    if p == 0:
-        return xi.coeffs.copy()
-    flat = xi.coeffs.reshape(n ** p, m, m)
-    if p == 1:
-        return flat[indices[0]].copy()
-    col = np.ravel_multi_index(indices, (n,) * p)
-    T = xi.tower.projectors[p].conj()
-    return np.tensordot(T[:, col], flat, axes=(0, 0))
+    n = xi.tower.n
+    if not all(0 <= b < n for b in indices):
+        raise IndexError(f"derivation indices {indices} out of range 0..{n - 1}")
+    return xi.coeffs[indices].copy()
 
 
 def chi(xi):

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -240,7 +241,10 @@ def cmd_equiv(args):
 
 
 def cmd_catalog(args):
-    entry = catalog.build_entry(args.name, args.m)
+    try:
+        entry = catalog.build_entry(args.name, args.m)
+    except ValueError as exc:  # m below the entry's minimum
+        raise ConfigError(str(exc)) from None
     sections = [_section("catalog", True, entry=entry.name,
                          m=args.m, n=entry.subspace.n,
                          expected=entry.expected)]
@@ -264,11 +268,23 @@ def _at_least(low):
     return integer
 
 
+def _positive_float(text):
+    """argparse type: a finite float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def _add_common(p, need_file=True):
     if need_file:
         p.add_argument("file", help="algebra definition JSON")
-    p.add_argument("--tol", type=float,
-                   default=float(os.environ.get("NCG_TOL", DEFAULT_TOL)))
+    # argparse runs ``type`` on a string default, so a bad NCG_TOL is a usage error
+    p.add_argument("--tol", type=_positive_float,
+                   default=os.environ.get("NCG_TOL", DEFAULT_TOL))
     p.add_argument("--format", choices=("json", "text"), default="text")
 
 

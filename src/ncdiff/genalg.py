@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import dual_data
-from .errors import DependentRelations, InvalidRelation
+from .errors import DependentRelations, InvalidRelation, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, rank_nullspace
 
 __all__ = [
@@ -121,6 +121,10 @@ def use_relations(B, alpha_user, D=None, tol=DEFAULT_TOL):
         D = dual_data(B, tol=tol)
     alpha_user = np.asarray(alpha_user, dtype=complex)
     n, m = B.n, B.m
+    if alpha_user.ndim != 2 or alpha_user.shape[0] != n * n:
+        raise ShapeError(f"alpha has shape {alpha_user.shape}, expected ({n * n}, R)")
+    if not np.all(np.isfinite(alpha_user)):
+        raise ValidationError("alpha has a non-finite entry")
     F, t, rho = structure_constants(B, D)
     rho_flat = rho.reshape(n * n, m * m)
     scale = max(np.max(np.linalg.norm(rho_flat, axis=1)), 1.0)

@@ -111,13 +111,20 @@ def lift_to_slots(Q, p, q):
     return np.kron(np.kron(left, Q), right)
 
 
+def span_basis(columns, tol=DEFAULT_TOL):
+    """Orthonormal basis, as columns, of the column span of ``columns``.
+
+    Directions whose singular value is at most ``tol`` times the largest
+    one are dropped.
+    """
+    columns = np.asarray(columns, dtype=complex)
+    if columns.size == 0:
+        return np.zeros((columns.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, :np.count_nonzero(s > tol * s[0])]
+
+
 def span_projector(columns, tol=DEFAULT_TOL):
     """Hermitian orthogonal projector onto the column span of ``columns``."""
-    columns = np.asarray(columns, dtype=complex)
-    k = columns.shape[0]
-    if columns.size == 0:
-        return np.zeros((k, k), dtype=complex)
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    keep = s > tol * s[0] if s.size and s[0] > 0 else np.zeros_like(s, dtype=bool)
-    ur = u[:, keep]
-    return ur @ ur.conj().T
+    u = span_basis(columns, tol=tol)
+    return u @ u.conj().T

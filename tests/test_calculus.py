@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncdiff import calculus, catalog, genalg
 from ncdiff.algebra import validate_subspace
 from ncdiff.calculus import (
+    build_tower,
     canonicalize,
     check_structure_equations,
     chi,
@@ -20,6 +23,8 @@ from ncdiff.calculus import (
 )
 from ncdiff.catalog import clock_shift, gell_mann_basis
 from ncdiff.errors import DegreeError
+from ncdiff.linalg import gram, rank_nullspace, span_projector
+from ncdiff.maps import lie_derivative
 
 Q3 = np.exp(2j * np.pi / 3)
 
@@ -157,11 +162,14 @@ def _catalog_structure(name, m):
     return genalg.use_relations(e.subspace, e.suggested_alpha)
 
 
-def _generic_structure(m, n, seed):
+def _generic_lambdas(m, n, seed):
     rng = np.random.default_rng(seed)
     lam = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-    lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
-    return genalg.detect_structure(validate_subspace(m, list(lam)))
+    return lam - np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
+
+
+def _generic_structure(m, n, seed):
+    return genalg.detect_structure(validate_subspace(m, list(_generic_lambdas(m, n, seed))))
 
 
 def _chain_equations(G, p):
@@ -232,3 +240,109 @@ def test_zero_form(pauli_tower):
     z = zero_form(pauli_tower, 2)
     assert z.degree == 2
     assert form_norm(z) == 0.0
+
+
+def test_canonicalize_degree_check(pauli_tower, rng):
+    with pytest.raises(DegreeError):
+        random_form(pauli_tower, pauli_tower.max_degree + 1, rng)
+    with pytest.raises(DegreeError):
+        canonicalize(pauli_tower, -1, np.zeros((2, 2)))
+
+
+def _dense_projector(G, p):
+    """Pi_p = I - (projector onto the degree-p relation span), formed densely."""
+    n = G.subspace.n
+    if p < 2:
+        return np.eye(n ** p)
+    left_null = rank_nullspace(G.P.T).nullspace
+    return np.eye(n ** p) - span_projector(calculus._relation_span(left_null, p))
+
+
+def _lie_derivative_dense(tower, pi, f, xi):
+    """lie_derivative with the insertion weighted by the contraction tensor conj(Pi_p)."""
+    B, duals = tower.ga.subspace, tower.ga.dual.duals
+    n, m, p = tower.n, tower.m, xi.degree
+    first = np.einsum("ij,...jk->...ik", f, xi.coeffs) - np.einsum("...ij,jk->...ik", xi.coeffs, f)
+    comm = np.einsum("ij,cjk->cik", f, B.lambdas) - np.einsum("cij,jk->cik", B.lambdas, f)
+    W = gram(duals, comm)
+    X = np.tensordot(pi.conj(), xi.coeffs.reshape(n ** p, m, m), axes=([0], [0]))
+    X = X.reshape(xi.coeffs.shape)
+    second = sum((np.moveaxis(np.tensordot(X, W, axes=([q], [0])), -1, q) for q in range(p)),
+                 np.zeros_like(X))
+    return (pi @ (-first - second).reshape(n ** p, m * m)).reshape(xi.coeffs.shape)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("su2", 3), id="su2-m3"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 3), id="clock-shift-m3"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), id="ellipsoid-m4"),
+    pytest.param(lambda: _catalog_structure("a0", 2), id="a0-m2"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+    pytest.param(lambda: _generic_structure(4, 5, 1), id="generic-m4-n5"),
+])
+def test_tower_matches_dense_projectors(make):
+    G = make()
+    tower = build_tower(G, 3)
+    n, m = tower.n, tower.m
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for p in range(4):
+        pi = _dense_projector(G, p)
+        assert tower.ranks[p] == round(np.trace(pi).real)
+        shape = (n,) * p + (m, m)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense = (pi @ raw.reshape(n ** p, m * m)).reshape(shape)
+        assert np.max(np.abs(canonicalize(tower, p, raw) - dense)) < 1e-12
+        xi = random_form(tower, p, rng)
+        T = np.tensordot(pi.conj(), xi.coeffs.reshape(n ** p, m, m), axes=([0], [0]))
+        for col, idx in enumerate(np.ndindex((n,) * p)):
+            assert np.max(np.abs(contract(xi, idx) - T[col])) < 1e-12
+        lie = lie_derivative(tower, f, xi).coeffs
+        assert np.max(np.abs(lie - _lie_derivative_dense(tower, pi, f, xi))) < 1e-12
+
+
+def test_a0_tower_memory():
+    # D_3 = n^3 = 3375 here: a dense n^3 x n^3 array would take 182 MB.
+    G = _catalog_structure("a0", 4)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        tower = build_tower(G, 3)
+        xi = random_form(tower, 3, rng)
+        eta = wedge(coframe(tower, 0), random_form(tower, 2, rng))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert xi.degree == eta.degree == 3 and tower.ranks[3] == 15 ** 3
+    assert peak < 20e6
+
+
+def _random_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rank_invariants(m, lambdas):
+    G = genalg.detect_structure(validate_subspace(m, list(lambdas)))
+    return G.R, build_tower(G, 3).ranks
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("m, lambdas", [
+    pytest.param(3, catalog.su2(3).subspace.lambdas, id="su2-m3"),
+    pytest.param(3, catalog.clock_shift(3).subspace.lambdas, id="clock-shift-m3"),
+    pytest.param(4, catalog.fuzzy_ellipsoid(4).subspace.lambdas, id="ellipsoid-m4"),
+    pytest.param(2, catalog.universal_A0(2).subspace.lambdas, id="a0-m2"),
+    pytest.param(3, _generic_lambdas(3, 4, 0), id="generic-m3-n4"),
+    pytest.param(4, _generic_lambdas(4, 5, 1), id="generic-m4-n5"),
+])
+def test_ranks_invariant_under_presentation(m, lambdas, seed):
+    """R and D_p do not depend on the basis of B or on a unitary frame of C^m."""
+    rng = np.random.default_rng(seed)
+    n = lambdas.shape[0]
+    # cond(A) = 10: singular values spread evenly over [1, 10]
+    A = _random_unitary(rng, n) @ np.diag(np.linspace(1.0, 10.0, n)) @ _random_unitary(rng, n)
+    u = _random_unitary(rng, m)
+    expected = _rank_invariants(m, lambdas)
+    assert _rank_invariants(m, np.einsum("ab,bij->aij", A, lambdas)) == expected
+    assert _rank_invariants(m, u @ lambdas @ u.conj().T) == expected

@@ -144,16 +144,56 @@ def test_ncg_tol_env(monkeypatch):
     assert args.tol == 1e-6
 
 
-@pytest.mark.parametrize("argv", [
-    ["forms", "FILE", "--max-degree", "0"],
-    ["verify", "FILE", "--max-degree", "1"],
-    ["verify", "FILE", "--trials", "0"],
-    ["equiv", "FILE", "FILE", "--trials", "0"],
-], ids=["forms-max-degree-0", "verify-max-degree-1", "verify-trials-0", "equiv-trials-0"])
-def test_bad_arguments_exit_2(capsys, clock_file, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([clock_file if a == "FILE" else a for a in argv])
-    assert exc.value.code == 2
+@pytest.fixture
+def bad_inputs(tmp_path, clock_file, pauli_file):
+    """Input paths by the placeholder that names them in an argv row."""
+    e = clock_shift(3)
+    nan_basis = e.subspace.lambdas.copy()
+    nan_basis[0, 0, 1] = np.nan
+    nan_alpha = e.suggested_alpha.copy()
+    nan_alpha[0, 0] = np.nan
+    nan_u = np.eye(3)
+    nan_u[0, 0] = np.nan
+    paths = {"FILE": clock_file, "PAULI": pauli_file}
+    for key, alpha, basis in (("NAN_BASIS", None, nan_basis),
+                              ("SHORT_ALPHA", e.suggested_alpha[:-1], e.subspace.lambdas),
+                              ("NAN_ALPHA", nan_alpha, e.subspace.lambdas)):
+        paths[key] = str(tmp_path / f"{key}.json")
+        formats.save_algebra(paths[key], 3, key, basis, alpha=alpha)
+    for key, u in (("WIDE_U", np.eye(3, 4)), ("SMALL_U", np.eye(2)), ("NAN_U", nan_u)):
+        paths[key] = str(tmp_path / f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(formats.matrix_to_json(u), fh)
+    return paths
+
+
+@pytest.mark.parametrize("argv, ncg_tol", [
+    (["forms", "FILE", "--max-degree", "0"], None),
+    (["verify", "FILE", "--max-degree", "1"], None),
+    (["verify", "FILE", "--trials", "0"], None),
+    (["equiv", "FILE", "FILE", "--trials", "0"], None),
+    (["catalog", "su2", "--m", "1"], None),
+    (["catalog", "ellipsoid", "--m", "2"], None),
+    (["analyze", "NAN_BASIS"], None),
+    (["forms", "SHORT_ALPHA", "--alpha", "embedded"], None),
+    (["forms", "NAN_ALPHA", "--alpha", "embedded"], None),
+    (["equiv", "FILE", "WIDE_U"], None),
+    (["equiv", "FILE", "SMALL_U"], None),
+    (["equiv", "FILE", "NAN_U"], None),
+    (["analyze", "PAULI", "--tol", "0"], None),
+    (["analyze", "FILE"], "abc"),
+], ids=["forms-max-degree-0", "verify-max-degree-1", "verify-trials-0", "equiv-trials-0",
+        "catalog-su2-m1", "catalog-ellipsoid-m2", "nan-basis-entry", "alpha-row-count",
+        "nan-alpha-entry", "equiv-non-square-u", "equiv-u-wrong-size", "equiv-nan-u", "tol-0",
+        "ncg-tol-not-a-number"])
+def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol):
+    if ncg_tol is not None:
+        monkeypatch.setenv("NCG_TOL", ncg_tol)
+    try:
+        code = cli.main([bad_inputs.get(a, a) for a in argv])
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1

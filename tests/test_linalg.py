@@ -8,6 +8,7 @@ from ncdiff.linalg import (
     inner,
     lift_to_slots,
     rank_nullspace,
+    span_basis,
     span_projector,
 )
 
@@ -103,3 +104,12 @@ def test_span_projector():
     assert np.trace(P).real == pytest.approx(1.0)
     v = np.array([1.0, 1.0, 0.0])
     assert np.allclose(P @ v, v)
+
+
+def test_span_basis():
+    Q = span_basis(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+    assert Q.shape == (3, 1)
+    assert np.allclose(Q.conj().T @ Q, np.eye(1))
+    assert np.allclose(Q @ Q.conj().T, np.outer([1, 1, 0], [1, 1, 0]) / 2)
+    assert span_basis(np.zeros((3, 2))).shape == (3, 0)
+    assert span_basis(np.zeros((3, 0))).shape == (3, 0)
