@@ -3,9 +3,13 @@ the tower of p-form relation spaces, wedge product, contraction, the
 insertion map chi, and the exterior derivative d = -[theta, .] + chi.
 
 Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
-the ideal generated by the quadratic relations: the left null space of P
-lifted to every adjacent slot pair.  The tower keeps an orthonormal basis
-Q_p of that relation span per degree (no columns when a degree has none).
+the ideal generated by the quadratic relations: L = null(P^T) lifted to
+every adjacent slot pair.  Its complement, the canonical space W_p, is
+W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower is
+built one degree at a time with one SVD of an (n^(p-2) dim L) x (D_{p-1} n)
+matrix per degree, never of the full n^p-row relation span.  The tower
+keeps an orthonormal basis Q_p of the relation span per degree (no columns
+when a degree has none).
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content is orthogonal to range(Q_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -19,7 +23,7 @@ import numpy as np
 
 from .algebra import matrix_basis_duals
 from .errors import DegreeError, ShapeError
-from .linalg import DEFAULT_TOL, dagger, lift_to_slots, rank_nullspace, span_basis
+from .linalg import DEFAULT_TOL, dagger, rank_nullspace
 
 __all__ = [
     "FormTower",
@@ -94,25 +98,56 @@ class Form:
             raise DegreeError("form degrees do not match")
 
 
-def _relation_span(left_null, p):
-    """Degree-p relation span: ``left_null`` lifted to every adjacent slot pair."""
-    return np.hstack([lift_to_slots(left_null, p, q) for q in range(1, p)])
+def _degree_bases(left_null, n, max_degree, tol):
+    """Relation basis Q_p and canonical basis W_p for p = 2..max_degree.
+
+    Each degree solves only its newest slot pair, starting from W_1 = I_n:
+    W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1),
+    an (n^(p-2) k) x (D_{p-1} n) matrix for L = ``left_null`` (n^2 x k).  The
+    row space of M_p holds the new relation directions, so
+    Q_p = [Q_{p-1} (x) 1, (W_{p-1} (x) 1) row(M_p)]; both bases are orthonormal.
+    The singular values of M_p are cosines of principal angles, at most 1: a
+    value counts when it exceeds ``tol`` times the largest one, and none count
+    when the largest is at most ``tol``.  Yields (p, Q_p, W_p); yields nothing
+    when L has no columns.
+    """
+    k = left_null.shape[1]
+    if k == 0:
+        return
+    L = left_null.conj().reshape(n, n, k)
+    Q = np.zeros((n, 0), dtype=complex)
+    W = np.eye(n, dtype=complex)
+    for p in range(2, max_degree + 1):
+        D = W.shape[1]
+        # M[(A, r), (j, c)] = sum_a conj(L[a, c, r]) W[(A, a), j]
+        M = np.tensordot(W.reshape(n ** (p - 2), n, D), L, axes=([1], [0]))
+        M = M.transpose(0, 3, 1, 2).reshape(n ** (p - 2) * k, D * n)
+        # a wide M needs the full vh for its null space; a tall one only the economy U
+        _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+        rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > tol else 0
+        # (W_{p-1} (x) 1) applied to every right singular vector
+        V = (W @ vh.conj().T.reshape(D, n * D * n)).reshape(n ** p, D * n)
+        Q = np.hstack([np.kron(Q, np.eye(n)), V[:, :rank]])
+        W = V[:, rank:]
+        yield p, Q, W
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
     """Relation bases and ranks up to ``max_degree``.
 
-    The degree-p relation span is the sum over adjacent slot pairs of the
-    left null space of P; Q_p is an orthonormal basis of it and
-    D_p = n^p - rank Q_p.
+    The degree-p relation span is the sum over adjacent slot pairs of
+    L = null(P^T) lifted there.  Its complement W_p is W_{p-1} (x) C^n
+    intersected with (C^n)^(x)(p-2) (x) L^perp, so each degree costs one SVD
+    of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``).
+    Q_p is an orthonormal basis of the relation span and D_p = n^p - rank Q_p.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n = G.subspace.n
     left_null = rank_nullspace(G.P.T, tol=tol).nullspace  # n^2 x (n^2 - R)
-    relations = {p: np.zeros((n ** p, 0), dtype=complex) for p in (0, 1)}
-    for p in range(2, max_degree + 1):
-        relations[p] = span_basis(_relation_span(left_null, p), tol=tol)
+    relations = {p: np.zeros((n ** p, 0), dtype=complex) for p in range(max_degree + 1)}
+    for p, Q, _ in _degree_bases(left_null, n, max_degree, tol):
+        relations[p] = Q
     ranks = {p: n ** p - Q.shape[1] for p, Q in relations.items()}
     return FormTower(ga=G, max_degree=max_degree, relations=relations, ranks=ranks)
 
@@ -256,9 +291,10 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
 
     The chain asks for eps_t, t = 0..p-2, whose lifts X = (1 (x) alpha (x) 1)
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
-    the solutions are the X in every lifted range(alpha): the complement of
-    conj(relation span), which is conj(range Pi_p) and has dimension D_p.
-    Each eps_t = (1 (x) beta (x) 1) X.  Returns (exists, basis, dim) where
+    the solutions are the X in every lifted range(alpha): conj(W_p), the
+    canonical space of dimension D_p that ``build_tower`` finds one slot pair
+    at a time (X is every tensor when null(P^T) is empty).  Each
+    eps_t = (1 (x) beta (x) 1) X.  Returns (exists, basis, dim) where
     ``exists`` means a nonzero solution exists at tolerance; basis columns
     use the unknown layout x[t, A, r] with A in n^(p-2) row-major.
     """
@@ -272,7 +308,8 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     if left_null.shape[1] == 0:
         X = np.eye(n ** p, dtype=complex)
     else:
-        X = rank_nullspace(_relation_span(left_null, p).T, tol=tol).nullspace
+        *_, (_, _, W) = _degree_bases(left_null, n, p, tol)
+        X = W.conj()
     dim = X.shape[1]
     if dim == 0:
         return False, None, 0

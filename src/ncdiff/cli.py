@@ -232,7 +232,7 @@ def cmd_equiv(args):
             u = formats.matrix_from_json(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise _IOFail(f"cannot read transform file {args.transform!r}: {exc}")
-    U = maps.Conjugation.from_matrix(u)
+    U = maps.Conjugation.from_matrix(u, tol=args.tol)
     rep_eq = maps.check_equivalence(U, G.subspace, tower, trials=args.trials,
                                     seed=args.seed, tol=args.tol)
     sections = [_section(k, rep_eq[k] < 1e-8, residual=float(rep_eq[k]))

@@ -23,7 +23,7 @@ from ncdiff.calculus import (
 )
 from ncdiff.catalog import clock_shift, gell_mann_basis
 from ncdiff.errors import DegreeError
-from ncdiff.linalg import gram, rank_nullspace, span_projector
+from ncdiff.linalg import DEFAULT_TOL, gram, lift_to_slots, rank_nullspace, span_projector
 from ncdiff.maps import lie_derivative
 
 Q3 = np.exp(2j * np.pi / 3)
@@ -249,13 +249,18 @@ def test_canonicalize_degree_check(pauli_tower, rng):
         canonicalize(pauli_tower, -1, np.zeros((2, 2)))
 
 
+def _relation_span(G, p):
+    """Degree-p relation span: null(P^T) lifted to every adjacent slot pair."""
+    left_null = rank_nullspace(G.P.T).nullspace
+    return np.hstack([lift_to_slots(left_null, p, q) for q in range(1, p)])
+
+
 def _dense_projector(G, p):
     """Pi_p = I - (projector onto the degree-p relation span), formed densely."""
     n = G.subspace.n
     if p < 2:
         return np.eye(n ** p)
-    left_null = rank_nullspace(G.P.T).nullspace
-    return np.eye(n ** p) - span_projector(calculus._relation_span(left_null, p))
+    return np.eye(n ** p) - span_projector(_relation_span(G, p))
 
 
 def _lie_derivative_dense(tower, pi, f, xi):
@@ -299,6 +304,27 @@ def test_tower_matches_dense_projectors(make):
             assert np.max(np.abs(contract(xi, idx) - T[col])) < 1e-12
         lie = lie_derivative(tower, f, xi).coeffs
         assert np.max(np.abs(lie - _lie_derivative_dense(tower, pi, f, xi))) < 1e-12
+
+
+@pytest.mark.parametrize("make, p, expected", [
+    pytest.param(lambda: _generic_structure(3, 4, 0), 5, 6 * 2 ** 5, id="generic-m3-n4-p5"),
+    pytest.param(lambda: _generic_structure(4, 6, 2), 4, 5 * 3 ** 4, id="generic-m4-n6-p4"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), 4, 0, id="clock-shift-m5-p4"),
+    pytest.param(lambda: _catalog_structure("a0", 2), 4, 3 ** 4, id="a0-m2-p4"),
+])
+def test_recursive_ranks(make, p, expected):
+    """D_p from the slot-pair recursion against the dense span, a closed form and the chain.
+
+    Generic subspaces with n = 2(m-1) follow D_p = (p+1)(n/2)^p; clock-shift
+    has D_3 = 0, so its degree-4 solve has no columns; a0 has no relations.
+    """
+    G = make()
+    n = G.subspace.n
+    D = build_tower(G, p).ranks[p]
+    assert D == expected
+    s = np.linalg.svd(_relation_span(G, p), compute_uv=False)
+    assert D == n ** p - np.count_nonzero(s > DEFAULT_TOL * s.max(initial=0.0))
+    assert D == epsilon_check(G, p)[2]
 
 
 def test_a0_tower_memory():

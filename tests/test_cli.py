@@ -160,7 +160,8 @@ def bad_inputs(tmp_path, clock_file, pauli_file):
                               ("NAN_ALPHA", nan_alpha, e.subspace.lambdas)):
         paths[key] = str(tmp_path / f"{key}.json")
         formats.save_algebra(paths[key], 3, key, basis, alpha=alpha)
-    for key, u in (("WIDE_U", np.eye(3, 4)), ("SMALL_U", np.eye(2)), ("NAN_U", nan_u)):
+    for key, u in (("WIDE_U", np.eye(3, 4)), ("SMALL_U", np.eye(2)), ("NAN_U", nan_u),
+                   ("NEAR_SINGULAR_U", np.diag([1.0, 1.0, 1e-4]))):
         paths[key] = str(tmp_path / f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(formats.matrix_to_json(u), fh)
@@ -197,3 +198,10 @@ def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_equiv_singular_at_tol(capsys, bad_inputs):
+    """--tol reaches the singularity check of the conjugating matrix."""
+    argv = ["equiv", bad_inputs["FILE"], bad_inputs["NEAR_SINGULAR_U"], "--tol", "1e-3"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "SingularTransform" in capsys.readouterr().err
