@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import matrix_basis_duals
 from .errors import DegreeError, ShapeError
-from .linalg import DEFAULT_TOL, dagger, rank_nullspace
+from .linalg import DEFAULT_TOL, _pair_products, dagger, rank_nullspace
 
 __all__ = [
     "FormTower",
@@ -200,13 +200,13 @@ def theta(tower):
 def lmul(f, xi):
     """Left module action f . xi."""
     f = np.asarray(f, dtype=complex)
-    return Form(xi.tower, xi.degree, np.einsum("ij,...jk->...ik", f, xi.coeffs))
+    return Form(xi.tower, xi.degree, f @ xi.coeffs)
 
 
 def rmul(xi, f):
     """Right module action xi . f."""
     f = np.asarray(f, dtype=complex)
-    return Form(xi.tower, xi.degree, np.einsum("...ij,jk->...ik", xi.coeffs, f))
+    return Form(xi.tower, xi.degree, xi.coeffs @ f)
 
 
 def wedge(xi, zeta):
@@ -218,7 +218,7 @@ def wedge(xi, zeta):
     n, m = tower.n, tower.m
     a = xi.coeffs.reshape(n ** p, m, m)
     b = zeta.coeffs.reshape(n ** q, m, m)
-    out = np.einsum("aij,bjk->abik", a, b).reshape((n,) * (p + q) + (m, m))
+    out = _pair_products(a, b).reshape((n,) * (p + q) + (m, m))
     return Form(tower, p + q, canonicalize(tower, p + q, out))
 
 
@@ -272,7 +272,7 @@ def exterior_d(xi):
     lam = tower.ga.subspace.lambdas
     if p == 0:
         f = xi.coeffs
-        c = np.einsum("aij,jk->aik", lam, f) - np.einsum("ij,ajk->aik", f, lam)
+        c = lam @ f - f @ lam
         return Form(tower, 1, c)
     if tower.ranks[p + 1] == 0:
         return zero_form(tower, p + 1)

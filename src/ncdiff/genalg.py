@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import dual_data
 from .errors import DependentRelations, InvalidRelation, ShapeError, ValidationError
-from .linalg import DEFAULT_TOL, rank_nullspace
+from .linalg import DEFAULT_TOL, _pair_products, rank_nullspace
 
 __all__ = [
     "GAStructure",
@@ -49,7 +49,7 @@ class GAStructure:
 def structure_constants(B, D):
     """F^a_bc = <lambda^a, lambda_b lambda_c>, t_bc = tr(lambda_b lambda_c),
     rho_bc = eta_perp(lambda_b lambda_c)."""
-    prod = np.einsum("bij,cjk->bcik", B.lambdas, B.lambdas)
+    prod = _pair_products(B.lambdas, B.lambdas)
     F = np.einsum("aij,bcij->abc", D.duals.conj(), prod)
     t = np.einsum("bcii->bc", prod)
     # eta_perp of every product: subtract its eta part F^a_bc lambda_a and its trace part
@@ -159,7 +159,7 @@ def verify_ga(G, tol=DEFAULT_TOL):
         checks["relation_residual"] = 0.0
 
     # dim span{products, basis, 1} <= n^2 + n + 1 - R
-    prods = np.einsum("bij,cjk->bcik", B.lambdas, B.lambdas).reshape(n * n, m * m)
+    prods = _pair_products(B.lambdas, B.lambdas).reshape(n * n, m * m)
     stack = np.vstack([prods, B.lambdas.reshape(n, m * m), np.eye(m).reshape(1, m * m)])
     span_dim = rank_nullspace(stack.T / max(np.linalg.norm(stack), 1.0), tol=tol).rank
     bound = n * n + n + 1 - G.R

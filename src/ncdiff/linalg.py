@@ -41,6 +41,18 @@ def gram(a, b=None):
     return np.einsum("aij,bij->ab", a.conj(), b)
 
 
+def _pair_products(a, b):
+    """out[x, y] = a[x] @ b[y] for stacks a (A, i, j) and b (B, j, k), as one GEMM.
+
+    Returns an (A, B, i, k) view of the (A i) x (B k) product of the stacked
+    rows of ``a`` with the side-by-side columns of ``b``.
+    """
+    A, i, j = a.shape
+    B, _, k = b.shape
+    out = a.reshape(A * i, j) @ b.transpose(1, 0, 2).reshape(j, B * k)
+    return out.reshape(A, i, B, k).transpose(0, 2, 1, 3)
+
+
 @dataclass(frozen=True)
 class RankResult:
     """Numerical rank data for a complex matrix.

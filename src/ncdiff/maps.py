@@ -112,7 +112,7 @@ def _ustar(U, tower, xi):
     With matched bases the index structure is unchanged and coefficients map
     by f -> u^-1 f u.
     """
-    coeffs = np.einsum("ij,...jk,kl->...il", U.u_inv, xi.coeffs, U.u)
+    coeffs = U.u_inv @ xi.coeffs @ U.u
     return Form(tower, xi.degree, canonicalize(tower, xi.degree, coeffs))
 
 
@@ -180,11 +180,9 @@ def lie_derivative(tower, f, xi):
         raise DegreeError(f"degree {p} outside the tower range")
     B = tower.ga.subspace
     duals = tower.ga.dual.duals
-    first = np.einsum("ij,...jk->...ik", f, xi.coeffs) - np.einsum(
-        "...ij,jk->...ik", xi.coeffs, f
-    )
+    first = f @ xi.coeffs - xi.coeffs @ f
     # W[b, c] = <lambda^b, [f, lambda_c]>
-    comm = np.einsum("ij,cjk->cik", f, B.lambdas) - np.einsum("cij,jk->cik", B.lambdas, f)
+    comm = f @ B.lambdas - B.lambdas @ f
     W = gram(duals, comm)
     second = np.zeros_like(xi.coeffs)
     for q in range(p):

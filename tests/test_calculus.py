@@ -16,7 +16,9 @@ from ncdiff.calculus import (
     epsilon_check,
     exterior_d,
     form_norm,
+    lmul,
     random_form,
+    rmul,
     theta,
     wedge,
     zero_form,
@@ -304,6 +306,36 @@ def test_tower_matches_dense_projectors(make):
             assert np.max(np.abs(contract(xi, idx) - T[col])) < 1e-12
         lie = lie_derivative(tower, f, xi).coeffs
         assert np.max(np.abs(lie - _lie_derivative_dense(tower, pi, f, xi))) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("su2", 3), id="su2-m3"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 3), id="clock-shift-m3"),
+    pytest.param(lambda: _catalog_structure("a0", 2), id="a0-m2"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+])
+def test_kernels_match_einsum(make):
+    """wedge, lmul, rmul and degree-0 d against their einsum formulas on random forms."""
+    tower = build_tower(make(), 3)
+    n, m = tower.n, tower.m
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    lam = tower.ga.subspace.lambdas
+    d0 = np.einsum("aij,jk->aik", lam, f) - np.einsum("ij,ajk->aik", f, lam)
+    assert np.max(np.abs(exterior_d(calculus.scalar_form(tower, f)).coeffs - d0)) < 1e-12
+    for p in range(4):
+        xi = random_form(tower, p, rng)
+        left = np.einsum("ij,...jk->...ik", f, xi.coeffs)
+        right = np.einsum("...ij,jk->...ik", xi.coeffs, f)
+        assert np.max(np.abs(lmul(f, xi).coeffs - left)) < 1e-12
+        assert np.max(np.abs(rmul(xi, f).coeffs - right)) < 1e-12
+        for q in range(4 - p):
+            zeta = random_form(tower, q, rng)
+            a = xi.coeffs.reshape(n ** p, m, m)
+            b = zeta.coeffs.reshape(n ** q, m, m)
+            raw = np.einsum("aij,bjk->abik", a, b).reshape((n,) * (p + q) + (m, m))
+            ref = canonicalize(tower, p + q, raw)
+            assert np.max(np.abs(wedge(xi, zeta).coeffs - ref)) < 1e-12, (p, q)
 
 
 @pytest.mark.parametrize("make, p, expected", [

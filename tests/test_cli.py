@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncdiff import cli, formats
+from ncdiff import cli, formats, universal
 from ncdiff.catalog import clock_shift, universal_A0
 
 
@@ -112,6 +112,42 @@ def test_equiv(tmp_path, capsys, clock_file):
                                    "--trials", "3"])
     assert code == 0
     assert all(s["status"] == "pass" for s in rep["sections"])
+
+
+JUDGED = {
+    "verify": ("d_squared_zero", "graded_leibniz", "trace_lemma", "universal_identity"),
+    "equiv": ("coframe", "theta", "products", "d_commutation"),
+}
+
+
+def _judged_sections(rep, command):
+    """Each section judged against a literal: (status, largest residual, bound)."""
+    sec = {s["name"]: s for s in rep["sections"]}
+    out = []
+    for name in JUDGED[command]:
+        residuals = [v for k, v in sec[name].items() if k not in ("name", "status", "bound")]
+        out.append((sec[name]["status"], max(residuals), sec[name]["bound"]))
+    return out
+
+
+@pytest.mark.parametrize("break_du", [False, True])
+def test_sections_report_bound(monkeypatch, capsys, tmp_path, clock_file, break_du):
+    if break_du:
+        du = universal.du
+        monkeypatch.setattr(universal, "du", lambda f: du(2 * f))
+    upath = tmp_path / "u.json"
+    u = np.random.default_rng(9).standard_normal((3, 3))
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(u), fh)
+    judged = []
+    for argv in (["verify", clock_file], ["equiv", clock_file, str(upath)]):
+        code, rep = _run_json(capsys, argv + ["--trials", "3"])
+        judged += _judged_sections(rep, argv[0])
+        assert code == (cli.EXIT_VERIFY if break_du and argv[0] == "verify" else cli.EXIT_OK)
+    for status, residual, bound in judged:
+        assert status == ("pass" if residual < bound else "fail")
+    assert [b for *_, b in judged] == [1e-8, 1e-8, 3e-10, 1e-10] + [1e-8] * 4
+    assert [s for s, *_ in judged].count("fail") == int(break_du)
 
 
 def test_equiv_singular(tmp_path, clock_file):

@@ -129,3 +129,14 @@ def test_rho_matches_eta_perp(rng):
         for c in range(B.n):
             ref = algebra.eta_perp(B, D, lam[b] @ lam[c])
             assert np.allclose(rho[b, c], ref, atol=1e-12)
+
+
+def test_structure_constants_match_einsum(rng):
+    lam = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+    B = algebra.validate_subspace(3, list(lam))
+    D = algebra.dual_data(B)
+    F, t, _ = genalg.structure_constants(B, D)
+    prod = np.einsum("bij,cjk->bcik", lam, lam)
+    assert np.max(np.abs(F - np.einsum("aij,bcij->abc", D.duals.conj(), prod))) < 1e-12
+    assert np.max(np.abs(t - np.einsum("bcii->bc", prod))) < 1e-12

@@ -83,6 +83,16 @@ def test_check_equivalence_random_invertible(maker, m):
         assert rep[key] < 1e-8
 
 
+def test_ustar_matches_einsum(clock3_tower, rng):
+    u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    U = Conjugation.from_matrix(u)
+    for p in range(4):
+        xi = random_form(clock3_tower, p, rng)
+        raw = np.einsum("ij,...jk,kl->...il", U.u_inv, xi.coeffs, U.u)
+        ref = calculus.canonicalize(clock3_tower, p, raw)
+        assert np.max(np.abs(maps._ustar(U, clock3_tower, xi).coeffs - ref)) < 1e-12
+
+
 def test_non_conjugation_breaks_d(pauli_structure, pauli_tower):
     # A generic linear map of the basis is not a d-homomorphism.
     rng = np.random.default_rng(2)

@@ -28,6 +28,16 @@ def test_flatten_kron():
     assert np.allclose(X.flatten(), np.kron(f, g))
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_flatten_matches_kron_sum(k, rng):
+    m = 3
+    terms = tuple((_rand(m, rng), _rand(m, rng)) for _ in range(k))
+    ref = sum((np.kron(f, g) for f, g in terms), np.zeros((m * m, m * m), dtype=complex))
+    out = UElement(m, terms).flatten()
+    assert out.shape == (m * m, m * m)
+    assert np.max(np.abs(out - ref)) < 1e-12
+
+
 def test_bimodule_actions(rng):
     m = 3
     f, g, h = _rand(m, rng), _rand(m, rng), _rand(m, rng)
@@ -49,7 +59,7 @@ def test_du_kills_identity():
     assert np.allclose(du(np.eye(3)).flatten(), 0.0)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_trace_lemma(m):
     rep = verify_trace_lemma(_full_basis(m), trials=20, seed=7)
     assert rep["passed"], rep
@@ -57,7 +67,7 @@ def test_trace_lemma(m):
     assert rep["tensor_commutator"] < 1e-10
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 8])
 def test_universal_identity(m, rng):
     # -[theta_u, f] = du(f) for every matrix f.
     th = theta_u(_full_basis(m))
@@ -65,6 +75,37 @@ def test_universal_identity(m, rng):
         f = _rand(m, rng)
         lhs = th.commutator(f).flatten()  # f.theta - theta.f = -[theta_u, f]
         assert np.linalg.norm(lhs - du(f).flatten()) < 1e-10
+
+
+def _trace_lemma_loop(gam, gdual, trials, seed):
+    """verify_trace_lemma's two residuals, one basis element at a time."""
+    m = gam.shape[1]
+    rng = np.random.default_rng(seed)
+    res_trace = res_comm = 0.0
+    for _ in range(trials):
+        f = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+        g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+        total = sum(gam[mu] @ f @ gdual[mu].conj().T for mu in range(m * m))
+        res_trace = max(res_trace, np.linalg.norm(total - np.trace(f) * np.eye(m)))
+        comm = sum(np.kron(f @ gam[mu] @ g, gdual[mu].conj().T)
+                   - np.kron(gam[mu] @ g, gdual[mu].conj().T @ f) for mu in range(m * m))
+        res_comm = max(res_comm, np.linalg.norm(comm))
+    return res_trace, res_comm
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_trace_lemma_matches_loop(m, monkeypatch):
+    # Random "duals" make both residuals O(1), so the comparison is not one of rounding noise.
+    rng = np.random.default_rng(11)
+    fake = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
+    monkeypatch.setattr(universal, "matrix_basis_duals", lambda gam, tol: fake)
+    gam = _full_basis(m)
+    rep = verify_trace_lemma(gam, trials=4, seed=5)
+    res_trace, res_comm = _trace_lemma_loop(gam, fake, trials=4, seed=5)
+    assert res_trace > 1.0 and res_comm > 1.0
+    assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
+    assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
+    assert not rep["passed"] and rep["bound"] == 1e-10 * m
 
 
 def test_theta_u_a_multiplies_to_zero():
