@@ -30,11 +30,13 @@ __all__ = [
 class Subspace:
     """An n-dimensional subspace of traceless m x m matrices.
 
-    ``lambdas`` has shape (n, m, m); construct via :func:`validate_subspace`.
+    ``lambdas`` has shape (n, m, m) and ``gram`` is its Gram matrix g_ab;
+    construct via :func:`validate_subspace`.
     """
 
     m: int
     lambdas: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
     label: str = ""
 
     @property
@@ -65,18 +67,18 @@ def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
         if norm == 0.0 or abs(np.trace(b)) > tol * norm:
             raise TracelessViolation(i, abs(np.trace(b)))
     lambdas = np.array(mats)
-    cond = np.linalg.cond(gram(lambdas))
+    g = gram(lambdas)
+    cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1.0 / tol:
         raise DependentBasis(
             f"basis is linearly dependent at tolerance (Gram condition {cond:.3e})"
         )
-    return Subspace(m=m, lambdas=lambdas, label=label)
+    return Subspace(m=m, lambdas=lambdas, gram=g, label=label)
 
 
 def dual_data(B, tol=DEFAULT_TOL):
     """Gram matrix, its inverse, and the dual basis lambda^a = g^{ba} lambda_b."""
-    lam = B.lambdas
-    g = gram(lam)
+    lam, g = B.lambdas, B.gram
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1.0 / tol:
         raise ConditioningError(f"Gram matrix condition number {cond:.3e} exceeds 1/tol")

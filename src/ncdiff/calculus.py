@@ -1,5 +1,5 @@
 """The differential calculus over a generalised algebra: co-frame 1-forms,
-the tower of p-form relation spaces, wedge product, contraction, the
+the tower of canonical p-form spaces, wedge product, contraction, the
 insertion map chi, and the exterior derivative d = -[theta, .] + chi.
 
 Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
@@ -8,10 +8,10 @@ every adjacent slot pair.  Its complement, the canonical space W_p, is
 W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower is
 built one degree at a time with one SVD of an (n^(p-2) dim L) x (D_{p-1} n)
 matrix per degree, never of the full n^p-row relation span.  The tower
-keeps an orthonormal basis Q_p of the relation span per degree (no columns
-when a degree has none).
+keeps an orthonormal basis W_p (n^p x D_p) of each degree that has
+relations; at the other degrees every tensor is canonical.
 A degree-p form is stored by its canonical coefficient table: an array of
-shape (n,)*p + (m, m) whose pair-index content is orthogonal to range(Q_p),
+shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
 identically.  Evaluating a canonical form on derivations (e_b1, ..., e_bp)
 reads its coefficient at (b1, ..., bp).
@@ -49,15 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormTower:
-    """Per-degree relation bases and ranks for one calculus.
+    """Per-degree canonical bases and ranks for one calculus.
 
-    ``relations[p]`` is an orthonormal basis Q_p (n^p x (n^p - D_p)) of the
-    degree-p relation span, for p = 0..max_degree; ``ranks[p]`` is D_p.
+    ``bases[p]`` is an orthonormal basis W_p (n^p x D_p) of the canonical
+    space, held only for the degrees that have relations: 2..max_degree when
+    null(P^T) is nonempty.  At an absent degree every tensor is canonical.
+    ``ranks[p]`` is D_p for p = 0..max_degree.
     """
 
     ga: object
     max_degree: int
-    relations: dict = field(repr=False)
+    bases: dict = field(repr=False)
     ranks: dict = field(default_factory=dict)
 
     @property
@@ -99,23 +101,20 @@ class Form:
 
 
 def _degree_bases(left_null, n, max_degree, tol):
-    """Relation basis Q_p and canonical basis W_p for p = 2..max_degree.
+    """Canonical basis W_p for p = 2..max_degree.
 
     Each degree solves only its newest slot pair, starting from W_1 = I_n:
     W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1),
-    an (n^(p-2) k) x (D_{p-1} n) matrix for L = ``left_null`` (n^2 x k).  The
-    row space of M_p holds the new relation directions, so
-    Q_p = [Q_{p-1} (x) 1, (W_{p-1} (x) 1) row(M_p)]; both bases are orthonormal.
-    The singular values of M_p are cosines of principal angles, at most 1: a
-    value counts when it exceeds ``tol`` times the largest one, and none count
-    when the largest is at most ``tol``.  Yields (p, Q_p, W_p); yields nothing
-    when L has no columns.
+    an (n^(p-2) k) x (D_{p-1} n) matrix for L = ``left_null`` (n^2 x k); W_p
+    is orthonormal.  The singular values of M_p are cosines of principal
+    angles, at most 1: a value counts when it exceeds ``tol`` times the
+    largest one, and none count when the largest is at most ``tol``.
+    Yields (p, W_p); yields nothing when L has no columns.
     """
     k = left_null.shape[1]
     if k == 0:
         return
     L = left_null.conj().reshape(n, n, k)
-    Q = np.zeros((n, 0), dtype=complex)
     W = np.eye(n, dtype=complex)
     for p in range(2, max_degree + 1):
         D = W.shape[1]
@@ -125,40 +124,43 @@ def _degree_bases(left_null, n, max_degree, tol):
         # a wide M needs the full vh for its null space; a tall one only the economy U
         _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
         rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > tol else 0
-        # (W_{p-1} (x) 1) applied to every right singular vector
-        V = (W @ vh.conj().T.reshape(D, n * D * n)).reshape(n ** p, D * n)
-        Q = np.hstack([np.kron(Q, np.eye(n)), V[:, :rank]])
-        W = V[:, rank:]
-        yield p, Q, W
+        Dp = D * n - rank
+        # W_p = (W_{p-1} (x) 1) N for the (D n) x D_p null basis N of M_p
+        W = (W @ vh[rank:].conj().T.reshape(D, n * Dp)).reshape(n ** p, Dp)
+        yield p, W
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
-    """Relation bases and ranks up to ``max_degree``.
+    """Canonical bases and ranks up to ``max_degree``.
 
     The degree-p relation span is the sum over adjacent slot pairs of
     L = null(P^T) lifted there.  Its complement W_p is W_{p-1} (x) C^n
     intersected with (C^n)^(x)(p-2) (x) L^perp, so each degree costs one SVD
     of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``).
-    Q_p is an orthonormal basis of the relation span and D_p = n^p - rank Q_p.
+    D_p is the width of W_p, or n^p at a degree without relations.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n = G.subspace.n
     left_null = rank_nullspace(G.P.T, tol=tol).nullspace  # n^2 x (n^2 - R)
-    relations = {p: np.zeros((n ** p, 0), dtype=complex) for p in range(max_degree + 1)}
-    for p, Q, _ in _degree_bases(left_null, n, max_degree, tol):
-        relations[p] = Q
-    ranks = {p: n ** p - Q.shape[1] for p, Q in relations.items()}
-    return FormTower(ga=G, max_degree=max_degree, relations=relations, ranks=ranks)
+    bases = dict(_degree_bases(left_null, n, max_degree, tol))
+    ranks = {p: bases[p].shape[1] if p in bases else n ** p for p in range(max_degree + 1)}
+    return FormTower(ga=G, max_degree=max_degree, bases=bases, ranks=ranks)
 
 
 def canonicalize(tower, degree, coeffs):
-    """Remove the relation component Q_p Q_p^dag of a raw coefficient table."""
+    """Project a raw coefficient table onto the canonical space: W_p W_p^dag.
+
+    At a degree without a stored basis every table is canonical and is
+    returned as it is.
+    """
     _check_degree(tower, degree)
     n, m = tower.n, tower.m
-    Q = tower.relations[degree]
     flat = np.asarray(coeffs, dtype=complex).reshape(n ** degree, m * m)
-    return (flat - Q @ (Q.conj().T @ flat)).reshape((n,) * degree + (m, m))
+    W = tower.bases.get(degree)
+    if W is not None:
+        flat = W @ (W.conj().T @ flat)
+    return flat.reshape((n,) * degree + (m, m))
 
 
 def _check_degree(tower, p):
@@ -292,11 +294,11 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     The chain asks for eps_t, t = 0..p-2, whose lifts X = (1 (x) alpha (x) 1)
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
     the solutions are the X in every lifted range(alpha): conj(W_p), the
-    canonical space of dimension D_p that ``build_tower`` finds one slot pair
-    at a time (X is every tensor when null(P^T) is empty).  Each
-    eps_t = (1 (x) beta (x) 1) X.  Returns (exists, basis, dim) where
-    ``exists`` means a nonzero solution exists at tolerance; basis columns
-    use the unknown layout x[t, A, r] with A in n^(p-2) row-major.
+    canonical space of dimension D_p from ``build_tower`` (X is every tensor
+    at a degree without relations).  Each eps_t = (1 (x) beta (x) 1) X.
+    Returns (exists, basis, dim) where ``exists`` means a nonzero solution
+    exists at tolerance; basis columns use the unknown layout x[t, A, r]
+    with A in n^(p-2) row-major.
     """
     if p < 3:
         raise ValueError("epsilon_check requires p >= 3")
@@ -304,12 +306,8 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     R = G.R
     if R == 0:
         return False, None, 0
-    left_null = rank_nullspace(G.P.T, tol=tol).nullspace
-    if left_null.shape[1] == 0:
-        X = np.eye(n ** p, dtype=complex)
-    else:
-        *_, (_, _, W) = _degree_bases(left_null, n, p, tol)
-        X = W.conj()
+    W = build_tower(G, p, tol=tol).bases.get(p)
+    X = np.eye(n ** p, dtype=complex) if W is None else W.conj()
     dim = X.shape[1]
     if dim == 0:
         return False, None, 0

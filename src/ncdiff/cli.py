@@ -149,10 +149,10 @@ def cmd_forms(args):
     tower = calculus.build_tower(G, args.max_degree, tol=args.tol)
     sections = [_section("ranks", True,
                          D={str(p): tower.ranks[p] for p in sorted(tower.ranks)})]
+    # the chain's solution space at degree p is conj(W_p) (see calculus.epsilon_check)
     for p in range(3, args.max_degree + 1):
-        exists, _, dim = calculus.epsilon_check(G, p, tol=args.tol)
-        sections.append(_section(f"epsilon_degree_{p}", True,
-                                 exists=bool(exists), solution_dim=dim))
+        dim = tower.ranks[p]
+        sections.append(_section(f"epsilon_degree_{p}", True, exists=dim > 0, solution_dim=dim))
     return _finish(args, sections)
 
 
@@ -348,6 +348,10 @@ def main(argv=None):
         return EXIT_VALIDATION
     except CalculusError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}; try a lower --max-degree",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -123,20 +123,15 @@ def lift_to_slots(Q, p, q):
     return np.kron(np.kron(left, Q), right)
 
 
-def span_basis(columns, tol=DEFAULT_TOL):
-    """Orthonormal basis, as columns, of the column span of ``columns``.
+def span_projector(columns, tol=DEFAULT_TOL):
+    """Hermitian orthogonal projector onto the column span of ``columns``.
 
     Directions whose singular value is at most ``tol`` times the largest
     one are dropped.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.size == 0:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
+        return np.zeros((columns.shape[0],) * 2, dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, :np.count_nonzero(s > tol * s[0])]
-
-
-def span_projector(columns, tol=DEFAULT_TOL):
-    """Hermitian orthogonal projector onto the column span of ``columns``."""
-    u = span_basis(columns, tol=tol)
+    u = u[:, :np.count_nonzero(s > tol * s[0])]
     return u @ u.conj().T

@@ -122,8 +122,8 @@ def check_equivalence(U, B, tower, trials=10, seed=0, tol=DEFAULT_TOL):
     Builds the conjugated subspace with the transported relation matrix,
     then checks co-frame preservation, theta preservation, product
     preservation, and commutation of U^star with d on random forms.  The
-    transported relations give the same P, hence the same relation bases,
-    so the conjugated calculus shares the tower's ``relations``.
+    transported relations give the same P, hence the same canonical spaces,
+    so the conjugated calculus shares the tower's ``bases``.
     """
     G = tower.ga
     if tower.max_degree < 2:

@@ -31,20 +31,28 @@ class UElement:
     m: int
     terms: tuple = field(repr=False)  # tuple of (f, g) matrix pairs
 
+    def _stacks(self):
+        """The left factors f_t and the right factors g_t as (terms, m, m) stacks."""
+        m = self.m
+        F = np.array([f for f, _ in self.terms], dtype=complex).reshape(-1, m, m)
+        G = np.array([g for _, g in self.terms], dtype=complex).reshape(-1, m, m)
+        return F, G
+
     def flatten(self):
         m = self.m
-        F = np.array([f for f, _ in self.terms], dtype=complex).reshape(-1, m * m)
-        G = np.array([g for _, g in self.terms], dtype=complex).reshape(-1, m * m)
+        F, G = (x.reshape(-1, m * m) for x in self._stacks())
         # (F^T G)[(i, j), (k, l)] = sum_t f_t[i, j] g_t[k, l] = kron-sum at [(i, k), (j, l)]
         return (F.T @ G).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
 
     def left(self, h):
         """h . (f (x) g) = hf (x) g."""
-        return UElement(self.m, tuple((h @ f, g) for f, g in self.terms))
+        F, G = self._stacks()
+        return UElement(self.m, tuple(zip(h @ F, G)))
 
     def right(self, h):
         """(f (x) g) . h = f (x) gh."""
-        return UElement(self.m, tuple((f, g @ h) for f, g in self.terms))
+        F, G = self._stacks()
+        return UElement(self.m, tuple(zip(F, G @ h)))
 
     def __add__(self, other):
         return UElement(self.m, self.terms + other.terms)

@@ -3,7 +3,8 @@ import pytest
 
 from ncdiff import algebra
 from ncdiff.catalog import gell_mann_basis
-from ncdiff.errors import DependentBasis, ShapeError, TracelessViolation
+from ncdiff.errors import ConditioningError, DependentBasis, ShapeError, TracelessViolation
+from ncdiff.linalg import gram
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,6 +50,16 @@ def test_dual_data_non_orthogonal():
         for b in range(2):
             got = np.trace(D.duals[a].conj().T @ B.lambdas[b])
             assert got == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
+
+
+def test_dual_data_reuses_subspace_gram(monkeypatch):
+    B = algebra.validate_subspace(2, [SX, SX + SY])
+    assert np.array_equal(B.gram, gram(B.lambdas))
+    monkeypatch.setattr(algebra, "gram", lambda *args: pytest.fail("Gram recomputed"))
+    assert algebra.dual_data(B).gram is B.gram
+    # cond = 6.85 > 1/tol: dual_data keeps its own conditioning check
+    with pytest.raises(ConditioningError, match="exceeds 1/tol"):
+        algebra.dual_data(B, tol=0.5)
 
 
 def test_eta_projection():

@@ -1,9 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncdiff import calculus, catalog, genalg
+from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff.algebra import validate_subspace
 from ncdiff.calculus import (
     build_tower,
@@ -201,11 +202,21 @@ def _chain_equations(G, p):
     pytest.param(lambda: _generic_structure(2, 2, 2), 5, id="generic-m2-n2-p5"),
     pytest.param(lambda: _generic_structure(3, 3, 3), 4, id="generic-m3-n3-p4"),
 ])
-def test_epsilon_chain_matches_tower(make, p):
+def test_epsilon_chain_matches_tower(make, p, tmp_path, capsys):
     G = make()
     exists, basis, dim = epsilon_check(G, p)
     assert dim == calculus.build_tower(G, p).ranks[p]
     assert exists == (dim > 0)
+    # forms reads its epsilon sections off the tower; they must agree with the chain solver
+    B, embedded = G.subspace, G.mode == "user-supplied"
+    path = tmp_path / "algebra.json"
+    formats.save_algebra(path, B.m, B.label, B.lambdas, alpha=G.alpha if embedded else None)
+    argv = ["forms", str(path), "--max-degree", str(p), "--format", "json"]
+    assert cli.main(argv + (["--alpha", "embedded"] if embedded else [])) == 0
+    sections = {s["name"]: s for s in json.loads(capsys.readouterr().out)["sections"]}
+    for q in range(3, p + 1):
+        sec = sections[f"epsilon_degree_{q}"]
+        assert (sec["exists"], sec["solution_dim"]) == epsilon_check(G, q)[::2]
     if dim == 0:
         assert basis is None
         return
@@ -300,6 +311,15 @@ def test_tower_matches_dense_projectors(make):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dense = (pi @ raw.reshape(n ** p, m * m)).reshape(shape)
         assert np.max(np.abs(canonicalize(tower, p, raw) - dense)) < 1e-12
+        # a basis W_p is stored exactly at the degrees with relations: p >= 2 unless P = 1
+        assert (p in tower.bases) == (p >= 2 and G.R < n * n)
+        if p in tower.bases:
+            W = tower.bases[p]
+            assert W.shape == (n ** p, tower.ranks[p])
+            assert np.max(np.abs(W.conj().T @ W - np.eye(W.shape[1])), initial=0.0) < 1e-12
+            assert np.max(np.abs(pi @ W - W), initial=0.0) < 1e-12
+        else:
+            assert np.array_equal(canonicalize(tower, p, raw), raw)
         xi = random_form(tower, p, rng)
         T = np.tensordot(pi.conj(), xi.coeffs.reshape(n ** p, m, m), axes=([0], [0]))
         for col, idx in enumerate(np.ndindex((n,) * p)):

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncdiff import cli, formats, universal
+from ncdiff import calculus, cli, formats, universal
 from ncdiff.catalog import clock_shift, universal_A0
 
 
@@ -81,6 +82,41 @@ def test_forms_r_zero(tmp_path, capsys):
     code, rep = _run_json(capsys, ["forms", str(path)])
     assert code == 0
     assert rep["sections"][0]["name"] == "omega2_trivial"
+
+
+def test_forms_memory(tmp_path, capsys):
+    """forms on generic (m, n) = (3, 4) to degree 6 keeps one n^p x D_p basis per degree."""
+    rng = np.random.default_rng(0)
+    lam = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
+    path = tmp_path / "generic.json"
+    formats.save_algebra(path, 3, "generic", lam)
+    tracemalloc.start()
+    try:
+        code, rep = _run_json(capsys, ["forms", str(path), "--max-degree", "6"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # n = 2(m-1): D_p = (p+1)(n/2)^p
+    D = {p: (p + 1) * 2 ** p for p in range(7)}
+    sec = {s["name"]: s for s in rep["sections"]}
+    assert sec["ranks"]["D"] == {str(p): d for p, d in D.items()}
+    assert all(sec[f"epsilon_degree_{p}"]["solution_dim"] == D[p] for p in range(3, 7))
+    assert peak < 200e6
+
+
+@pytest.mark.parametrize("command", ["forms", "verify"])
+def test_memory_error_exit_2(monkeypatch, capsys, clock_file, command):
+    def build_tower(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.00 GiB")
+    monkeypatch.setattr(calculus, "build_tower", build_tower)
+    assert cli.main([command, clock_file, "--max-degree", "3"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: MemoryError: Unable to allocate") and "--max-degree" in lines[0]
 
 
 def test_verify_pass_and_determinism(capsys, clock_file):

@@ -38,6 +38,19 @@ def test_flatten_matches_kron_sum(k, rng):
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1, 65])
+def test_actions_match_term_loop(k, rng):
+    """left/right against one product per term; 65 terms is theta_u at m = 8."""
+    m = 8
+    h = _rand(m, rng)
+    X = UElement(m, tuple((_rand(m, rng), _rand(m, rng)) for _ in range(k)))
+    for out, ref in ((X.left(h), [(h @ f, g) for f, g in X.terms]),
+                     (X.right(h), [(f, g @ h) for f, g in X.terms])):
+        assert out.m == m and len(out.terms) == k
+        for (f, g), (rf, rg) in zip(out.terms, ref):
+            assert np.max(np.abs(f - rf)) < 1e-12 and np.max(np.abs(g - rg)) < 1e-12
+
+
 def test_bimodule_actions(rng):
     m = 3
     f, g, h = _rand(m, rng), _rand(m, rng), _rand(m, rng)
