@@ -42,7 +42,7 @@ from .genalg import (
     use_relations,
     verify_ga,
 )
-from .linalg import RankResult, inner, lift_to_slots, rank_nullspace
+from .linalg import RankResult, inner, rank_nullspace
 from .maps import (
     Conjugation,
     LinearMap,
@@ -52,4 +52,4 @@ from .maps import (
     pullback,
     pushforward,
 )
-from .universal import UElement, du, theta_u, theta_u_a, verify_trace_lemma
+from .universal import commutator, du, theta_u, theta_u_a, verify_trace_lemma

@@ -71,7 +71,7 @@ def spin_matrices(m):
 
 
 def _pair_column(entries, n):
-    """Column vector over flattened pairs with {(a, b): value} entries (0-based)."""
+    """Column vector over row-major pairs with {(a, b): value} entries (0-based)."""
     col = np.zeros(n * n, dtype=complex)
     for (a, b), v in entries.items():
         col[n * a + b] = v

@@ -84,7 +84,7 @@ def _render(rep, fmt, out=None):
 def _load(path, tol):
     try:
         m, label, basis, alpha = formats.load_algebra(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _IOFail(f"cannot read algebra file {path!r}: {exc}")
     B = algebra.validate_subspace(m, basis, tol=tol, label=label)
     return B, alpha
@@ -209,9 +209,9 @@ def _verify_sections(G, tower, args, rng):
     worst_u = 0.0
     for _ in range(args.trials):
         f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        lhs = th.commutator(f).flatten()
-        rhs = universal.du(f).flatten()
-        worst_u = max(worst_u, float(np.linalg.norm(lhs - rhs)))
+        # f.theta_u - theta_u.f = -[theta_u, f] = du(f)
+        lhs = universal.commutator(f, th)
+        worst_u = max(worst_u, float(np.linalg.norm(lhs - universal.du(f))))
     sections.append(_judged("universal_identity", worst_u, 1e-10))
 
     # Co-frame reconstruction from the universal formula.
@@ -236,7 +236,7 @@ def cmd_equiv(args):
     try:
         with open(args.transform) as fh:
             u = formats.matrix_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _IOFail(f"cannot read transform file {args.transform!r}: {exc}")
     U = maps.Conjugation.from_matrix(u, tol=args.tol)
     rep_eq = maps.check_equivalence(U, G.subspace, tower, trials=args.trials,
@@ -256,8 +256,11 @@ def cmd_catalog(args):
                          expected=entry.expected)]
     if args.emit:
         alpha = entry.suggested_alpha
-        formats.save_algebra(args.emit, entry.subspace.m, entry.subspace.label,
-                             entry.subspace.lambdas, alpha=alpha)
+        try:
+            formats.save_algebra(args.emit, entry.subspace.m, entry.subspace.label,
+                                 entry.subspace.lambdas, alpha=alpha)
+        except OSError as exc:
+            raise _IOFail(f"cannot write algebra file {args.emit!r}: {exc}")
         sections.append(_section("emit", True, path=args.emit))
     rep = _report(args, "", sections)
     _render(rep, args.format)
@@ -315,7 +318,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
     p.add_argument("--max-degree", type=_at_least(2), default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--trials", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_verify)
 
@@ -323,7 +326,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("transform", help="matrix JSON for the conjugating u")
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--trials", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_equiv)
 

@@ -35,7 +35,9 @@ def load_algebra(path):
     """Read an algebra definition file; returns (m, label, basis, alpha)."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    m = int(data["m"])
+    m = data["m"]
+    if type(m) is not int:  # not isinstance: JSON true would pass as 1
+        raise ValueError(f"m must be a JSON integer, got {m!r}")
     label = data.get("label", "")
     basis = [matrix_from_json(b) for b in data["basis"]]
     alpha = None

@@ -2,7 +2,7 @@
 Moore-Penrose right data beta, the projector P = alpha beta, and the
 structure constants of the product decomposition.
 
-Pair indices (a, b) are flattened row-major: (a, b) -> n*a + b (0-based).
+Pair indices (a, b) are numbered row-major: (a, b) -> n*a + b (0-based).
 """
 
 from dataclasses import dataclass, field

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: trace inner product, rank/null-space with an
-explicit tolerance policy, and tensor-slot lifting of pair operators.
+"""Dense complex linear algebra: trace inner product, Gram matrices, and
+rank/null-space and span projectors with an explicit tolerance policy.
 
 All functions are pure and operate on immutable numpy inputs.
 """
@@ -102,25 +102,6 @@ def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
     if 0 < rank < s.size:
         gap = float(s[rank] / s[rank - 1])
     return RankResult(rank=rank, nullspace=null, singular_values=s, gap=gap)
-
-
-def lift_to_slots(Q, p, q):
-    """Embed a pair block Q (n^2 x k) on C^n (x) C^n into slots (q, q+1) of (C^n)^(x p).
-
-    Slot 1 is the leftmost tensor factor; 1 <= q <= p-1.  A square Q is a
-    pair operator; a rectangular Q lifts its columns, giving n^p x n^(p-2) k.
-    """
-    Q = np.asarray(Q, dtype=complex)
-    if Q.ndim != 2:
-        raise ShapeError(f"pair block must be 2-d, got {Q.shape}")
-    n = round(Q.shape[0] ** 0.5)
-    if n * n != Q.shape[0]:
-        raise ShapeError(f"pair block row count {Q.shape[0]} is not a perfect square")
-    if not (1 <= q <= p - 1):
-        raise IndexError(f"slot q={q} out of range for p={p}")
-    left = np.eye(n ** (q - 1), dtype=complex)
-    right = np.eye(n ** (p - q - 1), dtype=complex)
-    return np.kron(np.kron(left, Q), right)
 
 
 def span_projector(columns, tol=DEFAULT_TOL):

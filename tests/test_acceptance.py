@@ -172,8 +172,8 @@ def test_criterion_7_universal_identity():
         th = universal.theta_u(gam)
         for _ in range(20):
             f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            lhs = th.commutator(f).flatten()  # -[theta_u, f] flattened
-            worst = max(worst, np.linalg.norm(lhs - universal.du(f).flatten()))
+            lhs = universal.commutator(f, th)  # -[theta_u, f]
+            worst = max(worst, np.linalg.norm(lhs - universal.du(f)))
     _report(7, "universal identity -[theta_u, f] = d_u f, 20 random f, m=2,3",
             worst < 1e-10, f"max residual {worst:.2e}")
 

@@ -26,7 +26,7 @@ from ncdiff.calculus import (
 )
 from ncdiff.catalog import clock_shift, gell_mann_basis
 from ncdiff.errors import DegreeError
-from ncdiff.linalg import DEFAULT_TOL, gram, lift_to_slots, rank_nullspace, span_projector
+from ncdiff.linalg import DEFAULT_TOL, gram, rank_nullspace, span_projector
 from ncdiff.maps import lie_derivative
 
 Q3 = np.exp(2j * np.pi / 3)
@@ -262,10 +262,16 @@ def test_canonicalize_degree_check(pauli_tower, rng):
         canonicalize(pauli_tower, -1, np.zeros((2, 2)))
 
 
+def _lift_to_slots(Q, p, q):
+    """kron(I_{n^(q-1)}, Q, I_{n^(p-q-1)}): an n^2 x k pair block on slots (q, q+1) of p."""
+    n = round(Q.shape[0] ** 0.5)
+    return np.kron(np.kron(np.eye(n ** (q - 1)), Q), np.eye(n ** (p - q - 1)))
+
+
 def _relation_span(G, p):
     """Degree-p relation span: null(P^T) lifted to every adjacent slot pair."""
     left_null = rank_nullspace(G.P.T).nullspace
-    return np.hstack([lift_to_slots(left_null, p, q) for q in range(1, p)])
+    return np.hstack([_lift_to_slots(left_null, p, q) for q in range(1, p)])
 
 
 def _dense_projector(G, p):

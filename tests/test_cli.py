@@ -255,10 +255,12 @@ def bad_inputs(tmp_path, clock_file, pauli_file):
     (["equiv", "FILE", "NAN_U"], None),
     (["analyze", "PAULI", "--tol", "0"], None),
     (["analyze", "FILE"], "abc"),
+    (["verify", "FILE", "--seed", "-1"], None),
+    (["equiv", "FILE", "FILE", "--seed", "-5"], None),
 ], ids=["forms-max-degree-0", "verify-max-degree-1", "verify-trials-0", "equiv-trials-0",
         "catalog-su2-m1", "catalog-ellipsoid-m2", "nan-basis-entry", "alpha-row-count",
         "nan-alpha-entry", "equiv-non-square-u", "equiv-u-wrong-size", "equiv-nan-u", "tol-0",
-        "ncg-tol-not-a-number"])
+        "ncg-tol-not-a-number", "verify-negative-seed", "equiv-negative-seed"])
 def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol):
     if ncg_tol is not None:
         monkeypatch.setenv("NCG_TOL", ncg_tol)
@@ -267,6 +269,47 @@ def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol):
     except SystemExit as exc:  # argparse rejects the arguments
         code = exc.code
     assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.fixture
+def malformed_inputs(tmp_path, clock_file):
+    """Valid JSON that is not an algebra or a matrix, by the placeholder that names it."""
+    edits = {
+        "RE_IM_SHAPES": lambda d: d["basis"][0]["im"].pop(),
+        "RAGGED_RE": lambda d: d["basis"][0]["re"][0].pop(),
+        "M_TEXT": lambda d: d.update(m="two"),
+        "M_FLOAT": lambda d: d.update(m=3.0),
+        "ALPHA_PARTS": lambda d: d["alpha"][0]["im"].pop(),
+    }
+    paths = {"FILE": clock_file, "NO_DIR": str(tmp_path / "missing" / "x.json")}
+    for key, edit in edits.items():
+        with open(clock_file) as fh:
+            data = json.load(fh)
+        edit(data)
+        paths[key] = str(tmp_path / f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(data, fh)
+    paths["U_PARTS"] = str(tmp_path / "U_PARTS.json")
+    with open(paths["U_PARTS"], "w") as fh:
+        json.dump({"re": np.eye(3).tolist(), "im": np.zeros((2, 3)).tolist()}, fh)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "RE_IM_SHAPES"],
+    ["analyze", "RAGGED_RE"],
+    ["analyze", "M_TEXT"],
+    ["analyze", "M_FLOAT"],
+    ["analyze", "ALPHA_PARTS"],
+    ["equiv", "FILE", "U_PARTS"],
+    ["catalog", "su2", "--m", "3", "--emit", "NO_DIR"],
+], ids=["re-im-shapes", "ragged-re-rows", "m-text", "m-float", "alpha-parts",
+        "equiv-u-parts", "emit-missing-dir"])
+def test_malformed_input_exit_4(capsys, malformed_inputs, argv):
+    assert cli.main([malformed_inputs.get(a, a) for a in argv]) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1

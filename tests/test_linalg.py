@@ -6,7 +6,6 @@ from ncdiff.linalg import (
     dagger,
     gram,
     inner,
-    lift_to_slots,
     rank_nullspace,
     span_projector,
 )
@@ -73,26 +72,6 @@ def test_rank_reports_gap():
     res = rank_nullspace(M)
     assert res.rank == 2
     assert res.gap == pytest.approx(1e-11, rel=1e-6)
-
-
-def test_lift_to_slots():
-    # Pair operator on slots (q, q+1) of a p-fold product, n = 2.
-    Q = np.arange(16, dtype=complex).reshape(4, 4)
-    assert np.allclose(lift_to_slots(Q, 3, 1), np.kron(Q, np.eye(2)))
-    assert np.allclose(lift_to_slots(Q, 3, 2), np.kron(np.eye(2), Q))
-    assert np.allclose(lift_to_slots(Q, 2, 1), Q)
-    # A rectangular n^2 x k block lifts its columns: n^p x n^(p-2) k.
-    K = np.arange(12, dtype=complex).reshape(4, 3)
-    assert lift_to_slots(K, 3, 1).shape == (8, 6)
-    assert np.allclose(lift_to_slots(K, 3, 1), np.kron(K, np.eye(2)))
-    assert np.allclose(lift_to_slots(K, 3, 2), np.kron(np.eye(2), K))
-
-
-def test_lift_to_slots_bounds():
-    with pytest.raises(IndexError):
-        lift_to_slots(np.eye(4), 2, 2)
-    with pytest.raises(ShapeError):
-        lift_to_slots(np.ones((3, 2)), 3, 1)
 
 
 def test_span_projector():

@@ -4,7 +4,8 @@ import pytest
 from ncdiff import algebra, universal
 from ncdiff.catalog import gell_mann_basis
 from ncdiff.universal import (
-    UElement,
+    _kron_sum,
+    commutator,
     contract_ad,
     du,
     theta_u,
@@ -21,55 +22,61 @@ def _rand(m, rng):
     return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
 
 
+def _stack(k, m, rng):
+    return np.array([_rand(m, rng) for _ in range(k)]).reshape(k, m, m)
+
+
+def _multiply(X):
+    """The multiplication map f (x) g -> fg on the Kronecker matrix: sum_j X[(i, j), (j, l)]."""
+    m = round(X.shape[0] ** 0.5)
+    return np.einsum("ijjl->il", X.reshape(m, m, m, m))
+
+
 def test_flatten_kron():
     f = np.array([[1.0, 2.0], [3.0, 4.0]])
     g = np.array([[0.0, 1.0], [1.0, 0.0]])
-    X = UElement(2, ((f, g),))
-    assert np.allclose(X.flatten(), np.kron(f, g))
+    assert np.allclose(_kron_sum(f[None], g[None]), np.kron(f, g))
 
 
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_flatten_matches_kron_sum(k, rng):
     m = 3
-    terms = tuple((_rand(m, rng), _rand(m, rng)) for _ in range(k))
-    ref = sum((np.kron(f, g) for f, g in terms), np.zeros((m * m, m * m), dtype=complex))
-    out = UElement(m, terms).flatten()
+    F, G = _stack(k, m, rng), _stack(k, m, rng)
+    ref = sum((np.kron(f, g) for f, g in zip(F, G)), np.zeros((m * m, m * m), dtype=complex))
+    out = _kron_sum(F, G)
     assert out.shape == (m * m, m * m)
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1, 65])
 def test_actions_match_term_loop(k, rng):
-    """left/right against one product per term; 65 terms is theta_u at m = 8."""
+    """[h, X] against kron(h, 1) X - X kron(1, h); 65 terms is theta_u at m = 8."""
     m = 8
     h = _rand(m, rng)
-    X = UElement(m, tuple((_rand(m, rng), _rand(m, rng)) for _ in range(k)))
-    for out, ref in ((X.left(h), [(h @ f, g) for f, g in X.terms]),
-                     (X.right(h), [(f, g @ h) for f, g in X.terms])):
-        assert out.m == m and len(out.terms) == k
-        for (f, g), (rf, rg) in zip(out.terms, ref):
-            assert np.max(np.abs(f - rf)) < 1e-12 and np.max(np.abs(g - rg)) < 1e-12
+    X = _kron_sum(_stack(k, m, rng), _stack(k, m, rng))
+    eye = np.eye(m)
+    ref = np.kron(h, eye) @ X - X @ np.kron(eye, h)
+    assert np.max(np.abs(commutator(h, X) - ref)) < 1e-10 * max(1.0, np.abs(ref).max())
 
 
 def test_bimodule_actions(rng):
+    # h.(f (x) g) = hf (x) g and (f (x) g).h = f (x) gh.
     m = 3
     f, g, h = _rand(m, rng), _rand(m, rng), _rand(m, rng)
-    X = UElement(m, ((f, g),))
-    assert np.allclose(X.left(h).flatten(), np.kron(h @ f, g))
-    assert np.allclose(X.right(h).flatten(), np.kron(f, g @ h))
+    assert np.allclose(commutator(h, np.kron(f, g)), np.kron(h @ f, g) - np.kron(f, g @ h))
 
 
 def test_du_leibniz(rng):
     # du(fg) = du(f).g + f.du(g) as bimodule elements.
     m = 3
     f, g = _rand(m, rng), _rand(m, rng)
-    lhs = du(f @ g).flatten()
-    rhs = du(f).right(g).flatten() + du(g).left(f).flatten()
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    eye = np.eye(m)
+    rhs = du(f) @ np.kron(eye, g) + np.kron(f, eye) @ du(g)
+    assert np.allclose(du(f @ g), rhs, atol=1e-12)
 
 
 def test_du_kills_identity():
-    assert np.allclose(du(np.eye(3)).flatten(), 0.0)
+    assert np.allclose(du(np.eye(3)), 0.0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
@@ -86,8 +93,8 @@ def test_universal_identity(m, rng):
     th = theta_u(_full_basis(m))
     for _ in range(20):
         f = _rand(m, rng)
-        lhs = th.commutator(f).flatten()  # f.theta - theta.f = -[theta_u, f]
-        assert np.linalg.norm(lhs - du(f).flatten()) < 1e-10
+        lhs = commutator(f, th)  # f.theta - theta.f = -[theta_u, f]
+        assert np.linalg.norm(lhs - du(f)) < 1e-10
 
 
 def _trace_lemma_loop(gam, gdual, trials, seed):
@@ -132,12 +139,18 @@ def test_theta_u_a_multiplies_to_zero():
     D = algebra.dual_data(B)
     for a in range(3):
         X = theta_u_a(gam, D, a)
-        acc = sum(fi @ gi for fi, gi in X.terms)
-        assert np.linalg.norm(acc) < 1e-10
+        assert np.linalg.norm(X) > 0.5
+        assert np.linalg.norm(_multiply(X)) < 1e-10
 
 
 def test_contract_ad(rng):
     m = 3
     f, g, h = _rand(m, rng), _rand(m, rng), _rand(m, rng)
-    X = UElement(m, ((f, g),))
-    assert np.allclose(contract_ad(X, h), f @ (h @ g - g @ h))
+    assert np.allclose(contract_ad(np.kron(f, g), h), f @ (h @ g - g @ h))
+
+
+def test_contract_ad_of_du(rng):
+    # ad(h) contracted with du(g) = 1 (x) g - g (x) 1 gives [h, g] - g [h, 1] = [h, g].
+    m = 4
+    g, h = _rand(m, rng), _rand(m, rng)
+    assert np.allclose(contract_ad(du(g), h), h @ g - g @ h)
