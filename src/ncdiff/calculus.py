@@ -15,6 +15,9 @@ shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
 identically.  Evaluating a canonical form on derivations (e_b1, ..., e_bp)
 reads its coefficient at (b1, ..., bp).
+Projection is linear, so each operation builds its whole raw table first
+and projects it once: ``exterior_d`` sums the two theta products and the
+chi insertions in one table and calls ``canonicalize`` once.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ import numpy as np
 
 from .algebra import matrix_basis_duals
 from .errors import DegreeError, ShapeError
-from .linalg import DEFAULT_TOL, _pair_products, dagger, rank_nullspace
+from .linalg import DEFAULT_TOL, _at_slot, _pair_products, _rank, rank_nullspace
 
 __all__ = [
     "FormTower",
@@ -123,7 +126,7 @@ def _degree_bases(left_null, n, max_degree, tol):
         M = M.transpose(0, 3, 1, 2).reshape(n ** (p - 2) * k, D * n)
         # a wide M needs the full vh for its null space; a tall one only the economy U
         _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-        rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > tol else 0
+        rank = _rank(s, tol) if s.size and s[0] > tol else 0
         Dp = D * n - rank
         # W_p = (W_{p-1} (x) 1) N for the (D n) x D_p null basis N of M_p
         W = (W @ vh[rank:].conj().T.reshape(D, n * Dp)).reshape(n ** p, Dp)
@@ -142,8 +145,9 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n = G.subspace.n
-    left_null = rank_nullspace(G.P.T, tol=tol).nullspace  # n^2 x (n^2 - R)
-    bases = dict(_degree_bases(left_null, n, max_degree, tol))
+    # with R = n^2, P is the identity and null(P^T) = 0: no degree has relations
+    bases = {} if G.R == n * n else dict(
+        _degree_bases(rank_nullspace(G.P.T, tol=tol).nullspace, n, max_degree, tol))
     ranks = {p: bases[p].shape[1] if p in bases else n ** p for p in range(max_degree + 1)}
     return FormTower(ga=G, max_degree=max_degree, bases=bases, ranks=ranks)
 
@@ -241,6 +245,23 @@ def contract(xi, indices):
     return xi.coeffs[indices].copy()
 
 
+def _raw_chi(F, coeffs):
+    """The raw (uncanonicalized) chi table of a degree-p coefficient table, p >= 1.
+
+    Slot q = 1..p of ``coeffs`` is replaced by the pair slots (b, c) weighted
+    by (-1)^q F^a_bc: one stacked GEMM of F as an (n^2 x n) matrix per slot,
+    summed into the contiguous output of the first.
+    """
+    n = F.shape[0]
+    p = coeffs.ndim - 2
+    shape = (n,) * (p + 1) + coeffs.shape[-2:]
+    Fm = F.reshape(n, n * n).T  # Fm[(b, c), a] = F^a_bc
+    out = _at_slot(-Fm, coeffs, 0).reshape(shape)
+    for q in range(2, p + 1):
+        out += _at_slot((-1) ** q * Fm, coeffs, q - 1).reshape(shape)
+    return out
+
+
 def chi(xi):
     """The A-bilinear insertion map raising degree by one.
 
@@ -252,21 +273,18 @@ def chi(xi):
     if p == 0:
         raise DegreeError("chi is defined on degree >= 1")
     _check_degree(tower, p + 1)
-    F = tower.ga.F
-    out = np.zeros((tower.n,) * (p + 1) + (tower.m, tower.m), dtype=complex)
-    for q in range(1, p + 1):
-        term = np.tensordot(xi.coeffs, F, axes=([q - 1], [0]))
-        # tensordot leaves (b, c) at the end, after the matrix axes
-        term = np.moveaxis(term, (-2, -1), (q - 1, q))
-        out += (-1) ** q * term
-    return Form(tower, p + 1, canonicalize(tower, p + 1, out))
+    return Form(tower, p + 1, canonicalize(tower, p + 1, _raw_chi(tower.ga.F, xi.coeffs)))
 
 
 def exterior_d(xi):
     """Exterior derivative: -[theta, xi] (graded) + chi(xi).
 
-    On degree 0 this is the commutator form df = [lambda_a, f] theta^a.
-    Into a zero-rank target space the result is the zero form.
+    On degree 0 this is the commutator form df = [lambda_a, f] theta^a.  On
+    degree p >= 1, with theta = -lambda_a theta^a, the raw table is
+    lambda_a xi_B at (a, B), minus (-1)^p xi_B lambda_a at (B, a), plus the
+    raw chi table: one table, built from the two pair-product GEMMs of
+    ``wedge`` and the slot GEMMs of ``chi``, and projected once.  Into a
+    zero-rank target space the result is the zero form.
     """
     tower = xi.tower
     p = xi.degree
@@ -278,9 +296,12 @@ def exterior_d(xi):
         return Form(tower, 1, c)
     if tower.ranks[p + 1] == 0:
         return zero_form(tower, p + 1)
-    th = theta(tower)
-    graded = wedge(th, xi) - (-1) ** p * wedge(xi, th)
-    return -1 * graded + chi(xi)
+    n, m = tower.n, tower.m
+    a = xi.coeffs.reshape(n ** p, m, m)
+    raw = _raw_chi(tower.ga.F, xi.coeffs)
+    raw += _pair_products(lam, a).reshape(raw.shape)
+    raw += _pair_products(a, (-1) ** (p + 1) * lam).reshape(raw.shape)
+    return Form(tower, p + 1, canonicalize(tower, p + 1, raw))
 
 
 def form_norm(xi):
@@ -357,29 +378,30 @@ def coframe_from_formula(tower, basis_gamma, tol=DEFAULT_TOL):
 
     theta^a = sum_nu (gamma_nu lambda^{a dag}) d(gamma^{nu dag}) and
     theta = (1/m) sum_mu gamma_mu d(gamma^{mu dag}), for any basis gamma of
-    M_m(C).  Returns the rebuilt forms and a residual report against the
-    co-frame of the tower.
+    M_m(C).  Every d(gamma^{nu dag}) and every sum over nu is one GEMM: the
+    rows (a, i) and columns (nu, j) of (gamma_nu X_a)[i, j], for X_a =
+    lambda^{a dag} and X_n = 1/m, against the rows (nu, j) and columns (b, l)
+    of d(gamma^{nu dag})_b[j, l].  Returns the rebuilt forms and a residual
+    report against the co-frame of the tower.
     """
     G = tower.ga
     B = G.subspace
     n, m = B.n, B.m
     gam = np.array([np.asarray(g, dtype=complex) for g in basis_gamma])
-    gdual = matrix_basis_duals(gam, tol=tol)
-    duals = G.dual.duals
-    rebuilt = []
-    report = {}
-    scale = max(np.linalg.norm(B.lambdas), 1.0)
-    for a in range(n):
-        acc = zero_form(tower, 1)
-        la_dag = dagger(duals[a])
-        for nu in range(m * m):
-            acc = acc + lmul(gam[nu] @ la_dag, exterior_d(scalar_form(tower, dagger(gdual[nu]))))
-        rebuilt.append(acc)
-        report[f"theta_{a}"] = form_norm(acc - coframe(tower, a))
-    acc = zero_form(tower, 1)
-    for mu in range(m * m):
-        acc = acc + lmul(gam[mu] / m, exterior_d(scalar_form(tower, dagger(gdual[mu]))))
+    gdual_dag = matrix_basis_duals(gam, tol=tol).conj().transpose(0, 2, 1)
+    lam = B.lambdas
+    X = np.concatenate([G.dual.duals.conj().transpose(0, 2, 1), np.eye(m)[None] / m])
+    # left[(a, i), (nu, j)] = (gamma_nu X_a)[i, j]
+    left = _pair_products(gam, X).transpose(1, 2, 0, 3).reshape((n + 1) * m, m ** 3)
+    # right[(nu, j), (b, l)] = (lambda_b g_nu - g_nu lambda_b)[j, l] for g_nu = gamma^{nu dag}
+    dg = _pair_products(lam, gdual_dag).transpose(1, 0, 2, 3) - _pair_products(gdual_dag, lam)
+    right = dg.transpose(0, 2, 1, 3).reshape(m ** 3, n * m)
+    coeffs = (left @ right).reshape(n + 1, m, n, m).transpose(0, 2, 1, 3)
+    rebuilt = [Form(tower, 1, c) for c in coeffs[:n]]
+    acc = Form(tower, 1, coeffs[n])
+    report = {f"theta_{a}": form_norm(rebuilt[a] - coframe(tower, a)) for a in range(n)}
     report["theta"] = form_norm(acc - theta(tower))
+    scale = max(np.linalg.norm(B.lambdas), 1.0)
     report["passed"] = bool(max(report.values()) < tol * scale * 10)
     return rebuilt, acc, report
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import dual_data
 from .errors import DependentRelations, InvalidRelation, ShapeError, ValidationError
-from .linalg import DEFAULT_TOL, _pair_products, rank_nullspace
+from .linalg import DEFAULT_TOL, _pair_products, _rank, rank_nullspace
 
 __all__ = [
     "GAStructure",
@@ -161,7 +161,8 @@ def verify_ga(G, tol=DEFAULT_TOL):
     # dim span{products, basis, 1} <= n^2 + n + 1 - R
     prods = _pair_products(B.lambdas, B.lambdas).reshape(n * n, m * m)
     stack = np.vstack([prods, B.lambdas.reshape(n, m * m), np.eye(m).reshape(1, m * m)])
-    span_dim = rank_nullspace(stack.T / max(np.linalg.norm(stack), 1.0), tol=tol).rank
+    s = np.linalg.svd(stack.T / max(np.linalg.norm(stack), 1.0), compute_uv=False)
+    span_dim = _rank(s, tol)
     bound = n * n + n + 1 - G.R
     checks["span_dim"] = span_dim
     checks["span_dim_bound"] = bound

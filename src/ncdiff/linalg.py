@@ -4,6 +4,7 @@ rank/null-space and span projectors with an explicit tolerance policy.
 All functions are pure and operate on immutable numpy inputs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,21 @@ def _pair_products(a, b):
     return out.reshape(A, i, B, k).transpose(0, 2, 1, 3)
 
 
+def _at_slot(M, t, q):
+    """sum_j M[i, j] t[..., j, ...] with j on axis q of ``t``, as one stacked GEMM.
+
+    Axis q of the result holds M's row index i; the other axes are t's.
+    """
+    shape = t.shape
+    out = M @ t.reshape(math.prod(shape[:q]), shape[q], -1)
+    return out.reshape(shape[:q] + (M.shape[0],) + shape[q + 1:])
+
+
+def _rank(s, tol, floor=0.0):
+    """Count of the descending singular values ``s`` above tol * s[0] and above ``floor``."""
+    return int(np.count_nonzero(s > max(tol * s[0], floor)))
+
+
 @dataclass(frozen=True)
 class RankResult:
     """Numerical rank data for a complex matrix.
@@ -69,12 +85,20 @@ class RankResult:
     gap: float | None = None
 
 
-def _fix_phase(v):
-    idx = np.flatnonzero(np.abs(v) > 1e-12 * max(np.max(np.abs(v)), 1e-300))
-    if idx.size == 0:
-        return v
-    pivot = v[idx[0]]
-    return v * (abs(pivot) / pivot)
+def _fix_phases(V):
+    """Make the first entry of each column of V above 1e-12 x the column max real-positive.
+
+    A column without such an entry is left as it is.
+    """
+    a = np.abs(V)
+    significant = a > 1e-12 * np.maximum(a.max(axis=0), 1e-300)
+    cols = np.arange(V.shape[1])
+    first = significant.argmax(axis=0)
+    pivot = V[first, cols]
+    phase = np.ones(V.shape[1], dtype=complex)
+    has = significant[first, cols]
+    phase[has] = np.abs(pivot[has]) / pivot[has]
+    return V * phase
 
 
 def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
@@ -90,14 +114,8 @@ def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
     if tol <= 0:
         raise ValueError("tol must be positive")
     _, s, vh = np.linalg.svd(M)
-    ncols = M.shape[1]
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > max(tol * s[0], floor)))
-    null = vh[rank:].conj().T if rank < ncols else np.zeros((ncols, 0), dtype=complex)
-    for j in range(null.shape[1]):
-        null[:, j] = _fix_phase(null[:, j])
+    rank = _rank(s, tol, floor)
+    null = _fix_phases(vh[rank:].conj().T)
     gap = None
     if 0 < rank < s.size:
         gap = float(s[rank] / s[rank - 1])
@@ -114,5 +132,5 @@ def span_projector(columns, tol=DEFAULT_TOL):
     if columns.size == 0:
         return np.zeros((columns.shape[0],) * 2, dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    u = u[:, :np.count_nonzero(s > tol * s[0])]
+    u = u[:, :_rank(s, tol)]
     return u @ u.conj().T

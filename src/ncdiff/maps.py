@@ -18,7 +18,7 @@ from .calculus import (
 )
 from .errors import ConfigError, DegreeError, ShapeError, SingularTransform, ValidationError
 from .genalg import use_relations
-from .linalg import DEFAULT_TOL, gram
+from .linalg import DEFAULT_TOL, _at_slot, gram
 
 __all__ = [
     "LinearMap",
@@ -91,11 +91,11 @@ def pullback(phi, xi, source_tower):
     p = xi.degree
     if p > source_tower.max_degree:
         raise DegreeError(f"degree {p} outside the source tower range")
-    M = np.asarray(phi.matrix, dtype=complex)
+    Mt = np.asarray(phi.matrix, dtype=complex).T
     coeffs = xi.coeffs
     for q in range(p):
-        # contract the target index in slot q with M^c_b
-        coeffs = np.moveaxis(np.tensordot(coeffs, M, axes=([q], [0])), -1, q)
+        # contract the target index c in slot q with M^c_b
+        coeffs = _at_slot(Mt, coeffs, q)
     return Form(source_tower, p, canonicalize(source_tower, p, coeffs))
 
 
@@ -181,12 +181,11 @@ def lie_derivative(tower, f, xi):
     B = tower.ga.subspace
     duals = tower.ga.dual.duals
     first = f @ xi.coeffs - xi.coeffs @ f
-    # W[b, c] = <lambda^b, [f, lambda_c]>
+    # Wt[c, b] = <lambda^b, [f, lambda_c]>
     comm = f @ B.lambdas - B.lambdas @ f
-    W = gram(duals, comm)
+    Wt = gram(duals, comm).T
     second = np.zeros_like(xi.coeffs)
     for q in range(p):
-        term = np.tensordot(xi.coeffs, W, axes=([q], [0]))
-        second += np.moveaxis(term, -1, q)
+        second += _at_slot(Wt, xi.coeffs, q)
     out = -first - second
     return Form(tower, p, canonicalize(tower, p, out))

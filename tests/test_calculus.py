@@ -24,6 +24,7 @@ from ncdiff.calculus import (
     wedge,
     zero_form,
 )
+from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import clock_shift, gell_mann_basis
 from ncdiff.errors import DegreeError
 from ncdiff.linalg import DEFAULT_TOL, gram, rank_nullspace, span_projector
@@ -239,6 +240,94 @@ def test_coframe_from_formula(pauli_tower, clock3_tower):
         for a, form in enumerate(rebuilt):
             assert form_norm(form - coframe(tower, a)) < 1e-10
         assert form_norm(th - theta(tower)) < 1e-10
+
+
+def _coframe_loop(tower, gam):
+    """coframe_from_formula's rebuilt forms, one basis element nu at a time."""
+    n, m = tower.n, tower.m
+    gdual = matrix_basis_duals(gam)
+    d = [exterior_d(calculus.scalar_form(tower, g.conj().T)) for g in gdual]
+    rebuilt = []
+    for a in range(n):
+        la_dag = tower.ga.dual.duals[a].conj().T
+        acc = zero_form(tower, 1)
+        for nu in range(m * m):
+            acc = acc + lmul(gam[nu] @ la_dag, d[nu])
+        rebuilt.append(acc)
+    acc = zero_form(tower, 1)
+    for mu in range(m * m):
+        acc = acc + lmul(gam[mu] / m, d[mu])
+    return rebuilt, acc
+
+
+def test_coframe_from_formula_matches_loop(pauli_tower, clock3_tower, su2_m3_tower):
+    # a random basis of M_m(C) keeps every term of the sum over nu of size O(1)
+    rng = np.random.default_rng(4)
+    for tower in (pauli_tower, clock3_tower, su2_m3_tower):
+        m = tower.m
+        gam = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
+        rebuilt, th, rep = coframe_from_formula(tower, gam)
+        ref, ref_th = _coframe_loop(tower, gam)
+        assert rep["passed"], rep
+        assert len(rebuilt) == tower.n
+        for form, expected in zip(rebuilt + [th], ref + [ref_th]):
+            assert form.degree == 1
+            assert np.max(np.abs(form.coeffs - expected.coeffs)) < 1e-12
+
+
+def _chi_reference(xi):
+    """Raw chi table, one slot at a time through tensordot."""
+    F = xi.tower.ga.F
+    out = 0
+    for q in range(1, xi.degree + 1):
+        term = np.tensordot(xi.coeffs, F, axes=([q - 1], [0]))
+        out = out + (-1) ** q * np.moveaxis(term, (-2, -1), (q - 1, q))
+    return out
+
+
+def _exterior_d_reference(xi):
+    """d = -(theta xi - (-1)^p xi theta) + chi(xi), each term projected on its own."""
+    tower, p = xi.tower, xi.degree
+    th = theta(tower)
+    out = -1 * (wedge(th, xi) - (-1) ** p * wedge(xi, th))
+    if p > 0:
+        out = out + calculus.Form(tower, p + 1, canonicalize(tower, p + 1, _chi_reference(xi)))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("a0", 3), id="a0-m3"),
+    pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 8), id="clock-shift-m8"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 6), id="ellipsoid-m6"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+])
+def test_exterior_d_matches_three_projections(make):
+    """The one-projection d against wedge, wedge and chi projected separately."""
+    tower = build_tower(make(), 3)
+    rng = np.random.default_rng(9)
+    for p in range(tower.max_degree):
+        xi = random_form(tower, p, rng)
+        ref = _exterior_d_reference(xi).coeffs
+        assert np.linalg.norm(exterior_d(xi).coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
+        if p > 0:
+            raw = _chi_reference(xi)
+            assert np.max(np.abs(chi(xi).coeffs - canonicalize(tower, p + 1, raw))) < 1e-12
+
+
+def test_tower_without_relations_skips_null_space(monkeypatch):
+    """With R = n^2 (a0) P is the identity: no relation null space is computed."""
+    G = _catalog_structure("a0", 3)
+    n = G.subspace.n
+    assert G.R == n * n
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rank_nullspace called")
+
+    monkeypatch.setattr(calculus, "rank_nullspace", fail)
+    tower = build_tower(G, 3)
+    assert tower.bases == {}
+    assert tower.ranks == {p: n ** p for p in range(4)}
 
 
 def test_form_arithmetic(pauli_tower, rng):

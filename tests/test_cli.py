@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,3 +324,20 @@ def test_equiv_singular_at_tol(capsys, bad_inputs):
     argv = ["equiv", bad_inputs["FILE"], bad_inputs["NEAR_SINGULAR_U"], "--tol", "1e-3"]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert "SingularTransform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["ncdiff", "ncdiff.cli"])
+def test_python_dash_m_runs_cli(tmp_path, clock_file, module):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = run("catalog", "su2", "--m", "2", "--format", "json")
+    assert ok.returncode == 0, ok.stderr
+    rep = json.loads(ok.stdout)
+    assert rep["sections"][0]["entry"] == "su2"
+    bad = run("forms", clock_file, "--max-degree", "0")
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr

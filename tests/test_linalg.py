@@ -3,6 +3,7 @@ import pytest
 
 from ncdiff.errors import ShapeError
 from ncdiff.linalg import (
+    _fix_phases,
     dagger,
     gram,
     inner,
@@ -65,6 +66,31 @@ def test_rank_deterministic_phase():
     lead = v[np.argmax(np.abs(v) > 1e-12)]
     assert lead.imag == pytest.approx(0.0, abs=1e-12)
     assert lead.real > 0
+
+
+def _fix_phase_loop(V):
+    """Per-column reference for the phase convention of rank_nullspace."""
+    V = V.copy()
+    for j in range(V.shape[1]):
+        v = V[:, j]
+        idx = np.flatnonzero(np.abs(v) > 1e-12 * max(np.max(np.abs(v)), 1e-300))
+        if idx.size:
+            V[:, j] = v * (abs(v[idx[0]]) / v[idx[0]])
+    return V
+
+
+def test_fix_phases_matches_loop():
+    rng = np.random.default_rng(2)
+    V = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    V[:2, 1] = [1e-14j, -3e-13]  # below 1e-12 x the column max: the pivot is row 2
+    V[:, 3] = 0.0  # no significant entry: left as it is
+    V[0, 4] = 1e-11 - 1e-11j  # small but significant: it is the pivot
+    fixed = _fix_phases(V)
+    assert np.array_equal(fixed, _fix_phase_loop(V))
+    assert fixed[2, 1].real > 0 and abs(fixed[2, 1].imag) < 1e-15
+    assert fixed[0, 4].real > 0 and abs(fixed[0, 4].imag) < 1e-26
+    assert np.array_equal(fixed[:, 3], V[:, 3])
+    assert _fix_phases(np.zeros((3, 0), dtype=complex)).shape == (3, 0)
 
 
 def test_rank_reports_gap():

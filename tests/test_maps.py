@@ -58,6 +58,23 @@ def test_pushforward_pullback_duality(pauli_structure, pauli_tower, rng):
     assert np.allclose(pushforward(phi, 1), M[:, 1])
 
 
+def test_pullback_every_slot():
+    """pullback along a non-square M transforms every slot: degrees 0..3 against einsum."""
+    target = genalg.detect_structure(universal_A0(3).subspace)
+    source = genalg.detect_structure(clock_shift(3).subspace)
+    target_tower = calculus.build_tower(target, 3)
+    source_tower = calculus.build_tower(source, 3)
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    phi = LinearMap(source.subspace, target.subspace, M)
+    for p, spec in enumerate(["ij->ij", "ab,aij->bij", "ab,cd,acij->bdij",
+                              "ab,cd,ef,aceij->bdfij"]):
+        xi = random_form(target_tower, p, rng)
+        raw = np.einsum(spec, *([M] * p), xi.coeffs)
+        ref = calculus.canonicalize(source_tower, p, raw)
+        assert np.max(np.abs(pullback(phi, xi, source_tower).coeffs - ref)) < 1e-12
+
+
 def test_check_equivalence_identity(pauli_tower, pauli_structure):
     U = Conjugation.from_matrix(np.eye(2))
     rep = check_equivalence(U, pauli_structure.subspace, pauli_tower,
