@@ -14,7 +14,11 @@ A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
 identically.  Evaluating a canonical form on derivations (e_b1, ..., e_bp)
-reads its coefficient at (b1, ..., bp).
+reads its coefficient at (b1, ..., bp).  A table may carry one leading
+stack axis of same-degree forms; ``canonicalize``, ``wedge``, ``chi``,
+``exterior_d``, ``random_form`` and ``form_norm`` act on every form of a
+stack with the GEMMs they use for a single form, so the random trials of
+a check run as a few stacked calls (``trial_batches``, ``TrialDraws``).
 Projection is linear, so each operation builds its whole raw table first
 and projects it once: ``exterior_d`` sums the two theta products and the
 chi insertions in one table and calls ``canonicalize`` once.
@@ -47,7 +51,13 @@ __all__ = [
     "check_structure_equations",
     "coframe_from_formula",
     "random_form",
+    "trial_batches",
+    "TrialDraws",
 ]
+
+# Largest stacked coefficient table, in bytes, that one batch of random
+# trials may build; a trial whose own table is larger runs alone.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,11 +86,20 @@ class FormTower:
 
 @dataclass(frozen=True)
 class Form:
-    """Degree-p element of Omega^p_B with canonicalized coefficients."""
+    """Degree-p element of Omega^p_B with canonicalized coefficients.
+
+    ``coeffs`` has shape (n,)*p + (m, m), or (k,) + (n,)*p + (m, m) for a
+    stack of k forms of the same degree.
+    """
 
     tower: FormTower
     degree: int
     coeffs: np.ndarray = field(repr=False)
+
+    @property
+    def stack(self):
+        """The leading stack shape: () for one form, (k,) for a stack of k."""
+        return _stack(self.coeffs, self.degree)
 
     def __add__(self, other):
         self._compat(other)
@@ -103,6 +122,11 @@ class Form:
             raise DegreeError("form degrees do not match")
 
 
+def _stack(coeffs, degree):
+    """The stack shape of a degree-``degree`` coefficient table: its axes before the slots."""
+    return coeffs.shape[:max(coeffs.ndim - degree - 2, 0)]
+
+
 def _degree_bases(left_null, n, max_degree, tol):
     """Canonical basis W_p for p = 2..max_degree.
 
@@ -117,19 +141,33 @@ def _degree_bases(left_null, n, max_degree, tol):
     k = left_null.shape[1]
     if k == 0:
         return
-    L = left_null.conj().reshape(n, n, k)
+    # Lr[r][a, c] = conj(L[(a, c), r])
+    Lr = left_null.T.conj().reshape(k, n, n)
     W = np.eye(n, dtype=complex)
     for p in range(2, max_degree + 1):
         D = W.shape[1]
-        # M[(A, r), (j, c)] = sum_a conj(L[a, c, r]) W[(A, a), j]
-        M = np.tensordot(W.reshape(n ** (p - 2), n, D), L, axes=([1], [0]))
-        M = M.transpose(0, 3, 1, 2).reshape(n ** (p - 2) * k, D * n)
-        # a wide M needs the full vh for its null space; a tall one only the economy U
-        _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+        # M[(A, r), (j, c)] = sum_a conj(L[(a, c), r]) W[(A, a), j]: one (D x n) @ (n x n)
+        # product per (A, r), written straight into M's layout
+        Wt = W.reshape(n ** (p - 2), 1, n, D).swapaxes(-1, -2)
+        M = np.matmul(Wt, Lr).reshape(n ** (p - 2) * k, D * n)
+        # V: the (D n) x (D n) right singular vectors of M, from the SVD of whichever
+        # of M and M^dag is tall (a wide SVD gives the vectors of a near-zero singular
+        # value less accurately).  Conjugated in place, M.T is M^dag, and the left
+        # singular vectors of M^dag are the right ones of M.
+        if M.shape[0] >= M.shape[1]:
+            _, s, vh = np.linalg.svd(M, full_matrices=False)
+            V = vh.conj().T
+        else:
+            np.conjugate(M, out=M)
+            V, s, _ = np.linalg.svd(M.T)
         rank = _rank(s, tol) if s.size and s[0] > tol else 0
         Dp = D * n - rank
-        # W_p = (W_{p-1} (x) 1) N for the (D n) x D_p null basis N of M_p
-        W = (W @ vh[rank:].conj().T.reshape(D, n * Dp)).reshape(n ** p, Dp)
+        # W_p[(B, c), t] = sum_j W_{p-1}[B, j] N[(j, c), t] for the null basis N = V[:, rank:]
+        # of M: one product per c, written straight into W_p's layout
+        Wp = np.empty((n ** (p - 1), n, Dp), dtype=complex)
+        N = V[:, rank:].reshape(D, n, Dp)
+        np.matmul(W, N.swapaxes(0, 1), out=Wp.swapaxes(0, 1))
+        W = Wp.reshape(n ** p, Dp)
         yield p, W
 
 
@@ -153,18 +191,20 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
 
 
 def canonicalize(tower, degree, coeffs):
-    """Project a raw coefficient table onto the canonical space: W_p W_p^dag.
+    """Project a raw coefficient table, or a stack of them, onto the canonical space: W_p W_p^dag.
 
     At a degree without a stored basis every table is canonical and is
     returned as it is.
     """
     _check_degree(tower, degree)
     n, m = tower.n, tower.m
-    flat = np.asarray(coeffs, dtype=complex).reshape(n ** degree, m * m)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    stack = _stack(coeffs, degree)
+    flat = coeffs.reshape(stack + (n ** degree, m * m))
     W = tower.bases.get(degree)
     if W is not None:
         flat = W @ (W.conj().T @ flat)
-    return flat.reshape((n,) * degree + (m, m))
+    return flat.reshape(stack + (n,) * degree + (m, m))
 
 
 def _check_degree(tower, p):
@@ -216,15 +256,20 @@ def rmul(xi, f):
 
 
 def wedge(xi, zeta):
-    """Product of forms; coefficients multiply since the co-frame is central."""
+    """Product of forms; coefficients multiply since the co-frame is central.
+
+    Two stacks multiply form by form; a single form multiplies every form
+    of a stack.
+    """
     p, q = xi.degree, zeta.degree
     tower = xi.tower
     if p + q > tower.max_degree:
         raise DegreeError(f"wedge degree {p + q} exceeds max_degree {tower.max_degree}")
     n, m = tower.n, tower.m
-    a = xi.coeffs.reshape(n ** p, m, m)
-    b = zeta.coeffs.reshape(n ** q, m, m)
-    out = _pair_products(a, b).reshape((n,) * (p + q) + (m, m))
+    a = xi.coeffs.reshape(xi.stack + (n ** p, m, m))
+    b = zeta.coeffs.reshape(zeta.stack + (n ** q, m, m))
+    out = _pair_products(a, b)
+    out = out.reshape(out.shape[:-4] + (n,) * (p + q) + (m, m))
     return Form(tower, p + q, canonicalize(tower, p + q, out))
 
 
@@ -242,23 +287,24 @@ def contract(xi, indices):
     n = xi.tower.n
     if not all(0 <= b < n for b in indices):
         raise IndexError(f"derivation indices {indices} out of range 0..{n - 1}")
-    return xi.coeffs[indices].copy()
+    return xi.coeffs[(Ellipsis,) + indices + (slice(None), slice(None))].copy()
 
 
-def _raw_chi(F, coeffs):
-    """The raw (uncanonicalized) chi table of a degree-p coefficient table, p >= 1.
+def _raw_chi(F, coeffs, p):
+    """The raw (uncanonicalized) chi table of a degree-p coefficient table or stack, p >= 1.
 
-    Slot q = 1..p of ``coeffs`` is replaced by the pair slots (b, c) weighted
-    by (-1)^q F^a_bc: one stacked GEMM of F as an (n^2 x n) matrix per slot,
-    summed into the contiguous output of the first.
+    Slot q = 1..p of ``coeffs`` (axis q - 1 after the stack axis) is
+    replaced by the pair slots (b, c) weighted by (-1)^q F^a_bc: one
+    stacked GEMM of F as an (n^2 x n) matrix per slot, summed into the
+    contiguous output of the first.
     """
     n = F.shape[0]
-    p = coeffs.ndim - 2
-    shape = (n,) * (p + 1) + coeffs.shape[-2:]
+    s = len(_stack(coeffs, p))
+    shape = coeffs.shape[:s] + (n,) * (p + 1) + coeffs.shape[-2:]
     Fm = F.reshape(n, n * n).T  # Fm[(b, c), a] = F^a_bc
-    out = _at_slot(-Fm, coeffs, 0).reshape(shape)
+    out = _at_slot(-Fm, coeffs, s).reshape(shape)
     for q in range(2, p + 1):
-        out += _at_slot((-1) ** q * Fm, coeffs, q - 1).reshape(shape)
+        out += _at_slot((-1) ** q * Fm, coeffs, s + q - 1).reshape(shape)
     return out
 
 
@@ -273,7 +319,7 @@ def chi(xi):
     if p == 0:
         raise DegreeError("chi is defined on degree >= 1")
     _check_degree(tower, p + 1)
-    return Form(tower, p + 1, canonicalize(tower, p + 1, _raw_chi(tower.ga.F, xi.coeffs)))
+    return Form(tower, p + 1, canonicalize(tower, p + 1, _raw_chi(tower.ga.F, xi.coeffs, p)))
 
 
 def exterior_d(xi):
@@ -284,29 +330,31 @@ def exterior_d(xi):
     lambda_a xi_B at (a, B), minus (-1)^p xi_B lambda_a at (B, a), plus the
     raw chi table: one table, built from the two pair-product GEMMs of
     ``wedge`` and the slot GEMMs of ``chi``, and projected once.  Into a
-    zero-rank target space the result is the zero form.
+    zero-rank target space the result is the zero form.  A stack of forms
+    gives the stack of their derivatives.
     """
     tower = xi.tower
     p = xi.degree
     _check_degree(tower, p + 1)
     lam = tower.ga.subspace.lambdas
-    if p == 0:
-        f = xi.coeffs
-        c = lam @ f - f @ lam
-        return Form(tower, 1, c)
-    if tower.ranks[p + 1] == 0:
-        return zero_form(tower, p + 1)
     n, m = tower.n, tower.m
-    a = xi.coeffs.reshape(n ** p, m, m)
-    raw = _raw_chi(tower.ga.F, xi.coeffs)
+    stack = xi.stack
+    if p == 0:
+        f = xi.coeffs[..., None, :, :]
+        return Form(tower, 1, lam @ f - f @ lam)
+    if tower.ranks[p + 1] == 0:
+        return Form(tower, p + 1, np.zeros(stack + (n,) * (p + 1) + (m, m), dtype=complex))
+    a = xi.coeffs.reshape(stack + (n ** p, m, m))
+    raw = _raw_chi(tower.ga.F, xi.coeffs, p)
     raw += _pair_products(lam, a).reshape(raw.shape)
     raw += _pair_products(a, (-1) ** (p + 1) * lam).reshape(raw.shape)
     return Form(tower, p + 1, canonicalize(tower, p + 1, raw))
 
 
 def form_norm(xi):
-    """Frobenius norm of the full coefficient table."""
-    return float(np.linalg.norm(xi.coeffs))
+    """Frobenius norm of the full coefficient table; an array of one norm per form of a stack."""
+    norms = np.linalg.norm(xi.coeffs.reshape(xi.stack + (-1,)), axis=-1)
+    return norms if xi.stack else float(norms)
 
 
 def epsilon_check(G, p, tol=DEFAULT_TOL):
@@ -352,15 +400,15 @@ def check_structure_equations(tower, tol=DEFAULT_TOL):
     rhs = np.einsum("ab,ij->abij", -G.t / m, np.eye(m))
     rhs = Form(tower, 2, canonicalize(tower, 2, rhs))
     res1 = form_norm(lhs - rhs)
-    # d theta^a = -[theta, theta^a] - <lambda^a, lambda_b lambda_c> theta^b theta^c
-    res2 = 0.0
-    for a in range(n):
-        ta = coframe(tower, a)
-        lhs_a = exterior_d(ta)
-        comm = wedge(th, ta) + wedge(ta, th)
-        rhs_a = np.einsum("bc,ij->bcij", -G.F[a], np.eye(m))
-        rhs_a = Form(tower, 2, canonicalize(tower, 2, rhs_a))
-        res2 = max(res2, form_norm(lhs_a - (-1 * comm + rhs_a)))
+    # d theta^a = -[theta, theta^a] - <lambda^a, lambda_b lambda_c> theta^b theta^c,
+    # for all n co-frame forms theta^a as one stack; the residual is summed one
+    # term at a time, so few stacked tables are alive at once
+    ta = Form(tower, 1, np.einsum("ab,ij->abij", np.eye(n, dtype=complex), np.eye(m)))
+    res_a = exterior_d(ta) + wedge(th, ta)
+    res_a = res_a + wedge(ta, th)
+    rhs_a = canonicalize(tower, 2, np.einsum("abc,ij->abcij", -G.F, np.eye(m)))
+    res_a = res_a - Form(tower, 2, rhs_a)
+    res2 = float(form_norm(res_a).max())
     # eta_perp(lambda_a lambda_b) theta^a theta^b canonicalizes to zero
     rel = Form(tower, 2, canonicalize(tower, 2, G.rho))
     res3 = form_norm(rel)
@@ -406,9 +454,58 @@ def coframe_from_formula(tower, basis_gamma, tol=DEFAULT_TOL):
     return rebuilt, acc, report
 
 
-def random_form(tower, degree, rng):
-    """Canonicalized form with i.i.d. standard complex normal coefficients."""
+def random_form(tower, degree, rng, count=None):
+    """Canonicalized form with i.i.d. standard complex normal coefficients.
+
+    A form draws the real parts of its table, then the imaginary parts.
+    With ``count``, a stack of that many forms drawn as that many calls
+    without it would draw them.  ``rng`` is a numpy Generator or a
+    ``TrialDraws``.
+    """
     n, m = tower.n, tower.m
-    shape = (n,) * degree + (m, m)
-    raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return Form(tower, degree, canonicalize(tower, degree, raw))
+    stack = () if count is None else (count,)
+    z = rng.standard_normal(stack + (2,) + (n,) * degree + (m, m))
+    re, im = np.moveaxis(z, len(stack), 0)
+    return Form(tower, degree, canonicalize(tower, degree, (re + 1j * im) / np.sqrt(2.0)))
+
+
+def trial_batches(trials, table_size):
+    """Sizes of the batches that split ``trials`` random trials, in order.
+
+    A batch stacks as many trials as keep a stack of their largest tables,
+    ``table_size`` complex entries each, within STACK_BYTES, and at least one.
+    """
+    size = max(1, STACK_BYTES // (table_size * np.dtype(complex).itemsize))
+    return [min(size, trials - start) for start in range(0, trials, size)]
+
+
+class TrialDraws:
+    """The random forms of a batch of trials, drawn in one generator call.
+
+    Each of ``count`` trials draws one random form of each degree in
+    ``degrees``, in order, as ``random_form`` draws it.  A per-trial loop
+    reads those numbers from ``rng.standard_normal((count, total))`` row by
+    row, so this one call leaves the generator where the loop would.
+    ``random_form(tower, p, draws, count)`` for the next degree p of
+    ``degrees`` then stacks that form of every trial, and ``skip`` passes
+    over a form a trial draws and does not use.
+    """
+
+    def __init__(self, tower, degrees, rng, count):
+        self._sizes = [2 * tower.n ** p * tower.m ** 2 for p in degrees]
+        self._rows = rng.standard_normal((count, sum(self._sizes)))
+        self._next = self._at = 0
+
+    def _take(self):
+        width = self._sizes[self._next]
+        block = self._rows[:, self._at:self._at + width]
+        self._next += 1
+        self._at += width
+        return block
+
+    def standard_normal(self, shape):
+        """The next form's numbers of every trial, as an array of ``shape`` (count first)."""
+        return self._take().reshape(shape)
+
+    def skip(self):
+        self._take()

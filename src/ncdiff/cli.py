@@ -1,6 +1,7 @@
 """Command-line front end: analyze algebras, build form towers, run verification suites."""
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -18,11 +19,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
-
-
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _section(name, status, **extra):
@@ -82,12 +78,15 @@ def _render(rep, fmt, out=None):
 
 
 def _load(path, tol):
+    """Read the algebra file once: its validated subspace, alpha and the sha256 of its bytes."""
     try:
-        m, label, basis, alpha = formats.load_algebra(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        m, label, basis, alpha = formats.load_algebra(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _IOFail(f"cannot read algebra file {path!r}: {exc}")
     B = algebra.validate_subspace(m, basis, tol=tol, label=label)
-    return B, alpha
+    return B, alpha, hashlib.sha256(data).hexdigest()
 
 
 class _IOFail(Exception):
@@ -95,23 +94,26 @@ class _IOFail(Exception):
 
 
 def _structure(args):
-    """Load and validate ``args.file`` and build its generalised-algebra structure."""
-    B, alpha = _load(args.file, args.tol)
+    """Load and validate ``args.file`` and build its generalised-algebra structure.
+
+    Returns the structure and the digest of the bytes it was built from.
+    """
+    B, alpha, digest = _load(args.file, args.tol)
     if args.alpha == "embedded":
         if alpha is None:
             raise ConfigError("--alpha embedded requested but file has no alpha")
-        return genalg.use_relations(B, alpha, tol=args.tol)
-    return genalg.detect_structure(B, tol=args.tol)
+        return genalg.use_relations(B, alpha, tol=args.tol), digest
+    return genalg.detect_structure(B, tol=args.tol), digest
 
 
-def _finish(args, sections, seed=None):
-    """Render the report on ``args.file``; exit code from the section statuses."""
-    _render(_report(args, _digest(args.file), sections, seed=seed), args.format)
+def _finish(args, digest, sections, seed=None):
+    """Render the report on the input of ``digest``; exit code from the section statuses."""
+    _render(_report(args, digest, sections, seed=seed), args.format)
     return EXIT_OK if all(s["status"] == "pass" for s in sections) else EXIT_VERIFY
 
 
 def cmd_analyze(args):
-    G = _structure(args)
+    G, digest = _structure(args)
     B = G.subspace
     rep_ga = genalg.verify_ga(G, tol=args.tol)
     rho_norm = float(np.linalg.norm(G.rho))
@@ -138,13 +140,13 @@ def cmd_analyze(args):
                  span_dim=rep_ga["span_dim"],
                  span_dim_bound=rep_ga["span_dim_bound"]),
     ]
-    return _finish(args, sections)
+    return _finish(args, digest, sections)
 
 
 def cmd_forms(args):
-    G = _structure(args)
+    G, digest = _structure(args)
     if G.R == 0:
-        return _finish(args, [_section("omega2_trivial", True, R=0,
+        return _finish(args, digest, [_section("omega2_trivial", True, R=0,
                                        note="no relations detected; dim(Omega^2) = 0")])
     tower = calculus.build_tower(G, args.max_degree, tol=args.tol)
     sections = [_section("ranks", True,
@@ -153,7 +155,15 @@ def cmd_forms(args):
     for p in range(3, args.max_degree + 1):
         dim = tower.ranks[p]
         sections.append(_section(f"epsilon_degree_{p}", True, exists=dim > 0, solution_dim=dim))
-    return _finish(args, sections)
+    return _finish(args, digest, sections)
+
+
+def _leibniz_residuals(z, x):
+    """|d(z x) - d(z) x - (-1)^deg(z) z d(x)| / max(|z| |x|, 1) for each stacked pair (z, x)."""
+    d, wedge, norm = calculus.exterior_d, calculus.wedge, calculus.form_norm
+    lhs = d(wedge(z, x))
+    rhs = wedge(d(z), x) + (-1.0) ** z.degree * wedge(z, d(x))
+    return norm(lhs - rhs) / np.maximum(norm(z) * norm(x), 1.0)
 
 
 def _verify_sections(G, tower, args, rng):
@@ -169,34 +179,34 @@ def _verify_sections(G, tower, args, rng):
                              dtheta_a=se["dtheta_a"],
                              relation_form=se["relation_form"]))
 
-    # d o d = 0 and graded Leibniz on seeded random forms.
-    worst_dd, worst_leib = 0.0, 0.0
+    # d o d = 0 and graded Leibniz on seeded random forms, a batch of trials per
+    # stacked call.  Each trial draws forms of degree 0..min(2, top - 1) for
+    # d o d, checking those of degree top - 2 or less, then one (z, x) pair per
+    # Leibniz degree pair; the largest table a trial builds has degree min(top, 4).
     top = tower.max_degree
-    for _ in range(args.trials):
-        for deg in range(min(2, top - 1) + 1):
-            om = calculus.random_form(tower, deg, rng)
+    m = G.subspace.m
+    dd_degrees = range(min(2, top - 1) + 1)
+    pairs = [(dz, dx) for dz in range(2) for dx in range(2) if dz + dx + 1 <= top]
+    degrees = [*dd_degrees, *(d for pair in pairs for d in pair)]
+    worst_dd, worst_leib = 0.0, 0.0
+    for count in calculus.trial_batches(args.trials, tower.n ** min(top, 4) * m * m):
+        draws = calculus.TrialDraws(tower, degrees, rng, count)
+        for deg in dd_degrees:
             if deg + 2 > top:
+                draws.skip()
                 continue
+            om = calculus.random_form(tower, deg, draws, count)
             res = calculus.form_norm(calculus.exterior_d(calculus.exterior_d(om)))
-            scale = max(calculus.form_norm(om), 1.0)
-            worst_dd = max(worst_dd, res / scale)
-        for dz in range(0, 2):
-            for dx in range(0, 2):
-                if dz + dx + 1 > top:
-                    continue
-                z = calculus.random_form(tower, dz, rng)
-                x = calculus.random_form(tower, dx, rng)
-                sgn = (-1.0) ** dz
-                lhs = calculus.exterior_d(calculus.wedge(z, x))
-                rhs = calculus.wedge(calculus.exterior_d(z), x) + \
-                    sgn * calculus.wedge(z, calculus.exterior_d(x))
-                scale = max(calculus.form_norm(z) * calculus.form_norm(x), 1.0)
-                worst_leib = max(worst_leib, calculus.form_norm(lhs - rhs) / scale)
+            scale = np.maximum(calculus.form_norm(om), 1.0)
+            worst_dd = max(worst_dd, float((res / scale).max()))
+        for dz, dx in pairs:
+            z = calculus.random_form(tower, dz, draws, count)
+            x = calculus.random_form(tower, dx, draws, count)
+            worst_leib = max(worst_leib, float(_leibniz_residuals(z, x).max()))
     sections.append(_judged("d_squared_zero", worst_dd, 1e-8))
     sections.append(_judged("graded_leibniz", worst_leib, 1e-8))
 
     # Universal-calculus identities on a full matrix basis.
-    m = G.subspace.m
     gammas = np.concatenate([np.eye(m, dtype=complex)[None],
                              catalog.gell_mann_basis(m)])
     tl = universal.verify_trace_lemma(gammas, trials=args.trials,
@@ -207,11 +217,13 @@ def _verify_sections(G, tower, args, rng):
                              bound=tl["bound"]))
     th = universal.theta_u(gammas)
     worst_u = 0.0
-    for _ in range(args.trials):
-        f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for count in calculus.trial_batches(args.trials, m ** 4):
+        # per trial: re f, then im f
+        z = rng.standard_normal((count, 2, m, m))
+        f = z[:, 0] + 1j * z[:, 1]
         # f.theta_u - theta_u.f = -[theta_u, f] = du(f)
-        lhs = universal.commutator(f, th)
-        worst_u = max(worst_u, float(np.linalg.norm(lhs - universal.du(f))))
+        diff = universal.commutator(f, th) - universal.du(f)
+        worst_u = max(worst_u, float(np.linalg.norm(diff.reshape(count, -1), axis=1).max()))
     sections.append(_judged("universal_identity", worst_u, 1e-10))
 
     # Co-frame reconstruction from the universal formula.
@@ -222,16 +234,16 @@ def _verify_sections(G, tower, args, rng):
 
 
 def cmd_verify(args):
-    G = _structure(args)
+    G, digest = _structure(args)
     if G.R == 0:
-        return _finish(args, [_section("omega2_trivial", True, R=0)], seed=args.seed)
+        return _finish(args, digest, [_section("omega2_trivial", True, R=0)], seed=args.seed)
     tower = calculus.build_tower(G, args.max_degree, tol=args.tol)
     rng = np.random.default_rng(args.seed)
-    return _finish(args, _verify_sections(G, tower, args, rng), seed=args.seed)
+    return _finish(args, digest, _verify_sections(G, tower, args, rng), seed=args.seed)
 
 
 def cmd_equiv(args):
-    G = _structure(args)
+    G, digest = _structure(args)
     tower = calculus.build_tower(G, 2, tol=args.tol)
     try:
         with open(args.transform) as fh:
@@ -243,7 +255,7 @@ def cmd_equiv(args):
                                     seed=args.seed, tol=args.tol)
     sections = [_judged(k, float(rep_eq[k]), 1e-8)
                 for k in ("coframe", "theta", "products", "d_commutation")]
-    return _finish(args, sections, seed=args.seed)
+    return _finish(args, digest, sections, seed=args.seed)
 
 
 def cmd_catalog(args):
@@ -288,12 +300,22 @@ def _positive_float(text):
     return value
 
 
+# --tol's default.  argparse runs ``type`` on a string default at parse time,
+# so each parse reads NCG_TOL afresh and a bad value is a usage error.
+_TOL_FROM_ENV = "$NCG_TOL"
+
+
+def _tolerance(text):
+    """argparse type of --tol: ``_positive_float``, with NCG_TOL (or DEFAULT_TOL) as the default."""
+    if text == _TOL_FROM_ENV:
+        text = os.environ.get("NCG_TOL", str(DEFAULT_TOL))
+    return _positive_float(text)
+
+
 def _add_common(p, need_file=True):
     if need_file:
         p.add_argument("file", help="algebra definition JSON")
-    # argparse runs ``type`` on a string default, so a bad NCG_TOL is a usage error
-    p.add_argument("--tol", type=_positive_float,
-                   default=os.environ.get("NCG_TOL", DEFAULT_TOL))
+    p.add_argument("--tol", type=_tolerance, default=_TOL_FROM_ENV)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
 
@@ -306,13 +328,11 @@ def build_parser():
     p = sub.add_parser("analyze", help="detect relations and build the projector")
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("forms", help="build the form tower and report ranks")
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
     p.add_argument("--max-degree", type=_at_least(1), default=3)
-    p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("verify", help="run every identity suite")
     _add_common(p)
@@ -320,7 +340,6 @@ def build_parser():
     p.add_argument("--max-degree", type=_at_least(2), default=3)
     p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--trials", type=_at_least(1), default=20)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("equiv", help="check conjugation equivalence")
     _add_common(p)
@@ -328,21 +347,27 @@ def build_parser():
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
     p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--trials", type=_at_least(1), default=20)
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("catalog", help="emit a built-in example algebra")
     _add_common(p, need_file=False)
     p.add_argument("name", choices=catalog.NAMES)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--emit", metavar="FILE", default=None)
-    p.set_defaults(func=cmd_catalog)
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call: the kept parser must not pin a command rebound since (a test, a tracer)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except _IOFail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

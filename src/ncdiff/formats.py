@@ -31,10 +31,15 @@ def matrix_from_json(obj):
     return re + 1j * im
 
 
-def load_algebra(path):
-    """Read an algebra definition file; returns (m, label, basis, alpha)."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def load_algebra(source):
+    """Read an algebra definition; returns (m, label, basis, alpha).
+
+    ``source`` is a file path, or the file's bytes (UTF-8 JSON).
+    """
+    if not isinstance(source, bytes):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    data = json.loads(source.decode("utf-8"))
     m = data["m"]
     if type(m) is not int:  # not isinstance: JSON true would pass as 1
         raise ValueError(f"m must be a JSON integer, got {m!r}")

@@ -43,15 +43,19 @@ def gram(a, b=None):
 
 
 def _pair_products(a, b):
-    """out[x, y] = a[x] @ b[y] for stacks a (A, i, j) and b (B, j, k), as one GEMM.
+    """out[..., x, y] = a[..., x] @ b[..., y] for stacks a (..., A, i, j) and b (..., B, j, k).
 
-    Returns an (A, B, i, k) view of the (A i) x (B k) product of the stacked
-    rows of ``a`` with the side-by-side columns of ``b``.
+    Each product of the stacked rows of ``a`` with the side-by-side columns
+    of ``b`` is one (A i) x (B k) GEMM, one per index of the leading axes,
+    which broadcast; leading axes on ``a`` alone fold into the rows of a
+    single GEMM.  Returns an (..., A, B, i, k) view.
     """
-    A, i, j = a.shape
-    B, _, k = b.shape
-    out = a.reshape(A * i, j) @ b.transpose(1, 0, 2).reshape(j, B * k)
-    return out.reshape(A, i, B, k).transpose(0, 2, 1, 3)
+    *_, A, i, j = a.shape
+    *_, B, _, k = b.shape
+    cols = np.swapaxes(b, -3, -2).reshape(b.shape[:-3] + (j, B * k))
+    rows = a.reshape(-1, j) if b.ndim == 3 else a.reshape(a.shape[:-3] + (A * i, j))
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    return np.swapaxes((rows @ cols).reshape(lead + (A, i, B, k)), -3, -2)
 
 
 def _at_slot(M, t, q):

@@ -37,17 +37,21 @@ def _kron_sum(F, G):
 
 
 def commutator(h, X):
-    """[h, X] = h.X - X.h in the bimodule sense, for X in Kronecker layout."""
-    m = h.shape[0]
-    return (h @ X.reshape(m, -1)).reshape(X.shape) - (X.reshape(-1, m) @ h).reshape(X.shape)
+    """[h, X] = h.X - X.h in the bimodule sense, for X in Kronecker layout.
+
+    A stack of matrices h gives the stack of their commutators with X.
+    """
+    m = h.shape[-1]
+    shape = h.shape[:-2] + X.shape
+    return (h @ X.reshape(m, -1)).reshape(shape) - (X.reshape(-1, m) @ h).reshape(shape)
 
 
 def du(f):
-    """Universal differential of a matrix: 1 (x) f - f (x) 1."""
+    """Universal differential of a matrix, or of each of a stack: 1 (x) f - f (x) 1."""
     f = np.asarray(f, dtype=complex)
-    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+    if f.ndim < 2 or f.shape[-1] != f.shape[-2]:
         raise ShapeError(f"du() needs a square matrix, got {f.shape}")
-    eye = np.eye(f.shape[0], dtype=complex)
+    eye = np.eye(f.shape[-1], dtype=complex)
     return np.kron(eye, f) - np.kron(f, eye)
 
 

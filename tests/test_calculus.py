@@ -519,3 +519,89 @@ def test_ranks_invariant_under_presentation(m, lambdas, seed):
     expected = _rank_invariants(m, lambdas)
     assert _rank_invariants(m, np.einsum("ab,bij->aij", A, lambdas)) == expected
     assert _rank_invariants(m, u @ lambdas @ u.conj().T) == expected
+
+
+def _stacked(tower, forms):
+    return calculus.Form(tower, forms[0].degree, np.stack([f.coeffs for f in forms]))
+
+
+def _close(stacked, singles):
+    """Slice k of a stacked result against the k-th per-form result, to 1e-12 relative."""
+    for got, ref in zip(stacked, singles):
+        assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("a0", 3), id="a0-m3"),
+    pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 8), id="clock-shift-m8"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 6), id="ellipsoid-m6"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+])
+def test_stacked_forms_match_per_form(make, count):
+    """canonicalize, wedge, d, chi and form_norm on a stack equal the per-form results."""
+    tower = build_tower(make(), 3)
+    n, m = tower.n, tower.m
+    rng = np.random.default_rng(5)
+    for p in range(3):
+        forms = [random_form(tower, p, rng) for _ in range(count)]
+        xi = _stacked(tower, forms)
+        assert xi.stack == (count,)
+        shape = (count,) + (n,) * p + (m, m)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        _close(canonicalize(tower, p, raw), [canonicalize(tower, p, r) for r in raw])
+        _close(exterior_d(xi).coeffs, [exterior_d(f).coeffs for f in forms])
+        if p > 0:
+            _close(chi(xi).coeffs, [chi(f).coeffs for f in forms])
+            idx = tuple(range(p))
+            _close(contract(xi, idx), [contract(f, idx) for f in forms])
+        norms = form_norm(xi)
+        assert norms.shape == (count,)
+        _close(norms, [form_norm(f) for f in forms])
+        for q in range(3 - p + 1):
+            others = [random_form(tower, q, rng) for _ in range(count)]
+            zeta = _stacked(tower, others)
+            _close(wedge(xi, zeta).coeffs, [wedge(f, g).coeffs for f, g in zip(forms, others)])
+            # one form against every form of a stack, on either side
+            _close(wedge(forms[0], zeta).coeffs, [wedge(forms[0], g).coeffs for g in others])
+            _close(wedge(xi, others[0]).coeffs, [wedge(f, others[0]).coeffs for f in forms])
+
+
+def test_random_form_stack_keeps_the_stream():
+    """A stack of k random forms is the forms of k unstacked calls, from the same stream."""
+    tower = build_tower(_catalog_structure("su2", 4), 3)
+    stacked_rng, rng = np.random.default_rng(1), np.random.default_rng(1)
+    xi = random_form(tower, 2, stacked_rng, 4)
+    singles = [random_form(tower, 2, rng).coeffs for _ in range(4)]
+    assert np.array_equal(xi.coeffs, np.stack(singles))
+    assert stacked_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 6), id="ellipsoid-m6"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+])
+def test_structure_equations_match_coframe_loop(make):
+    """The stacked co-frame equations against one equation per theta^a."""
+    tower = build_tower(make(), 2)
+    G, m = tower.ga, tower.m
+    th = theta(tower)
+    worst = 0.0
+    for a in range(tower.n):
+        ta = coframe(tower, a)
+        comm = wedge(th, ta) + wedge(ta, th)
+        rhs = np.einsum("bc,ij->bcij", -G.F[a], np.eye(m))
+        rhs = calculus.Form(tower, 2, canonicalize(tower, 2, rhs))
+        worst = max(worst, form_norm(exterior_d(ta) - (-1 * comm + rhs)))
+    assert abs(check_structure_equations(tower)["dtheta_a"] - worst) < 1e-14
+
+
+def test_trial_batches_cover_trials(monkeypatch):
+    # a0(m=4) and a0(m=3) degree-3 tables: 15^3 * 4^2 and 8^3 * 3^2 entries
+    assert calculus.trial_batches(20, 15 ** 3 * 4 ** 2) == [1] * 20
+    assert calculus.trial_batches(20, 8 ** 3 * 3 ** 2) == [14, 6]
+    monkeypatch.setattr(calculus, "STACK_BYTES", 3 * 16 * 100)
+    assert calculus.trial_batches(7, 100) == [3, 3, 1]
+    assert calculus.trial_batches(2, 1000) == [1, 1]

@@ -1,5 +1,10 @@
+import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -8,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncdiff import calculus, cli, formats, universal
-from ncdiff.catalog import clock_shift, universal_A0
+from ncdiff import calculus, cli, formats, genalg, universal
+from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, universal_A0
+from ncdiff.linalg import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -341,3 +347,127 @@ def test_python_dash_m_runs_cli(tmp_path, clock_file, module):
     bad = run("forms", clock_file, "--max-degree", "0")
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr
+
+
+def _verify_trials_reference(tower, trials, rng):
+    """verify's d o d, graded Leibniz and universal-identity loops, one trial at a time."""
+    worst_dd, worst_leib = 0.0, 0.0
+    top = tower.max_degree
+    for _ in range(trials):
+        for deg in range(min(2, top - 1) + 1):
+            om = calculus.random_form(tower, deg, rng)
+            if deg + 2 > top:
+                continue
+            res = calculus.form_norm(calculus.exterior_d(calculus.exterior_d(om)))
+            worst_dd = max(worst_dd, res / max(calculus.form_norm(om), 1.0))
+        for dz in range(0, 2):
+            for dx in range(0, 2):
+                if dz + dx + 1 > top:
+                    continue
+                z = calculus.random_form(tower, dz, rng)
+                x = calculus.random_form(tower, dx, rng)
+                lhs = calculus.exterior_d(calculus.wedge(z, x))
+                rhs = calculus.wedge(calculus.exterior_d(z), x) + \
+                    (-1.0) ** dz * calculus.wedge(z, calculus.exterior_d(x))
+                scale = max(calculus.form_norm(z) * calculus.form_norm(x), 1.0)
+                worst_leib = max(worst_leib, calculus.form_norm(lhs - rhs) / scale)
+    m = tower.m
+    th = universal.theta_u(np.concatenate([np.eye(m, dtype=complex)[None], gell_mann_basis(m)]))
+    worst_u = 0.0
+    for _ in range(trials):
+        f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        worst_u = max(worst_u, float(np.linalg.norm(universal.commutator(f, th) - universal.du(f))))
+    return worst_dd, worst_leib, worst_u
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("name, m, top", [("su2", 3, 3), ("clock-shift", 3, 2), ("a0", 2, 4)])
+def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
+    """Stacked verify trials read the per-trial generator stream and find its residuals.
+
+    With ``batch`` the byte cap holds three trials, so seven trials run as 3 + 3 + 1.
+    """
+    e = build_entry(name, m)
+    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if e.suggested_alpha is not None
+         else genalg.detect_structure(e.subspace))
+    tower = calculus.build_tower(G, top)
+    if batch:
+        monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** min(top, 4) * m * m)
+    args = argparse.Namespace(tol=DEFAULT_TOL, trials=7, seed=5)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    sec = {s["name"]: s for s in cli._verify_sections(G, tower, args, rng)}
+    ref = _verify_trials_reference(tower, args.trials, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for key, worst in zip(("d_squared_zero", "graded_leibniz", "universal_identity"), ref):
+        assert sec[key]["status"] == "pass"
+        assert abs(sec[key]["residual"] - worst) < 1e-14
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    return peak
+
+
+def test_verify_memory_does_not_grow_with_trials(tmp_path):
+    """Trials run in batches under a byte cap, so 20x the trials keep the peak within 25%."""
+    e = universal_A0(3)
+    path = str(tmp_path / "a0.json")
+    formats.save_algebra(path, 3, e.subspace.label, e.subspace.lambdas)
+    argv = ["verify", path, "--max-degree", "3", "--format", "json", "--trials"]
+    _traced_peak(argv + ["20"])  # the first run in a process also makes one-time allocations
+    few, many = _traced_peak(argv + ["20"]), _traced_peak(argv + ["400"])
+    assert many <= 1.25 * few, (few, many)
+
+
+def test_verify_fails_on_broken_chi(monkeypatch, capsys, tmp_path):
+    """Negative control: d with the chi term's sign flipped breaks d o d = 0 (su2 has F != 0)."""
+    e = build_entry("su2", 3)
+    path = str(tmp_path / "su2.json")
+    formats.save_algebra(path, 3, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    raw_chi = calculus._raw_chi
+    monkeypatch.setattr(calculus, "_raw_chi", lambda F, coeffs, p: -raw_chi(F, coeffs, p))
+    code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded", "--trials", "3"])
+    assert code == cli.EXIT_VERIFY
+    sec = {s["name"]: s for s in rep["sections"]}
+    assert sec["d_squared_zero"]["status"] == "fail"
+
+
+def test_ncg_tol_read_per_parse(monkeypatch, capsys, clock_file):
+    """The parser is kept between calls, but each call reads NCG_TOL afresh."""
+    tols = []
+    for value in ("1e-6", "1e-7", None):
+        if value is None:
+            monkeypatch.delenv("NCG_TOL")
+        else:
+            monkeypatch.setenv("NCG_TOL", value)
+        code, rep = _run_json(capsys, ["analyze", clock_file])
+        assert code == cli.EXIT_OK
+        tols.append(rep["tolerance"])
+    assert tols == [1e-6, 1e-7, DEFAULT_TOL]
+
+
+@pytest.mark.parametrize("change", ["delete", "rewrite"])
+def test_digest_is_of_the_bytes_analysed(monkeypatch, capsys, clock_file, pauli_file, change):
+    """A file deleted or rewritten during the run: the report hashes the bytes analysed."""
+    with open(clock_file, "rb") as fh:
+        data = fh.read()
+    verify_ga = genalg.verify_ga
+
+    def verify_ga_then_change(*args, **kwargs):
+        if change == "delete":
+            os.remove(clock_file)
+        else:
+            shutil.copyfile(pauli_file, clock_file)
+        return verify_ga(*args, **kwargs)
+
+    monkeypatch.setattr(genalg, "verify_ga", verify_ga_then_change)
+    code, rep = _run_json(capsys, ["analyze", clock_file])
+    assert code == cli.EXIT_OK
+    assert rep["input_digest"] == hashlib.sha256(data).hexdigest()

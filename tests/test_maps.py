@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,49 @@ def test_lie_derivative_linearity(pauli_tower, rng):
     lhs = lie_derivative(pauli_tower, f, a + b)
     rhs = lie_derivative(pauli_tower, f, a) + lie_derivative(pauli_tower, f, b)
     assert form_norm(lhs - rhs) < 1e-12
+
+
+def _equivalence_trials_reference(U, tower, tower_p, trials, rng):
+    """The per-trial products and d-commutation loop of check_equivalence, one trial at a time."""
+    scale = max(np.linalg.norm(tower.ga.subspace.lambdas), 1.0)
+    res_prod = res_d = 0.0
+    for _ in range(trials):
+        xi = random_form(tower_p, 1, rng)
+        zeta = random_form(tower_p, 1, rng)
+        lhs = maps._ustar(U, tower, calculus.wedge(xi, zeta))
+        rhs = calculus.wedge(maps._ustar(U, tower, xi), maps._ustar(U, tower, zeta))
+        denom = max(form_norm(lhs), form_norm(rhs), 1.0)
+        res_prod = max(res_prod, form_norm(lhs - rhs) / denom)
+        for deg in range(tower.max_degree):
+            om = random_form(tower_p, deg, rng)
+            lhs = maps._ustar(U, tower, exterior_d(om))
+            rhs = exterior_d(maps._ustar(U, tower, om))
+            res_d = max(res_d, form_norm(lhs - rhs) / max(form_norm(om) * scale ** 2, 1.0))
+    return res_prod, res_d
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+@pytest.mark.parametrize("maker, m, top", [(su2, 3, 2), (clock_shift, 3, 3)])
+def test_stacked_equivalence_matches_trial_loop(monkeypatch, maker, m, top, batch):
+    """Stacked equivalence trials read the per-trial generator stream and find its residuals.
+
+    With ``batch`` the byte cap holds two trials, so five trials run as 2 + 2 + 1.
+    """
+    e = maker(m)
+    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
+         else genalg.detect_structure(e.subspace))
+    tower = calculus.build_tower(G, top)
+    if batch:
+        monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** top * m * m)
+    U = Conjugation.from_matrix(np.random.default_rng(4).standard_normal((m, m)) + 2 * np.eye(m))
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed)) or made[-1])
+    rep = check_equivalence(U, e.subspace, tower, trials=5, seed=8)
+    Gp = genalg.use_relations(conjugate_subspace(U, e.subspace), G.alpha, tol=1e-7)
+    ref_rng = default_rng(8)
+    ref = _equivalence_trials_reference(U, tower, dataclasses.replace(tower, ga=Gp), 5, ref_rng)
+    assert made[0].bit_generator.state == ref_rng.bit_generator.state
+    assert abs(rep["products"] - ref[0]) < 1e-14
+    assert abs(rep["d_commutation"] - ref[1]) < 1e-14
