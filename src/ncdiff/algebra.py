@@ -127,4 +127,5 @@ def matrix_basis_duals(gammas, tol=DEFAULT_TOL):
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1.0 / tol:
         raise DependentBasis(f"gamma matrices are not a basis (Gram condition {cond:.3e})")
-    return np.einsum("ba,bij->aij", np.linalg.inv(g), gam)
+    # gamma^a = sum_b (g^-1)[b, a] gamma_b: one GEMM on the flattened stack
+    return (np.linalg.inv(g).T @ gam.reshape(m * m, -1)).reshape(gam.shape)

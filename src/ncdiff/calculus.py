@@ -9,7 +9,11 @@ W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower is
 built one degree at a time with one SVD of an (n^(p-2) dim L) x (D_{p-1} n)
 matrix per degree, never of the full n^p-row relation span.  The tower
 keeps an orthonormal basis W_p (n^p x D_p) of each degree that has
-relations; at the other degrees every tensor is canonical.
+relations; at the other degrees every tensor is canonical.  At the top
+degree it decides D_max from the singular values of its matrix alone and
+forms W_max when something first projects onto that degree
+(``FormTower.basis``), so ``forms``, which reads only the ranks, never
+forms it.
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -25,6 +29,7 @@ chi insertions in one table and calls ``canonicalize`` once.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,16 +69,27 @@ STACK_BYTES = 1 << 20
 class FormTower:
     """Per-degree canonical bases and ranks for one calculus.
 
-    ``bases[p]`` is an orthonormal basis W_p (n^p x D_p) of the canonical
+    ``basis(p)`` is an orthonormal basis W_p (n^p x D_p) of the canonical
     space, held only for the degrees that have relations: 2..max_degree when
-    null(P^T) is nonempty.  At an absent degree every tensor is canonical.
-    ``ranks[p]`` is D_p for p = 0..max_degree.
+    null(P^T) is nonempty.  At another degree it is None and every tensor is
+    canonical.  ``ranks[p]`` is D_p for p = 0..max_degree.  ``bases`` holds
+    the W_p formed so far; the top degree's waits in ``pending`` until
+    ``basis`` first asks for it, so a caller that reads only ``ranks`` (as
+    ``forms`` does) never forms it.  A copy made by ``dataclasses.replace``
+    shares both dicts, and with them the basis once it is formed.
     """
 
     ga: object
     max_degree: int
     bases: dict = field(repr=False)
     ranks: dict = field(default_factory=dict)
+    pending: dict = field(default_factory=dict, repr=False)
+
+    def basis(self, p):
+        """W_p, formed on first use at the top degree; None at a degree without relations."""
+        if p in self.pending:
+            self.bases[p] = self.pending.pop(p)()
+        return self.bases.get(p)
 
     @property
     def n(self):
@@ -127,48 +143,83 @@ def _stack(coeffs, degree):
     return coeffs.shape[:max(coeffs.ndim - degree - 2, 0)]
 
 
+def _pair_matrix(W, Lr, n, p):
+    """M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1), an (n^(p-2) k) x (D_{p-1} n) matrix.
+
+    ``Lr[r][a, c] = conj(L[(a, c), r])`` for the k columns of L.
+    """
+    D = W.shape[1]
+    # M[(A, r), (j, c)] = sum_a conj(L[(a, c), r]) W[(A, a), j]: one (D x n) @ (n x n)
+    # product per (A, r), written straight into M's layout
+    Wt = W.reshape(n ** (p - 2), 1, n, D).swapaxes(-1, -2)
+    return np.matmul(Wt, Lr).reshape(n ** (p - 2) * Lr.shape[0], D * n)
+
+
+def _null_rank(s, tol):
+    """The rank of M_p from its singular values ``s``, the cosines of principal angles.
+
+    A value counts when it exceeds ``tol`` times the largest one, and none
+    count when the largest is at most ``tol``.
+    """
+    return _rank(s, tol) if s.size and s[0] > tol else 0
+
+
+def _next_basis(W, Lr, n, p, tol, rank=None):
+    """W_p = (W_{p-1} (x) 1) null(M_p), orthonormal.
+
+    With ``rank`` given, the null basis takes the last D_{p-1} n - ``rank``
+    right singular vectors of M_p and the rank is not decided again.
+    """
+    D = W.shape[1]
+    M = _pair_matrix(W, Lr, n, p)
+    # V: the (D n) x (D n) right singular vectors of M, from the SVD of whichever
+    # of M and M^dag is tall (a wide SVD gives the vectors of a near-zero singular
+    # value less accurately).  Conjugated in place, M.T is M^dag, and the left
+    # singular vectors of M^dag are the right ones of M.
+    if M.shape[0] >= M.shape[1]:
+        _, s, vh = np.linalg.svd(M, full_matrices=False)
+        V = vh.conj().T
+    else:
+        np.conjugate(M, out=M)
+        V, s, _ = np.linalg.svd(M.T)
+    if rank is None:
+        rank = _null_rank(s, tol)
+    Dp = D * n - rank
+    # W_p[(B, c), t] = sum_j W_{p-1}[B, j] N[(j, c), t] for the null basis N = V[:, rank:]
+    # of M: one product per c, written straight into W_p's layout
+    Wp = np.empty((n ** (p - 1), n, Dp), dtype=complex)
+    N = V[:, rank:].reshape(D, n, Dp)
+    np.matmul(W, N.swapaxes(0, 1), out=Wp.swapaxes(0, 1))
+    return Wp.reshape(n ** p, Dp)
+
+
 def _degree_bases(left_null, n, max_degree, tol):
-    """Canonical basis W_p for p = 2..max_degree.
+    """Canonical bases W_p for p = 2..max_degree - 1, ranks D_p up to max_degree, W_max pending.
 
     Each degree solves only its newest slot pair, starting from W_1 = I_n:
-    W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1),
-    an (n^(p-2) k) x (D_{p-1} n) matrix for L = ``left_null`` (n^2 x k); W_p
-    is orthonormal.  The singular values of M_p are cosines of principal
-    angles, at most 1: a value counts when it exceeds ``tol`` times the
-    largest one, and none count when the largest is at most ``tol``.
-    Yields (p, W_p); yields nothing when L has no columns.
+    W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1)
+    for L = ``left_null`` (n^2 x k).  A degree below the top needs the full
+    SVD of M_p, since the next degree is built on W_p; at the top degree
+    D_max = D_{max-1} n - rank(M_max) comes from the singular values alone.
+    Returns (bases, ranks, pending): ``pending`` maps max_degree to the
+    function that forms W_max with that rank.  All three are empty when L
+    has no columns.
     """
     k = left_null.shape[1]
-    if k == 0:
-        return
-    # Lr[r][a, c] = conj(L[(a, c), r])
+    if k == 0 or max_degree < 2:
+        return {}, {}, {}
     Lr = left_null.T.conj().reshape(k, n, n)
     W = np.eye(n, dtype=complex)
-    for p in range(2, max_degree + 1):
-        D = W.shape[1]
-        # M[(A, r), (j, c)] = sum_a conj(L[(a, c), r]) W[(A, a), j]: one (D x n) @ (n x n)
-        # product per (A, r), written straight into M's layout
-        Wt = W.reshape(n ** (p - 2), 1, n, D).swapaxes(-1, -2)
-        M = np.matmul(Wt, Lr).reshape(n ** (p - 2) * k, D * n)
-        # V: the (D n) x (D n) right singular vectors of M, from the SVD of whichever
-        # of M and M^dag is tall (a wide SVD gives the vectors of a near-zero singular
-        # value less accurately).  Conjugated in place, M.T is M^dag, and the left
-        # singular vectors of M^dag are the right ones of M.
-        if M.shape[0] >= M.shape[1]:
-            _, s, vh = np.linalg.svd(M, full_matrices=False)
-            V = vh.conj().T
-        else:
-            np.conjugate(M, out=M)
-            V, s, _ = np.linalg.svd(M.T)
-        rank = _rank(s, tol) if s.size and s[0] > tol else 0
-        Dp = D * n - rank
-        # W_p[(B, c), t] = sum_j W_{p-1}[B, j] N[(j, c), t] for the null basis N = V[:, rank:]
-        # of M: one product per c, written straight into W_p's layout
-        Wp = np.empty((n ** (p - 1), n, Dp), dtype=complex)
-        N = V[:, rank:].reshape(D, n, Dp)
-        np.matmul(W, N.swapaxes(0, 1), out=Wp.swapaxes(0, 1))
-        W = Wp.reshape(n ** p, Dp)
-        yield p, W
+    bases = {}
+    for p in range(2, max_degree):
+        W = bases[p] = _next_basis(W, Lr, n, p, tol)
+    # values only, of whichever of M and M^T is tall, as _next_basis takes M or M^dag
+    M = _pair_matrix(W, Lr, n, max_degree)
+    s = np.linalg.svd(M if M.shape[0] >= M.shape[1] else M.T, compute_uv=False)
+    rank = _null_rank(s, tol)
+    ranks = {p: Wp.shape[1] for p, Wp in bases.items()}
+    ranks[max_degree] = W.shape[1] * n - rank
+    return bases, ranks, {max_degree: partial(_next_basis, W, Lr, n, max_degree, tol, rank)}
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
@@ -177,17 +228,22 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     The degree-p relation span is the sum over adjacent slot pairs of
     L = null(P^T) lifted there.  Its complement W_p is W_{p-1} (x) C^n
     intersected with (C^n)^(x)(p-2) (x) L^perp, so each degree costs one SVD
-    of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``).
-    D_p is the width of W_p, or n^p at a degree without relations.
+    of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``); at
+    ``max_degree`` that SVD is values-only and W_max waits for
+    ``FormTower.basis``.  D_p is the width of W_p, or n^p at a degree
+    without relations.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n = G.subspace.n
+    ranks = {p: n ** p for p in range(max_degree + 1)}
+    bases, pending = {}, {}
     # with R = n^2, P is the identity and null(P^T) = 0: no degree has relations
-    bases = {} if G.R == n * n else dict(
-        _degree_bases(rank_nullspace(G.P.T, tol=tol).nullspace, n, max_degree, tol))
-    ranks = {p: bases[p].shape[1] if p in bases else n ** p for p in range(max_degree + 1)}
-    return FormTower(ga=G, max_degree=max_degree, bases=bases, ranks=ranks)
+    if G.R < n * n:
+        bases, D, pending = _degree_bases(
+            rank_nullspace(G.P.T, tol=tol).nullspace, n, max_degree, tol)
+        ranks.update(D)
+    return FormTower(ga=G, max_degree=max_degree, bases=bases, ranks=ranks, pending=pending)
 
 
 def canonicalize(tower, degree, coeffs):
@@ -201,9 +257,16 @@ def canonicalize(tower, degree, coeffs):
     coeffs = np.asarray(coeffs, dtype=complex)
     stack = _stack(coeffs, degree)
     flat = coeffs.reshape(stack + (n ** degree, m * m))
-    W = tower.bases.get(degree)
+    W = tower.basis(degree)
     if W is not None:
-        flat = W @ (W.conj().T @ flat)
+        # W^dag flat, conjugating the smaller of W and the table: matmul has no
+        # conjugate-transpose GEMM, so a conjugate is a copy (W.T alone is a view)
+        if W.size <= flat.size:
+            coords = W.conj().T @ flat
+        else:
+            coords = W.T @ flat.conj()
+            np.conjugate(coords, out=coords)
+        flat = W @ coords
     return flat.reshape(stack + (n,) * degree + (m, m))
 
 
@@ -375,7 +438,7 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     R = G.R
     if R == 0:
         return False, None, 0
-    W = build_tower(G, p, tol=tol).bases.get(p)
+    W = build_tower(G, p, tol=tol).basis(p)
     X = np.eye(n ** p, dtype=complex) if W is None else W.conj()
     dim = X.shape[1]
     if dim == 0:

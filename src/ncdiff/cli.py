@@ -33,7 +33,7 @@ def _judged(name, residual, bound):
 
 
 def _round(x):
-    """Round floats for byte-stable report output."""
+    """Round floats for byte-stable report output; a complex becomes [re, im]."""
     if isinstance(x, complex):
         return [_round(x.real), _round(x.imag)]
     if isinstance(x, float):
@@ -121,10 +121,9 @@ def cmd_analyze(args):
         _section("validate", True, m=B.m, n=B.n, label=B.label),
         _section("gram", True,
                  condition=float(np.linalg.cond(G.dual.gram)),
-                 gram=[[_round(complex(v)) for v in row] for row in G.dual.gram]),
+                 gram=G.dual.gram.tolist()),
         _section("relations", True, R=G.R, mode=G.mode,
-                 alpha_columns=[[_round(complex(v)) for v in G.alpha[:, r]]
-                                for r in range(G.R)]),
+                 alpha_columns=G.alpha.T.tolist()),
         _section("projector", rep_ga["beta_alpha_identity"] < args.tol
                  and rep_ga["P_idempotent"] < args.tol,
                  beta_alpha_identity=rep_ga["beta_alpha_identity"],

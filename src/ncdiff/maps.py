@@ -125,7 +125,8 @@ def check_equivalence(U, B, tower, trials=10, seed=0, tol=DEFAULT_TOL):
     then checks co-frame preservation, theta preservation, product
     preservation, and commutation of U^star with d on random forms.  The
     transported relations give the same P, hence the same canonical spaces,
-    so the conjugated calculus shares the tower's ``bases``.
+    so the conjugated calculus is a copy of the tower that shares its bases,
+    a pending top-degree basis included: it is formed once, for both.
     """
     G = tower.ga
     if tower.max_degree < 2:

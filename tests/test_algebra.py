@@ -93,3 +93,11 @@ def test_matrix_basis_duals():
         for nu in range(4):
             got = np.trace(gdual[mu].conj().T @ gam[nu])
             assert got == pytest.approx(1.0 if mu == nu else 0.0, abs=1e-12)
+
+
+def test_matrix_basis_duals_match_einsum():
+    """The GEMM trace-duals against the einsum contraction sum_b (g^-1)[b, a] gamma_b."""
+    m = 8
+    gam = np.concatenate([np.eye(m, dtype=complex)[None], gell_mann_basis(m)])
+    ref = np.einsum("ba,bij->aij", np.linalg.inv(gram(gam)), gam)
+    assert np.max(np.abs(algebra.matrix_basis_duals(gam) - ref)) < 1e-14

@@ -326,7 +326,7 @@ def test_tower_without_relations_skips_null_space(monkeypatch):
 
     monkeypatch.setattr(calculus, "rank_nullspace", fail)
     tower = build_tower(G, 3)
-    assert tower.bases == {}
+    assert tower.bases == {} and tower.pending == {}
     assert tower.ranks == {p: n ** p for p in range(4)}
 
 
@@ -405,16 +405,17 @@ def test_tower_matches_dense_projectors(make):
         shape = (n,) * p + (m, m)
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dense = (pi @ raw.reshape(n ** p, m * m)).reshape(shape)
-        assert np.max(np.abs(canonicalize(tower, p, raw) - dense)) < 1e-12
-        # a basis W_p is stored exactly at the degrees with relations: p >= 2 unless P = 1
-        assert (p in tower.bases) == (p >= 2 and G.R < n * n)
-        if p in tower.bases:
-            W = tower.bases[p]
+        # a basis W_p exists exactly at the degrees with relations: p >= 2 unless P = 1;
+        # read before any canonicalize at p, so the top degree's is formed by the accessor
+        W = tower.basis(p)
+        assert (W is not None) == (p >= 2 and G.R < n * n)
+        if W is not None:
             assert W.shape == (n ** p, tower.ranks[p])
             assert np.max(np.abs(W.conj().T @ W - np.eye(W.shape[1])), initial=0.0) < 1e-12
             assert np.max(np.abs(pi @ W - W), initial=0.0) < 1e-12
         else:
             assert np.array_equal(canonicalize(tower, p, raw), raw)
+        assert np.max(np.abs(canonicalize(tower, p, raw) - dense)) < 1e-12
         xi = random_form(tower, p, rng)
         T = np.tensordot(pi.conj(), xi.coeffs.reshape(n ** p, m, m), axes=([0], [0]))
         for col, idx in enumerate(np.ndindex((n,) * p)):
@@ -472,6 +473,99 @@ def test_recursive_ranks(make, p, expected):
     s = np.linalg.svd(_relation_span(G, p), compute_uv=False)
     assert D == n ** p - np.count_nonzero(s > DEFAULT_TOL * s.max(initial=0.0))
     assert D == epsilon_check(G, p)[2]
+
+
+class _Proxy:
+    """A stand-in for a module: ``overrides`` first, every other name from ``target``."""
+
+    def __init__(self, target, **overrides):
+        self._target = target
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def _spy_svd(monkeypatch):
+    """Record compute_uv of every numpy.linalg.svd call made in ``calculus``."""
+    calls = []
+
+    def svd(a, *args, compute_uv=True, **kwargs):
+        calls.append(compute_uv)
+        return np.linalg.svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(calculus, "np", _Proxy(np, linalg=_Proxy(np.linalg, svd=svd)))
+    return calls
+
+
+@pytest.mark.parametrize("top", [2, 3, 4])
+def test_top_degree_is_rank_only(monkeypatch, top):
+    """build_tower decides D_max from singular values; the first projection forms W_max once."""
+    G = _generic_structure(3, 4, 0)
+    n, m = G.subspace.n, G.subspace.m
+    calls = _spy_svd(monkeypatch)
+    tower = build_tower(G, top)
+    # full SVDs below the top degree, one values-only SVD at it
+    assert calls == [True] * (top - 2) + [False]
+    assert tower.ranks[top] == (top + 1) * 2 ** top and list(tower.pending) == [top]
+    assert top not in tower.bases
+    calls.clear()
+    raw = np.random.default_rng(0).standard_normal((n,) * top + (m, m)).astype(complex)
+    once = canonicalize(tower, top, raw)
+    assert calls == [True] and tower.pending == {}
+    assert tower.basis(top).shape == (n ** top, tower.ranks[top])
+    assert np.array_equal(canonicalize(tower, top, raw), once)
+    assert calls == [True]
+
+
+def test_degree_one_tower_has_no_bases(monkeypatch):
+    calls = _spy_svd(monkeypatch)
+    tower = build_tower(_generic_structure(3, 4, 0), 1)
+    assert calls == [] and tower.bases == tower.pending == {} and tower.basis(1) is None
+
+
+def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
+    """``forms`` reads D_max off the values-only SVD and projects onto nothing."""
+    G = _generic_structure(3, 4, 0)
+    B = G.subspace
+    path = tmp_path / "generic.json"
+    formats.save_algebra(path, B.m, B.label, B.lambdas)
+    calls = _spy_svd(monkeypatch)
+    assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
+    assert calls == [True, True, False]
+    ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
+    assert ranks == {"0": 1, "1": 4, "2": 12, "3": 32, "4": 80}
+
+
+@pytest.mark.parametrize("make, top, expected", [
+    pytest.param(lambda: _catalog_structure("su2", 3), 3, 1, id="su2-m3"),
+    pytest.param(lambda: _catalog_structure("su2", 4), 3, 1, id="su2-m4"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 3), 3, 0, id="clock-shift-m3"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), 3, 0, id="clock-shift-m5"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 3, 0, id="ellipsoid-m4"),
+    pytest.param(lambda: _catalog_structure("a0", 2), 3, 27, id="a0-m2"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), 5, 192, id="generic-m3-n4-p5"),
+    pytest.param(lambda: _generic_structure(4, 5, 0), 4, 0, id="generic-m4-n5-p4"),
+    # D_4 = 0: the top degree is solved on an empty W_{max-1}
+    pytest.param(lambda: _generic_structure(4, 5, 0), 5, 0, id="generic-m4-n5-p5"),
+    pytest.param(lambda: _generic_structure(5, 8, 0), 3, 256, id="generic-m5-n8-p3"),
+])
+def test_deferred_top_basis_matches_a_taller_tower(make, top, expected):
+    """W_max formed on demand is orthonormal, D_max wide and spans the W_max of a taller tower.
+
+    The taller tower forms that degree's basis eagerly, with its own rank decision.
+    """
+    G = make()
+    tower = build_tower(G, top)
+    assert tower.ranks[top] == expected
+    W = tower.basis(top)
+    taller = build_tower(G, top + 1).basis(top)
+    if W is None:
+        assert taller is None and tower.ranks[top] == tower.n ** top
+        return
+    assert W.shape == (tower.n ** top, tower.ranks[top]) == taller.shape
+    assert np.max(np.abs(W.conj().T @ W - np.eye(W.shape[1])), initial=0.0) < 1e-12
+    assert np.max(np.abs(W @ W.conj().T - taller @ taller.conj().T), initial=0.0) < 1e-12
 
 
 def test_a0_tower_memory():

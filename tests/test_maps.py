@@ -194,3 +194,25 @@ def test_stacked_equivalence_matches_trial_loop(monkeypatch, maker, m, top, batc
     assert made[0].bit_generator.state == ref_rng.bit_generator.state
     assert abs(rep["products"] - ref[0]) < 1e-14
     assert abs(rep["d_commutation"] - ref[1]) < 1e-14
+
+
+@pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3)])
+def test_equivalence_forms_the_deferred_basis_once(maker, m):
+    """A degree-2 tower whose W_2 is not formed yet gives the residuals of one whose W_2 is.
+
+    The conjugated calculus is a ``dataclasses.replace`` copy of the tower: it
+    shares the pending W_2, which is formed once for both.
+    """
+    e = maker(m)
+    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
+         else genalg.detect_structure(e.subspace))
+    U = Conjugation.from_matrix(np.random.default_rng(5).standard_normal((m, m)) + 2 * np.eye(m))
+    formed = calculus.build_tower(G, 2)
+    assert formed.basis(2) is not None and formed.pending == {}
+    deferred = calculus.build_tower(G, 2)
+    made = []
+    form = deferred.pending[2]
+    deferred.pending[2] = lambda: made.append(1) or form()
+    rep = check_equivalence(U, e.subspace, deferred, trials=5, seed=2)
+    assert made == [1] and deferred.pending == {} and 2 in deferred.bases
+    assert rep == check_equivalence(U, e.subspace, formed, trials=5, seed=2)
