@@ -88,7 +88,9 @@ class FormTower:
     def basis(self, p):
         """W_p, formed on first use at the top degree; None at a degree without relations."""
         if p in self.pending:
-            self.bases[p] = self.pending.pop(p)()
+            # formed before it leaves ``pending``, so a failed attempt can be retried
+            self.bases[p] = self.pending[p]()
+            del self.pending[p]
         return self.bases.get(p)
 
     @property
@@ -193,33 +195,27 @@ def _next_basis(W, Lr, n, p, tol, rank=None):
     return Wp.reshape(n ** p, Dp)
 
 
-def _degree_bases(left_null, n, max_degree, tol):
-    """Canonical bases W_p for p = 2..max_degree - 1, ranks D_p up to max_degree, W_max pending.
+def _relation_pairs(G, tol):
+    """``Lr[r][a, c] = conj(L[(a, c), r])`` for L = null(P^T); None when no degree has relations."""
+    n = G.subspace.n
+    # with R = n^2, P is the identity and null(P^T) = 0
+    if G.R == n * n:
+        return None
+    L = rank_nullspace(G.P.T, tol=tol).nullspace
+    return L.T.conj().reshape(-1, n, n) if L.shape[1] else None
+
+
+def _degree_bases(Lr, n, top, tol):
+    """Canonical bases W_p for p = 2..``top``, each from the full SVD of M_p.
 
     Each degree solves only its newest slot pair, starting from W_1 = I_n:
-    W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1)
-    for L = ``left_null`` (n^2 x k).  A degree below the top needs the full
-    SVD of M_p, since the next degree is built on W_p; at the top degree
-    D_max = D_{max-1} n - rank(M_max) comes from the singular values alone.
-    Returns (bases, ranks, pending): ``pending`` maps max_degree to the
-    function that forms W_max with that rank.  All three are empty when L
-    has no columns.
+    W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1).
     """
-    k = left_null.shape[1]
-    if k == 0 or max_degree < 2:
-        return {}, {}, {}
-    Lr = left_null.T.conj().reshape(k, n, n)
     W = np.eye(n, dtype=complex)
     bases = {}
-    for p in range(2, max_degree):
+    for p in range(2, top + 1):
         W = bases[p] = _next_basis(W, Lr, n, p, tol)
-    # values only, of whichever of M and M^T is tall, as _next_basis takes M or M^dag
-    M = _pair_matrix(W, Lr, n, max_degree)
-    s = np.linalg.svd(M if M.shape[0] >= M.shape[1] else M.T, compute_uv=False)
-    rank = _null_rank(s, tol)
-    ranks = {p: Wp.shape[1] for p, Wp in bases.items()}
-    ranks[max_degree] = W.shape[1] * n - rank
-    return bases, ranks, {max_degree: partial(_next_basis, W, Lr, n, max_degree, tol, rank)}
+    return bases
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
@@ -228,8 +224,10 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     The degree-p relation span is the sum over adjacent slot pairs of
     L = null(P^T) lifted there.  Its complement W_p is W_{p-1} (x) C^n
     intersected with (C^n)^(x)(p-2) (x) L^perp, so each degree costs one SVD
-    of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``); at
-    ``max_degree`` that SVD is values-only and W_max waits for
+    of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``).  A
+    degree below the top needs the full SVD, since the next degree is built
+    on W_p; at ``max_degree`` D_max = D_{max-1} n - rank(M_max) comes from
+    the singular values alone, and W_max, with that rank, waits for
     ``FormTower.basis``.  D_p is the width of W_p, or n^p at a degree
     without relations.
     """
@@ -238,11 +236,17 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     n = G.subspace.n
     ranks = {p: n ** p for p in range(max_degree + 1)}
     bases, pending = {}, {}
-    # with R = n^2, P is the identity and null(P^T) = 0: no degree has relations
-    if G.R < n * n:
-        bases, D, pending = _degree_bases(
-            rank_nullspace(G.P.T, tol=tol).nullspace, n, max_degree, tol)
-        ranks.update(D)
+    Lr = _relation_pairs(G, tol) if max_degree >= 2 else None
+    if Lr is not None:
+        bases = _degree_bases(Lr, n, max_degree - 1, tol)
+        ranks.update((p, Wp.shape[1]) for p, Wp in bases.items())
+        W = bases.get(max_degree - 1, np.eye(n, dtype=complex))
+        # values only, of whichever of M and M^T is tall, as _next_basis takes M or M^dag
+        M = _pair_matrix(W, Lr, n, max_degree)
+        rank = _null_rank(np.linalg.svd(M if M.shape[0] >= M.shape[1] else M.T,
+                                        compute_uv=False), tol)
+        ranks[max_degree] = W.shape[1] * n - rank
+        pending[max_degree] = partial(_next_basis, W, Lr, n, max_degree, tol, rank)
     return FormTower(ga=G, max_degree=max_degree, bases=bases, ranks=ranks, pending=pending)
 
 
@@ -259,14 +263,7 @@ def canonicalize(tower, degree, coeffs):
     flat = coeffs.reshape(stack + (n ** degree, m * m))
     W = tower.basis(degree)
     if W is not None:
-        # W^dag flat, conjugating the smaller of W and the table: matmul has no
-        # conjugate-transpose GEMM, so a conjugate is a copy (W.T alone is a view)
-        if W.size <= flat.size:
-            coords = W.conj().T @ flat
-        else:
-            coords = W.T @ flat.conj()
-            np.conjugate(coords, out=coords)
-        flat = W @ coords
+        flat = W @ (W.conj().T @ flat)
     return flat.reshape(stack + (n,) * degree + (m, m))
 
 
@@ -426,8 +423,10 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     The chain asks for eps_t, t = 0..p-2, whose lifts X = (1 (x) alpha (x) 1)
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
     the solutions are the X in every lifted range(alpha): conj(W_p), the
-    canonical space of dimension D_p from ``build_tower`` (X is every tensor
-    at a degree without relations).  Each eps_t = (1 (x) beta (x) 1) X.
+    canonical space of dimension D_p (X is every tensor at a degree without
+    relations).  W_p is needed at once, so it comes from the full SVD at
+    every degree (``_degree_bases``) with no values-only pass at degree p.
+    Each eps_t = (1 (x) beta (x) 1) X.
     Returns (exists, basis, dim) where ``exists`` means a nonzero solution
     exists at tolerance; basis columns use the unknown layout x[t, A, r]
     with A in n^(p-2) row-major.
@@ -438,7 +437,8 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     R = G.R
     if R == 0:
         return False, None, 0
-    W = build_tower(G, p, tol=tol).basis(p)
+    Lr = _relation_pairs(G, tol)
+    W = None if Lr is None else _degree_bases(Lr, n, p, tol)[p]
     X = np.eye(n ** p, dtype=complex) if W is None else W.conj()
     dim = X.shape[1]
     if dim == 0:

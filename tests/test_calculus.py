@@ -518,6 +518,42 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     assert calls == [True]
 
 
+def test_failed_top_basis_is_formed_on_the_next_call():
+    """A pending W_max whose first forming raises stays pending, and the next call forms it."""
+    G = _generic_structure(3, 4, 0)
+    tower = build_tower(G, 3)
+    form = tower.pending[3]
+    attempts = []
+
+    def flaky():
+        attempts.append(None)
+        if len(attempts) == 1:
+            raise MemoryError("first attempt")
+        return form()
+
+    tower.pending[3] = flaky
+    with pytest.raises(MemoryError):
+        tower.basis(3)
+    assert 3 in tower.pending and 3 not in tower.bases
+    W = tower.basis(3)
+    assert len(attempts) == 2 and tower.pending == {}
+    assert W.shape == (tower.n ** 3, tower.ranks[3])
+    raw = np.random.default_rng(0).standard_normal((tower.n,) * 3 + (tower.m,) * 2)
+    assert np.allclose(canonicalize(tower, 3, raw), canonicalize(build_tower(G, 3), 3, raw),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_epsilon_check_takes_one_full_svd_per_degree(monkeypatch, p):
+    """W_p for the chain comes from the full SVDs alone, with no values-only pass at degree p."""
+    G = _generic_structure(3, 4, 0)
+    calls = _spy_svd(monkeypatch)
+    exists, basis, dim = epsilon_check(G, p)
+    assert calls == [True] * (p - 1)
+    assert exists and dim == build_tower(G, p).ranks[p] == (p + 1) * 2 ** p
+    assert basis.shape == ((p - 1) * G.subspace.n ** (p - 2) * G.R, dim)
+
+
 def test_degree_one_tower_has_no_bases(monkeypatch):
     calls = _spy_svd(monkeypatch)
     tower = build_tower(_generic_structure(3, 4, 0), 1)
