@@ -5,15 +5,12 @@ insertion map chi, and the exterior derivative d = -[theta, .] + chi.
 Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
 the ideal generated by the quadratic relations: L = null(P^T) lifted to
 every adjacent slot pair.  Its complement, the canonical space W_p, is
-W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower is
-built one degree at a time with one SVD of an (n^(p-2) dim L) x (D_{p-1} n)
-matrix per degree, never of the full n^p-row relation span.  The tower
-keeps an orthonormal basis W_p (n^p x D_p) of each degree that has
-relations; at the other degrees every tensor is canonical.  At the top
-degree it decides D_max from the singular values of its matrix alone and
-forms W_max when something first projects onto that degree
-(``FormTower.basis``), so ``forms``, which reads only the ranks, never
-forms it.
+W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower
+stores the factors N_p of W_p = (W_{p-1} (x) 1_n) N_p, each the null space of
+a D-sized matrix: no step builds an n^p-row matrix.  At the top degree it
+decides D_max from singular values alone.  A basis W_p (n^p x D_p) is formed
+only when something first projects onto degree p (``FormTower.basis``), so
+``forms``, which reads only the ranks, forms none.
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -29,7 +26,6 @@ chi insertions in one table and calls ``canonicalize`` once.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -67,31 +63,35 @@ STACK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class FormTower:
-    """Per-degree canonical bases and ranks for one calculus.
+    """Per-degree canonical ranks and bases for one calculus, stored as factors.
 
-    ``basis(p)`` is an orthonormal basis W_p (n^p x D_p) of the canonical
-    space, held only for the degrees that have relations: 2..max_degree when
-    null(P^T) is nonempty.  At another degree it is None and every tensor is
-    canonical.  ``ranks[p]`` is D_p for p = 0..max_degree.  ``bases`` holds
-    the W_p formed so far; the top degree's waits in ``pending`` until
-    ``basis`` first asks for it, so a caller that reads only ``ranks`` (as
-    ``forms`` does) never forms it.  A copy made by ``dataclasses.replace``
-    shares both dicts, and with them the basis once it is formed.
+    Degree p has the orthonormal basis W_p = (W_{p-1} (x) 1_n) N_p, with
+    W_1 = N_1 = I_n.  Where null(P^T) is nonempty, ``factors`` holds N_p,
+    (D_{p-1} n) x D_p, for p = 1..max_degree - 1, and ``relations`` holds
+    L^dag as ``_pair_matrix`` reads it; else ``relations`` is None and every
+    tensor is canonical.  ``ranks[p]`` is D_p for p = 0..max_degree.
+    ``basis(p)`` forms W_p on first use, with N_max at the top degree, and
+    keeps both, so ``forms``, which reads only ``ranks``, forms none.  Copies
+    made by ``dataclasses.replace`` share ``factors`` and ``bases``.
     """
 
     ga: object
     max_degree: int
-    bases: dict = field(repr=False)
-    ranks: dict = field(default_factory=dict)
-    pending: dict = field(default_factory=dict, repr=False)
+    ranks: dict
+    relations: object = field(repr=False)
+    factors: dict = field(repr=False)
+    bases: dict = field(default_factory=dict, repr=False)
 
     def basis(self, p):
-        """W_p, formed on first use at the top degree; None at a degree without relations."""
-        if p in self.pending:
-            # formed before it leaves ``pending``, so a failed attempt can be retried
-            self.bases[p] = self.pending[p]()
-            del self.pending[p]
-        return self.bases.get(p)
+        """W_p, formed on first use with one GEMM per degree; None at a degree without relations."""
+        if self.relations is None or p < 2:
+            return None
+        if p not in self.bases:
+            if p not in self.factors:  # the top degree, whose rank is decided already
+                self.factors[p] = _null_factor(self.factors[p - 1], self.relations, self.n,
+                                               width=self.ranks[p])
+            self.bases[p] = _lift(self.basis(p - 1), self.factors[p], self.n)
+        return self.bases[p]
 
     @property
     def n(self):
@@ -145,20 +145,23 @@ def _stack(coeffs, degree):
     return coeffs.shape[:max(coeffs.ndim - degree - 2, 0)]
 
 
-def _pair_matrix(W, Lr, n, p):
-    """M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1), an (n^(p-2) k) x (D_{p-1} n) matrix.
+def _pair_matrix(N, Lr, n):
+    """K_p = (1_{D_{p-2}} (x) L^dag)(N_{p-1} (x) 1_n), a (D_{p-2} k) x (D_{p-1} n) matrix.
 
-    ``Lr[r][a, c] = conj(L[(a, c), r])`` for the k columns of L.
+    ``Lr[r][a, c] = conj(L[(a, c), r])`` for the k columns of L.  The
+    newest slot pair's relation matrix M_p = (1_{n^(p-2)} (x) L^dag)
+    (W_{p-1} (x) 1_n) is (W_{p-2} (x) 1_k) K_p, an isometry times K_p, so
+    K_p has the singular values and right singular vectors of M_p.
     """
-    D = W.shape[1]
-    # M[(A, r), (j, c)] = sum_a conj(L[(a, c), r]) W[(A, a), j]: one (D x n) @ (n x n)
-    # product per (A, r), written straight into M's layout
-    Wt = W.reshape(n ** (p - 2), 1, n, D).swapaxes(-1, -2)
-    return np.matmul(Wt, Lr).reshape(n ** (p - 2) * Lr.shape[0], D * n)
+    blocks, D = N.shape[0] // n, N.shape[1]
+    # K[(i, r), (j, c)] = sum_a conj(L[(a, c), r]) N[(i, a), j]: one (D x n) @ (n x n)
+    # product per (i, r), written straight into K's layout
+    Nt = N.reshape(blocks, 1, n, D).swapaxes(-1, -2)
+    return np.matmul(Nt, Lr).reshape(blocks * Lr.shape[0], D * n)
 
 
 def _null_rank(s, tol):
-    """The rank of M_p from its singular values ``s``, the cosines of principal angles.
+    """The rank of K_p from its singular values ``s``, the cosines of principal angles.
 
     A value counts when it exceeds ``tol`` times the largest one, and none
     count when the largest is at most ``tol``.
@@ -166,33 +169,37 @@ def _null_rank(s, tol):
     return _rank(s, tol) if s.size and s[0] > tol else 0
 
 
-def _next_basis(W, Lr, n, p, tol, rank=None):
-    """W_p = (W_{p-1} (x) 1) null(M_p), orthonormal.
+def _null_factor(N, Lr, n, tol=None, width=None):
+    """N_p = null(K_p), orthonormal, from the factor ``N`` of degree p-1.
 
-    With ``rank`` given, the null basis takes the last D_{p-1} n - ``rank``
-    right singular vectors of M_p and the rank is not decided again.
+    The rank of K_p is decided at ``tol``; with ``width`` (a D_p decided
+    before) given instead, N_p is the last ``width`` right singular vectors.
     """
-    D = W.shape[1]
-    M = _pair_matrix(W, Lr, n, p)
-    # V: the (D n) x (D n) right singular vectors of M, from the SVD of whichever
-    # of M and M^dag is tall (a wide SVD gives the vectors of a near-zero singular
-    # value less accurately).  Conjugated in place, M.T is M^dag, and the left
-    # singular vectors of M^dag are the right ones of M.
-    if M.shape[0] >= M.shape[1]:
-        _, s, vh = np.linalg.svd(M, full_matrices=False)
+    K = _pair_matrix(N, Lr, n)
+    # V from the SVD of whichever of K and K^dag is tall (a wide SVD gives the vectors
+    # of a near-zero singular value less accurately).  Conjugated in place, K.T is
+    # K^dag, and the left singular vectors of K^dag are the right ones of K.
+    if K.shape[0] >= K.shape[1]:
+        _, s, vh = np.linalg.svd(K, full_matrices=False)
         V = vh.conj().T
     else:
-        np.conjugate(M, out=M)
-        V, s, _ = np.linalg.svd(M.T)
-    if rank is None:
-        rank = _null_rank(s, tol)
-    Dp = D * n - rank
-    # W_p[(B, c), t] = sum_j W_{p-1}[B, j] N[(j, c), t] for the null basis N = V[:, rank:]
-    # of M: one product per c, written straight into W_p's layout
-    Wp = np.empty((n ** (p - 1), n, Dp), dtype=complex)
-    N = V[:, rank:].reshape(D, n, Dp)
-    np.matmul(W, N.swapaxes(0, 1), out=Wp.swapaxes(0, 1))
-    return Wp.reshape(n ** p, Dp)
+        np.conjugate(K, out=K)
+        V, s, _ = np.linalg.svd(K.T)
+    if width is None:
+        width = V.shape[1] - _null_rank(s, tol)
+    # a copy, so that the factor does not keep all of V alive
+    return V[:, V.shape[1] - width:].copy()
+
+
+def _lift(W, N, n):
+    """W_p = (W_{p-1} (x) 1_n) N_p, an n^p x D_p matrix; ``W`` None stands for W_1 = I_n."""
+    if W is None:
+        return N
+    # W_p[(B, c), t] = sum_j W_{p-1}[B, j] N[(j, c), t]: one product per c, written
+    # straight into W_p's layout
+    Wp = np.empty((W.shape[0], n, N.shape[1]), dtype=complex)
+    np.matmul(W, N.reshape(W.shape[1], n, N.shape[1]).swapaxes(0, 1), out=Wp.swapaxes(0, 1))
+    return Wp.reshape(W.shape[0] * n, N.shape[1])
 
 
 def _relation_pairs(G, tol):
@@ -205,49 +212,38 @@ def _relation_pairs(G, tol):
     return L.T.conj().reshape(-1, n, n) if L.shape[1] else None
 
 
-def _degree_bases(Lr, n, top, tol):
-    """Canonical bases W_p for p = 2..``top``, each from the full SVD of M_p.
-
-    Each degree solves only its newest slot pair, starting from W_1 = I_n:
-    W_p = (W_{p-1} (x) 1) null(M_p) with M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1).
-    """
-    W = np.eye(n, dtype=complex)
-    bases = {}
+def _factors(Lr, n, top, tol):
+    """The factors N_p for p = 1..``top``: N_1 = I_n, then each from the full SVD of K_p."""
+    factors = {1: np.eye(n, dtype=complex)}
     for p in range(2, top + 1):
-        W = bases[p] = _next_basis(W, Lr, n, p, tol)
-    return bases
+        factors[p] = _null_factor(factors[p - 1], Lr, n, tol)
+    return factors
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
-    """Canonical bases and ranks up to ``max_degree``.
+    """Canonical ranks and factors up to ``max_degree``.
 
-    The degree-p relation span is the sum over adjacent slot pairs of
-    L = null(P^T) lifted there.  Its complement W_p is W_{p-1} (x) C^n
-    intersected with (C^n)^(x)(p-2) (x) L^perp, so each degree costs one SVD
-    of an (n^(p-2) dim L) x (D_{p-1} n) matrix (see ``_degree_bases``).  A
-    degree below the top needs the full SVD, since the next degree is built
-    on W_p; at ``max_degree`` D_max = D_{max-1} n - rank(M_max) comes from
-    the singular values alone, and W_max, with that rank, waits for
-    ``FormTower.basis``.  D_p is the width of W_p, or n^p at a degree
+    A degree below the top takes the full SVD of its K_p (``_pair_matrix``),
+    since K_{p+1} is built on N_p; at ``max_degree`` D_max = D_{max-1} n -
+    rank(K_max) comes from the singular values alone.  No W_p is formed here
+    (``FormTower.basis``).  D_p is the width of N_p, or n^p at a degree
     without relations.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n = G.subspace.n
     ranks = {p: n ** p for p in range(max_degree + 1)}
-    bases, pending = {}, {}
+    factors = {}
     Lr = _relation_pairs(G, tol) if max_degree >= 2 else None
     if Lr is not None:
-        bases = _degree_bases(Lr, n, max_degree - 1, tol)
-        ranks.update((p, Wp.shape[1]) for p, Wp in bases.items())
-        W = bases.get(max_degree - 1, np.eye(n, dtype=complex))
-        # values only, of whichever of M and M^T is tall, as _next_basis takes M or M^dag
-        M = _pair_matrix(W, Lr, n, max_degree)
-        rank = _null_rank(np.linalg.svd(M if M.shape[0] >= M.shape[1] else M.T,
+        factors = _factors(Lr, n, max_degree - 1, tol)
+        ranks.update((p, N.shape[1]) for p, N in factors.items())
+        # values only, of whichever of K and K^T is tall, as _null_factor takes K or K^dag
+        K = _pair_matrix(factors[max_degree - 1], Lr, n)
+        rank = _null_rank(np.linalg.svd(K if K.shape[0] >= K.shape[1] else K.T,
                                         compute_uv=False), tol)
-        ranks[max_degree] = W.shape[1] * n - rank
-        pending[max_degree] = partial(_next_basis, W, Lr, n, max_degree, tol, rank)
-    return FormTower(ga=G, max_degree=max_degree, bases=bases, ranks=ranks, pending=pending)
+        ranks[max_degree] = K.shape[1] - rank
+    return FormTower(ga=G, max_degree=max_degree, ranks=ranks, relations=Lr, factors=factors)
 
 
 def canonicalize(tower, degree, coeffs):
@@ -424,8 +420,8 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
     the solutions are the X in every lifted range(alpha): conj(W_p), the
     canonical space of dimension D_p (X is every tensor at a degree without
-    relations).  W_p is needed at once, so it comes from the full SVD at
-    every degree (``_degree_bases``) with no values-only pass at degree p.
+    relations).  W_p is needed at once, so every factor comes from the full
+    SVD of its K_q, with no values-only pass at degree p (``_factors``).
     Each eps_t = (1 (x) beta (x) 1) X.
     Returns (exists, basis, dim) where ``exists`` means a nonzero solution
     exists at tolerance; basis columns use the unknown layout x[t, A, r]
@@ -438,7 +434,9 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     if R == 0:
         return False, None, 0
     Lr = _relation_pairs(G, tol)
-    W = None if Lr is None else _degree_bases(Lr, n, p, tol)[p]
+    W = None
+    for N in ({} if Lr is None else _factors(Lr, n, p, tol)).values():  # from N_1 = I_n
+        W = _lift(W, N, n)
     X = np.eye(n ** p, dtype=complex) if W is None else W.conj()
     dim = X.shape[1]
     if dim == 0:

@@ -336,7 +336,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run every identity suite")
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
-    p.add_argument("--max-degree", type=_at_least(2), default=3)
+    p.add_argument("--max-degree", type=_at_least(2), default=3,
+                   help="tower top degree (default 3); the random-form checks project only "
+                        "up to degree min(MAX_DEGREE, 4): a higher value adds only ranks")
     p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--trials", type=_at_least(1), default=20)
 

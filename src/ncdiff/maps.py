@@ -126,7 +126,7 @@ def check_equivalence(U, B, tower, trials=10, seed=0, tol=DEFAULT_TOL):
     preservation, and commutation of U^star with d on random forms.  The
     transported relations give the same P, hence the same canonical spaces,
     so the conjugated calculus is a copy of the tower that shares its bases,
-    a pending top-degree basis included: it is formed once, for both.
+    the top degree's included: each basis is formed once, for both.
     """
     G = tower.ga
     if tower.max_degree < 2:
@@ -177,9 +177,9 @@ def check_equivalence(U, B, tower, trials=10, seed=0, tol=DEFAULT_TOL):
 def lie_derivative(tower, f, xi):
     """Degree-preserving derivative induced by conjugation flow along f.
 
-    On degree 0 it reduces to g -> -[f, g]; on higher degrees it subtracts
-    the insertion of <lambda^b, [f, lambda_c]> into every slot of the
-    canonical coefficients.
+    On degree 0 it reduces to g -> -[f, g]; on higher degrees it adds the
+    insertion of <lambda^b, [f, lambda_c]> into every slot of the canonical
+    coefficients.
     """
     f = np.asarray(f, dtype=complex)
     p = xi.degree
@@ -194,5 +194,5 @@ def lie_derivative(tower, f, xi):
     second = np.zeros_like(xi.coeffs)
     for q in range(p):
         second += _at_slot(Wt, xi.coeffs, q)
-    out = -first - second
+    out = -first + second
     return Form(tower, p, canonicalize(tower, p, out))

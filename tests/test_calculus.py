@@ -326,7 +326,7 @@ def test_tower_without_relations_skips_null_space(monkeypatch):
 
     monkeypatch.setattr(calculus, "rank_nullspace", fail)
     tower = build_tower(G, 3)
-    assert tower.bases == {} and tower.pending == {}
+    assert tower.relations is None and tower.factors == tower.bases == {}
     assert tower.ranks == {p: n ** p for p in range(4)}
 
 
@@ -372,7 +372,7 @@ def _dense_projector(G, p):
 
 
 def _lie_derivative_dense(tower, pi, f, xi):
-    """lie_derivative with the insertion weighted by the contraction tensor conj(Pi_p)."""
+    """lie_derivative with the insertion, weighted by the contraction tensor conj(Pi_p), added."""
     B, duals = tower.ga.subspace, tower.ga.dual.duals
     n, m, p = tower.n, tower.m, xi.degree
     first = np.einsum("ij,...jk->...ik", f, xi.coeffs) - np.einsum("...ij,jk->...ik", xi.coeffs, f)
@@ -382,7 +382,7 @@ def _lie_derivative_dense(tower, pi, f, xi):
     X = X.reshape(xi.coeffs.shape)
     second = sum((np.moveaxis(np.tensordot(X, W, axes=([q], [0])), -1, q) for q in range(p)),
                  np.zeros_like(X))
-    return (pi @ (-first - second).reshape(n ** p, m * m)).reshape(xi.coeffs.shape)
+    return (pi @ (-first + second).reshape(n ** p, m * m)).reshape(xi.coeffs.shape)
 
 
 @pytest.mark.parametrize("make", [
@@ -475,6 +475,91 @@ def test_recursive_ranks(make, p, expected):
     assert D == epsilon_check(G, p)[2]
 
 
+def _reference_pair_matrix(W, Lr, n, p):
+    """M_p = (1_{n^(p-2)} (x) L^dag)(W_{p-1} (x) 1), the (n^(p-2) k) x (D_{p-1} n) relation matrix."""
+    D = W.shape[1]
+    Wt = W.reshape(n ** (p - 2), 1, n, D).swapaxes(-1, -2)
+    return np.matmul(Wt, Lr).reshape(n ** (p - 2) * Lr.shape[0], D * n)
+
+
+def _reference_tower(G, top, form_top=True, tol=DEFAULT_TOL):
+    """Ranks and bases from the n^(p-2) k-row matrices M_p, with every W_p formed eagerly.
+
+    W_p = (W_{p-1} (x) 1) null(M_p), each null space from the SVD of whichever
+    of M_p and M_p^dag is tall.  Without ``form_top`` the top rank comes from
+    singular values alone and W_top is not formed.
+    """
+    n = G.subspace.n
+    ranks, bases = {p: n ** p for p in range(top + 1)}, {}
+    Lr = calculus._relation_pairs(G, tol)
+    W = np.eye(n, dtype=complex)
+    for p in range(2, top + 1) if Lr is not None else ():
+        M = _reference_pair_matrix(W, Lr, n, p)
+        tall = M.shape[0] >= M.shape[1]
+        if p == top and not form_top:
+            s = np.linalg.svd(M if tall else M.T, compute_uv=False)
+        elif tall:
+            _, s, vh = np.linalg.svd(M, full_matrices=False)
+            V = vh.conj().T
+        else:
+            V, s, _ = np.linalg.svd(M.conj().T)
+        rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > tol else 0
+        D = ranks[p] = W.shape[1] * n - rank
+        if p < top or form_top:
+            N = V[:, rank:].reshape(W.shape[1], n, D)
+            W = bases[p] = np.einsum("Bj,jct->Bct", W, N).reshape(n ** p, D)
+    return ranks, bases
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(2, 6) for n in range(2, min(9, m * m))])
+def test_factored_ranks_match_relation_matrices_generic(m, n):
+    """Every D_p from the D-sized K_p equals the rank the n^(p-2) k-row M_p gives, seeds 0-2."""
+    top = 5 if n <= 5 else 4
+    for seed in range(3):
+        G = _generic_structure(m, n, seed)
+        assert build_tower(G, top).ranks == _reference_tower(G, top, form_top=False)[0]
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_factored_ranks_match_relation_matrices_catalog(name):
+    """Every catalog entry at m = 2..6, with detected and with suggested relations, to degree 4."""
+    for m in range(2, 7):
+        try:
+            e = catalog.build_entry(name, m)
+        except ValueError:  # m below the entry's minimum
+            continue
+        structures = [genalg.detect_structure(e.subspace)]
+        if e.suggested_alpha is not None:
+            structures.append(genalg.use_relations(e.subspace, e.suggested_alpha))
+        for G in structures:
+            assert build_tower(G, 4).ranks == _reference_tower(G, 4, form_top=False)[0], (m, G.mode)
+
+
+@pytest.mark.parametrize("make, top", [
+    pytest.param(lambda: _catalog_structure("su2", 4), 4, id="su2-m4-p4"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), 4, id="clock-shift-m5-p4"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 4, id="ellipsoid-m4-p4"),
+    pytest.param(lambda: _catalog_structure("a0", 2), 4, id="a0-m2-p4"),
+    pytest.param(lambda: _generic_structure(2, 3, 2), 5, id="generic-m2-n3-p5"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), 5, id="generic-m3-n4-p5"),
+    pytest.param(lambda: _generic_structure(4, 5, 1), 4, id="generic-m4-n5-p4"),
+    pytest.param(lambda: _generic_structure(5, 8, 0), 3, id="generic-m5-n8-p3"),
+])
+def test_factored_bases_match_eager_bases(make, top):
+    """W_p formed from the factors spans the eager W_p of the n^p-row path: W W^dag agree."""
+    G = make()
+    tower = build_tower(G, top)
+    ranks, bases = _reference_tower(G, top)
+    assert tower.ranks == ranks
+    for p in range(top + 1):
+        W, ref = tower.basis(p), bases.get(p)
+        if ref is None:
+            assert W is None
+            continue
+        assert W.shape == ref.shape
+        assert np.max(np.abs(W @ W.conj().T - ref @ ref.conj().T), initial=0.0) < 1e-12
+
+
 class _Proxy:
     """A stand-in for a module: ``overrides`` first, every other name from ``target``."""
 
@@ -498,49 +583,75 @@ def _spy_svd(monkeypatch):
     return calls
 
 
+def _spy_lift(monkeypatch):
+    """Record the width of every W_p that ``calculus`` forms from its factors."""
+    widths = []
+    lift = calculus._lift
+
+    def spy(W, N, n):
+        widths.append(N.shape[1])
+        return lift(W, N, n)
+
+    monkeypatch.setattr(calculus, "_lift", spy)
+    return widths
+
+
 @pytest.mark.parametrize("top", [2, 3, 4])
 def test_top_degree_is_rank_only(monkeypatch, top):
-    """build_tower decides D_max from singular values; the first projection forms W_max once."""
+    """build_tower decides D_max from singular values and forms no W_p.
+
+    A first projection below the top forms W_p with GEMMs alone; the first at the
+    top forms N_max with one full SVD, and then W_max.  Each is formed once.
+    """
     G = _generic_structure(3, 4, 0)
     n, m = G.subspace.n, G.subspace.m
     calls = _spy_svd(monkeypatch)
+    lifts = _spy_lift(monkeypatch)
     tower = build_tower(G, top)
     # full SVDs below the top degree, one values-only SVD at it
     assert calls == [True] * (top - 2) + [False]
-    assert tower.ranks[top] == (top + 1) * 2 ** top and list(tower.pending) == [top]
-    assert top not in tower.bases
+    assert tower.ranks[top] == (top + 1) * 2 ** top
+    assert sorted(tower.factors) == list(range(1, top)) and tower.bases == {} and lifts == []
     calls.clear()
-    raw = np.random.default_rng(0).standard_normal((n,) * top + (m, m)).astype(complex)
+    rng = np.random.default_rng(0)
+    if top > 2:
+        raw = rng.standard_normal((n,) * (top - 1) + (m, m)).astype(complex)
+        canonicalize(tower, top - 1, raw)
+        assert calls == [] and sorted(tower.bases) == list(range(2, top))
+    raw = rng.standard_normal((n,) * top + (m, m)).astype(complex)
     once = canonicalize(tower, top, raw)
-    assert calls == [True] and tower.pending == {}
+    assert calls == [True] and sorted(tower.bases) == list(range(2, top + 1))
+    assert lifts == [tower.ranks[p] for p in range(2, top + 1)]
     assert tower.basis(top).shape == (n ** top, tower.ranks[top])
     assert np.array_equal(canonicalize(tower, top, raw), once)
-    assert calls == [True]
+    assert calls == [True] and len(lifts) == top - 1
 
 
-def test_failed_top_basis_is_formed_on_the_next_call():
-    """A pending W_max whose first forming raises stays pending, and the next call forms it."""
+def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
+    """A forming of W_max that raises, in its SVD or in a GEMM, is done again by the next call."""
     G = _generic_structure(3, 4, 0)
-    tower = build_tower(G, 3)
-    form = tower.pending[3]
-    attempts = []
+    raw = np.random.default_rng(0).standard_normal((4,) * 3 + (3,) * 2)
+    expected = canonicalize(build_tower(G, 3), 3, raw)
+    for step in ("_null_factor", "_lift"):
+        tower = build_tower(G, 3)
+        attempts = []
+        real = getattr(calculus, step)
 
-    def flaky():
-        attempts.append(None)
-        if len(attempts) == 1:
-            raise MemoryError("first attempt")
-        return form()
+        def flaky(*args, **kwargs):
+            attempts.append(None)
+            if len(attempts) == 1:
+                raise MemoryError("first attempt")
+            return real(*args, **kwargs)
 
-    tower.pending[3] = flaky
-    with pytest.raises(MemoryError):
-        tower.basis(3)
-    assert 3 in tower.pending and 3 not in tower.bases
-    W = tower.basis(3)
-    assert len(attempts) == 2 and tower.pending == {}
-    assert W.shape == (tower.n ** 3, tower.ranks[3])
-    raw = np.random.default_rng(0).standard_normal((tower.n,) * 3 + (tower.m,) * 2)
-    assert np.allclose(canonicalize(tower, 3, raw), canonicalize(build_tower(G, 3), 3, raw),
-                       rtol=0, atol=1e-12)
+        monkeypatch.setattr(calculus, step, flaky)
+        with pytest.raises(MemoryError):
+            tower.basis(3)
+        assert 3 not in tower.bases
+        W = tower.basis(3)
+        monkeypatch.undo()
+        assert len(attempts) >= 2 and 3 in tower.bases and 3 in tower.factors
+        assert W.shape == (tower.n ** 3, tower.ranks[3])
+        assert np.allclose(canonicalize(tower, 3, raw), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [3, 4])
@@ -557,18 +668,19 @@ def test_epsilon_check_takes_one_full_svd_per_degree(monkeypatch, p):
 def test_degree_one_tower_has_no_bases(monkeypatch):
     calls = _spy_svd(monkeypatch)
     tower = build_tower(_generic_structure(3, 4, 0), 1)
-    assert calls == [] and tower.bases == tower.pending == {} and tower.basis(1) is None
+    assert calls == [] and tower.bases == tower.factors == {} and tower.basis(1) is None
 
 
 def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
-    """``forms`` reads D_max off the values-only SVD and projects onto nothing."""
+    """``forms`` reads D_max off the values-only SVD and forms no W_p at any degree."""
     G = _generic_structure(3, 4, 0)
     B = G.subspace
     path = tmp_path / "generic.json"
     formats.save_algebra(path, B.m, B.label, B.lambdas)
     calls = _spy_svd(monkeypatch)
+    lifts = _spy_lift(monkeypatch)
     assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
-    assert calls == [True, True, False]
+    assert calls == [True, True, False] and lifts == []
     ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
     assert ranks == {"0": 1, "1": 4, "2": 12, "3": 32, "4": 80}
 

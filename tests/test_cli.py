@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -95,7 +96,7 @@ def test_forms_r_zero(tmp_path, capsys):
 
 
 def test_forms_memory(tmp_path, capsys):
-    """forms on generic (m, n) = (3, 4) to degree 6 keeps one n^p x D_p basis per degree."""
+    """forms on generic (m, n) = (3, 4) to degree 6 keeps only the D-sized factors N_p."""
     rng = np.random.default_rng(0)
     lam = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
@@ -114,6 +115,59 @@ def test_forms_memory(tmp_path, capsys):
     assert sec["ranks"]["D"] == {str(p): d for p, d in D.items()}
     assert all(sec[f"epsilon_degree_{p}"]["solution_dim"] == D[p] for p in range(3, 7))
     assert peak < 200e6
+
+
+# One CLI command in a fresh interpreter under a 3 GiB address-space cap, so an
+# n^p-row intermediate that does not fit fails the run instead of the machine.
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from ncdiff import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _su3_commutator_file(path):
+    """a0(3), the traceless M_3, with the 28 commutator relations e_ab - e_ba."""
+    e = universal_A0(3)
+    n = e.subspace.n
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    alpha = np.zeros((n * n, len(pairs)), dtype=complex)
+    for r, (a, b) in enumerate(pairs):
+        alpha[a * n + b, r], alpha[b * n + a, r] = 1, -1
+    formats.save_algebra(path, 3, "su3-commutator", e.subspace.lambdas, alpha=alpha)
+    return ["--alpha", "embedded"]
+
+
+def _generic_file(m, n):
+    def write(path):
+        rng = np.random.default_rng(0)
+        lam = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
+        formats.save_algebra(path, m, f"generic-{m}-{n}", lam)
+        return []
+    return write
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("write, top, D", [
+    # Omega is the exterior algebra on 8 generators
+    pytest.param(_su3_commutator_file, 8, [math.comb(8, p) for p in range(9)],
+                 id="su3-commutator-p8"),
+    pytest.param(_generic_file(4, 6), 5, [1, 6, 27, 108, 405, 1458], id="generic-m4-n6-p5"),
+    pytest.param(_generic_file(5, 8), 4, [1, 8, 48, 256, 1280], id="generic-m5-n8-p4"),
+])
+def test_forms_large_regime_in_a_capped_process(tmp_path, write, top, D):
+    """forms to a high degree in a fresh process under a 3 GiB cap exits 0 with every D_p."""
+    path = tmp_path / "algebra.json"
+    extra = write(path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["forms", str(path), *extra, "--max-degree", str(top), "--format", "json"]
+    run = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    ranks = json.loads(run.stdout)["sections"][0]["D"]
+    assert ranks == {str(p): d for p, d in enumerate(D)}
 
 
 @pytest.mark.parametrize("command", ["forms", "verify"])

@@ -197,22 +197,51 @@ def test_stacked_equivalence_matches_trial_loop(monkeypatch, maker, m, top, batc
 
 
 @pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3)])
-def test_equivalence_forms_the_deferred_basis_once(maker, m):
+def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
     """A degree-2 tower whose W_2 is not formed yet gives the residuals of one whose W_2 is.
 
     The conjugated calculus is a ``dataclasses.replace`` copy of the tower: it
-    shares the pending W_2, which is formed once for both.
+    shares the factors and bases, so N_2 and W_2 are formed once for both.
     """
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
          else genalg.detect_structure(e.subspace))
     U = Conjugation.from_matrix(np.random.default_rng(5).standard_normal((m, m)) + 2 * np.eye(m))
     formed = calculus.build_tower(G, 2)
-    assert formed.basis(2) is not None and formed.pending == {}
+    assert formed.basis(2) is not None
     deferred = calculus.build_tower(G, 2)
+    assert deferred.bases == {} and 2 not in deferred.factors
     made = []
-    form = deferred.pending[2]
-    deferred.pending[2] = lambda: made.append(1) or form()
+    for step in ("_null_factor", "_lift"):
+        real = getattr(calculus, step)
+        monkeypatch.setattr(calculus, step,
+                            lambda *a, real=real, step=step, **k: made.append(step) or real(*a, **k))
     rep = check_equivalence(U, e.subspace, deferred, trials=5, seed=2)
-    assert made == [1] and deferred.pending == {} and 2 in deferred.bases
+    assert made == ["_null_factor", "_lift"] and 2 in deferred.bases
     assert rep == check_equivalence(U, e.subspace, formed, trials=5, seed=2)
+
+
+@pytest.mark.parametrize("maker, m", [(su2, 3), (su2, 4), (universal_A0, 2)])
+def test_lie_derivative_commutes_with_d(maker, m):
+    """[L_h, d] = 0 for h in n(B) = {h : [h, lambda_a] in B}, at degrees 0..max_degree - 1.
+
+    exp(t h) maps B onto itself and is an automorphism of the calculus.  su2's
+    n(B) is spanned by its spin matrices, the basis of B; a0's is all of sl(2).
+    """
+    e = maker(m)
+    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
+         else genalg.detect_structure(e.subspace))
+    lam = G.subspace.lambdas
+    # every [h, lambda_a] lies in B: the basis of B spans n(B)
+    flat = lam.reshape(len(lam), -1).T
+    for h in lam:
+        comm = (h @ lam - lam @ h).reshape(len(lam), -1).T
+        coef = np.linalg.lstsq(flat, comm, rcond=None)[0]
+        assert np.linalg.norm(flat @ coef - comm) < 1e-12 * max(np.linalg.norm(comm), 1.0)
+    tower = calculus.build_tower(G, 3)
+    rng = np.random.default_rng(11)
+    for h in lam:
+        for p in range(tower.max_degree):
+            xi = random_form(tower, p, rng)
+            res = lie_derivative(tower, h, exterior_d(xi)) - exterior_d(lie_derivative(tower, h, xi))
+            assert form_norm(res) < 1e-12 * max(form_norm(xi), 1.0), (p, form_norm(res))
