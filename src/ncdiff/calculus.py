@@ -487,23 +487,22 @@ def coframe_from_formula(tower, basis_gamma, tol=DEFAULT_TOL):
 
     theta^a = sum_nu (gamma_nu lambda^{a dag}) d(gamma^{nu dag}) and
     theta = (1/m) sum_mu gamma_mu d(gamma^{mu dag}), for any basis gamma of
-    M_m(C).  Every d(gamma^{nu dag}) and every sum over nu is one GEMM: the
-    rows (a, i) and columns (nu, j) of (gamma_nu X_a)[i, j], for X_a =
-    lambda^{a dag} and X_n = 1/m, against the rows (nu, j) and columns (b, l)
-    of d(gamma^{nu dag})_b[j, l].  Returns the rebuilt forms and a residual
-    report against the co-frame of the tower.
+    M_m(C).  The d(gamma^{nu dag}) are one stacked ``exterior_d`` call, and
+    every sum over nu is one GEMM: the rows (a, i) and columns (nu, j) of
+    (gamma_nu X_a)[i, j], for X_a = lambda^{a dag} and X_n = 1/m, against the
+    rows (nu, j) and columns (b, l) of d(gamma^{nu dag})_b[j, l].  Returns the
+    rebuilt forms and a residual report against the co-frame of the tower.
     """
     G = tower.ga
     B = G.subspace
     n, m = B.n, B.m
     gam = np.array([np.asarray(g, dtype=complex) for g in basis_gamma])
     gdual_dag = matrix_basis_duals(gam, tol=tol).conj().transpose(0, 2, 1)
-    lam = B.lambdas
     X = np.concatenate([G.dual.duals.conj().transpose(0, 2, 1), np.eye(m)[None] / m])
     # left[(a, i), (nu, j)] = (gamma_nu X_a)[i, j]
     left = _pair_products(gam, X).transpose(1, 2, 0, 3).reshape((n + 1) * m, m ** 3)
-    # right[(nu, j), (b, l)] = (lambda_b g_nu - g_nu lambda_b)[j, l] for g_nu = gamma^{nu dag}
-    dg = _pair_products(lam, gdual_dag).transpose(1, 0, 2, 3) - _pair_products(gdual_dag, lam)
+    # right[(nu, j), (b, l)] = d(gamma^{nu dag})_b[j, l]
+    dg = exterior_d(Form(tower, 0, gdual_dag)).coeffs
     right = dg.transpose(0, 2, 1, 3).reshape(m ** 3, n * m)
     coeffs = (left @ right).reshape(n + 1, m, n, m).transpose(0, 2, 1, 3)
     rebuilt = [Form(tower, 1, c) for c in coeffs[:n]]
@@ -544,12 +543,12 @@ class TrialDraws:
     """The random forms of a batch of trials, drawn in one generator call.
 
     Each of ``count`` trials draws one random form of each degree in
-    ``degrees``, in order, as ``random_form`` draws it.  A per-trial loop
-    reads those numbers from ``rng.standard_normal((count, total))`` row by
-    row, so this one call leaves the generator where the loop would.
-    ``random_form(tower, p, draws, count)`` for the next degree p of
-    ``degrees`` then stacks that form of every trial, and ``skip`` passes
-    over a form a trial draws and does not use.
+    ``degrees``, in order, as ``random_form`` draws it, and uses every form
+    it draws.  A per-trial loop reads those numbers from
+    ``rng.standard_normal((count, total))`` row by row, so this one call
+    leaves the generator where the loop would, and a trial's forms do not
+    depend on the batch size.  ``random_form(tower, p, draws, count)`` for
+    the next degree p of ``degrees`` then stacks that form of every trial.
     """
 
     def __init__(self, tower, degrees, rng, count):
@@ -557,16 +556,10 @@ class TrialDraws:
         self._rows = rng.standard_normal((count, sum(self._sizes)))
         self._next = self._at = 0
 
-    def _take(self):
+    def standard_normal(self, shape):
+        """The next form's numbers of every trial, as an array of ``shape`` (count first)."""
         width = self._sizes[self._next]
         block = self._rows[:, self._at:self._at + width]
         self._next += 1
         self._at += width
-        return block
-
-    def standard_normal(self, shape):
-        """The next form's numbers of every trial, as an array of ``shape`` (count first)."""
-        return self._take().reshape(shape)
-
-    def skip(self):
-        self._take()
+        return block.reshape(shape)

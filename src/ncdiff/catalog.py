@@ -203,14 +203,14 @@ def fuzzy_ellipsoid(m, kappa=1.0, acoef=None, tol=DEFAULT_TOL):
 NAMES = ("a0", "su2", "clock-shift", "ellipsoid")
 
 
-def build_entry(name, m, **kwargs):
+def build_entry(name, m):
     """Dispatch by catalog name."""
     if name == "a0":
-        return universal_A0(m, **kwargs)
+        return universal_A0(m)
     if name == "su2":
-        return su2(m, **kwargs)
+        return su2(m)
     if name == "clock-shift":
-        return clock_shift(m, **kwargs)
+        return clock_shift(m)
     if name == "ellipsoid":
-        return fuzzy_ellipsoid(m, **kwargs)
+        return fuzzy_ellipsoid(m)
     raise ValueError(f"unknown catalog entry {name!r}; choose from {NAMES}")

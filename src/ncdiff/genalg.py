@@ -98,10 +98,9 @@ def build_projector(alpha, tol=DEFAULT_TOL):
     return beta, P
 
 
-def detect_structure(B, D=None, tol=DEFAULT_TOL):
+def detect_structure(B, tol=DEFAULT_TOL):
     """Auto-detect the maximal generalised-algebra structure of B."""
-    if D is None:
-        D = dual_data(B, tol=tol)
+    D = dual_data(B, tol=tol)
     F, t, rho = structure_constants(B, D)
     alpha, R = _relations_from_rho(rho, D, tol)
     beta, P = build_projector(alpha, tol=tol)
@@ -111,14 +110,13 @@ def detect_structure(B, D=None, tol=DEFAULT_TOL):
     )
 
 
-def use_relations(B, alpha_user, D=None, tol=DEFAULT_TOL):
+def use_relations(B, alpha_user, tol=DEFAULT_TOL):
     """Build a GAStructure from user-chosen relation columns.
 
     Every column must lie in the maximal kernel; this enables conventional
     sub-choices such as keeping only the Lie-algebra commutator relations.
     """
-    if D is None:
-        D = dual_data(B, tol=tol)
+    D = dual_data(B, tol=tol)
     alpha_user = np.asarray(alpha_user, dtype=complex)
     n, m = B.n, B.m
     if alpha_user.ndim != 2 or alpha_user.shape[0] != n * n:

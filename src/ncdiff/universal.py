@@ -85,13 +85,13 @@ def contract_ad(X, h):
     return np.einsum("ikjl,jk->il", X4, h) - np.einsum("ijjl->il", X4) @ h
 
 
-def verify_trace_lemma(basis_gamma, trials=20, seed=0, tol=1e-10):
+def verify_trace_lemma(basis_gamma, trials=20, seed=0):
     """Numerical check of the basis-completeness identities.
 
     For random f, g: sum_mu gamma_mu f gamma^{mu dag} = tr(f) 1, and
     f (gamma_mu g (x) gamma^{mu dag}) = (gamma_mu g (x) gamma^{mu dag}) f
     in the Kronecker representation of A (x) A.  Both residuals are judged
-    against ``bound`` = ``tol`` * m.
+    against ``bound`` = 1e-10 * m.
     """
     gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, DEFAULT_TOL)
     m = gam.shape[1]
@@ -104,7 +104,7 @@ def verify_trace_lemma(basis_gamma, trials=20, seed=0, tol=1e-10):
     res_trace = float(np.linalg.norm(total.reshape(trials, -1), axis=1).max())
     res_comm = max(float(np.linalg.norm(commutator(ft, _kron_sum(gam @ gt, gdual_dag))))
                    for ft, gt in zip(f, g))
-    bound = tol * m
+    bound = 1e-10 * m
     return {
         "trace_identity": res_trace,
         "tensor_commutator": res_comm,

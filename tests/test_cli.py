@@ -408,10 +408,8 @@ def _verify_trials_reference(tower, trials, rng):
     worst_dd, worst_leib = 0.0, 0.0
     top = tower.max_degree
     for _ in range(trials):
-        for deg in range(min(2, top - 1) + 1):
+        for deg in range(min(2, top - 2) + 1):
             om = calculus.random_form(tower, deg, rng)
-            if deg + 2 > top:
-                continue
             res = calculus.form_norm(calculus.exterior_d(calculus.exterior_d(om)))
             worst_dd = max(worst_dd, res / max(calculus.form_norm(om), 1.0))
         for dz in range(0, 2):
@@ -491,6 +489,23 @@ def test_verify_fails_on_broken_chi(monkeypatch, capsys, tmp_path):
     assert code == cli.EXIT_VERIFY
     sec = {s["name"]: s for s in rep["sections"]}
     assert sec["d_squared_zero"]["status"] == "fail"
+
+
+def test_verify_fails_on_broken_degree0_d(monkeypatch, capsys, tmp_path):
+    """Negative control: d on degree 0 as -[lambda_a, f] breaks the co-frame formula."""
+    e = build_entry("su2", 3)
+    path = str(tmp_path / "su2.json")
+    formats.save_algebra(path, 3, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    exterior_d = calculus.exterior_d
+    monkeypatch.setattr(calculus, "exterior_d",
+                        lambda xi: -exterior_d(xi) if xi.degree == 0 else exterior_d(xi))
+    tower = calculus.build_tower(genalg.use_relations(e.subspace, e.suggested_alpha), 3)
+    gammas = np.concatenate([np.eye(3, dtype=complex)[None], gell_mann_basis(3)])
+    assert not calculus.coframe_from_formula(tower, gammas)[2]["passed"]
+    code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded", "--trials", "3"])
+    assert code == cli.EXIT_VERIFY
+    sec = {s["name"]: s for s in rep["sections"]}
+    assert sec["coframe_formula"]["status"] == "fail"
 
 
 def test_ncg_tol_read_per_parse(monkeypatch, capsys, clock_file):

@@ -112,6 +112,27 @@ def test_ustar_matches_einsum(clock3_tower, rng):
         assert np.max(np.abs(maps._ustar(U, clock3_tower, xi).coeffs - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("maker, m", [(su2, 4), (clock_shift, 5), (universal_A0, 2)])
+def test_ustar_keeps_conjugated_forms_canonical(maker, m):
+    """U^star projects nothing: a canonical form of the conjugated calculus maps to one of B's.
+
+    The conjugated tower shares B's bases, and u^-1 (.) u acts on the matrix
+    indices only, so it commutes with W_p W_p^dag on the slots.
+    """
+    e = maker(m)
+    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
+         else genalg.detect_structure(e.subspace))
+    tower = calculus.build_tower(G, 3)
+    rng = np.random.default_rng(6)
+    U = Conjugation.from_matrix(rng.standard_normal((m, m)) + 2 * np.eye(m))
+    Gp = genalg.use_relations(conjugate_subspace(U, e.subspace), G.alpha, tol=1e-7)
+    tower_p = dataclasses.replace(tower, ga=Gp)
+    for p in (2, 3):
+        out = maps._ustar(U, tower, random_form(tower_p, p, rng)).coeffs
+        drift = np.linalg.norm(calculus.canonicalize(tower, p, out) - out)
+        assert drift <= 1e-14 * np.linalg.norm(out), (p, drift)
+
+
 def test_non_conjugation_breaks_d(pauli_structure, pauli_tower):
     # A generic linear map of the basis is not a d-homomorphism.
     rng = np.random.default_rng(2)
