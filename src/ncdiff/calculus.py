@@ -7,10 +7,13 @@ the ideal generated by the quadratic relations: L = null(P^T) lifted to
 every adjacent slot pair.  Its complement, the canonical space W_p, is
 W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower
 stores the factors N_p of W_p = (W_{p-1} (x) 1_n) N_p, each the null space of
-a D-sized matrix: no step builds an n^p-row matrix.  At the top degree it
-decides D_max from singular values alone.  A basis W_p (n^p x D_p) is formed
-only when something first projects onto degree p (``FormTower.basis``), so
-``forms``, which reads only the ranks, forms none.
+a D-sized matrix K_p: no step builds an n^p-row matrix.  Each rank decision
+first tries to prove that K_p has full rank, with a shifted Cholesky of its
+D-sized Gram (``linalg._full_rank``); then N_p comes from a QR, and the top
+degree needs nothing more.  Only a K_p that the proof does not cover takes an
+SVD.  A basis W_p (n^p x D_p) is formed only when something first projects
+onto degree p (``FormTower.basis``), so ``forms``, which reads only the ranks,
+forms none.
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -31,7 +34,7 @@ import numpy as np
 
 from .algebra import matrix_basis_duals
 from .errors import DegreeError, ShapeError
-from .linalg import DEFAULT_TOL, _at_slot, _pair_products, _rank, rank_nullspace
+from .linalg import DEFAULT_TOL, _at_slot, _full_rank, _pair_products, _rank, rank_nullspace
 
 __all__ = [
     "FormTower",
@@ -71,8 +74,10 @@ class FormTower:
     L^dag as ``_pair_matrix`` reads it; else ``relations`` is None and every
     tensor is canonical.  ``ranks[p]`` is D_p for p = 0..max_degree.
     ``basis(p)`` forms W_p on first use, with N_max at the top degree, and
-    keeps both, so ``forms``, which reads only ``ranks``, forms none.  Copies
-    made by ``dataclasses.replace`` share ``factors`` and ``bases``.
+    keeps both, so ``forms``, which reads only ``ranks``, forms none.  N_max
+    comes from a complete QR when D_max says K_max has full rank, else from
+    an SVD (``_null_factor``).  Copies made by ``dataclasses.replace`` share
+    ``factors`` and ``bases``.
     """
 
     ga: object
@@ -173,22 +178,33 @@ def _null_factor(N, Lr, n, tol=None, width=None):
     """N_p = null(K_p), orthonormal, from the factor ``N`` of degree p-1.
 
     The rank of K_p is decided at ``tol``; with ``width`` (a D_p decided
-    before) given instead, N_p is the last ``width`` right singular vectors.
+    before) given instead, N_p is ``width`` columns wide.  A K_p of full rank
+    d = min(shape), proved by ``_full_rank`` or given as width cols - d, has
+    N_p = the trailing cols - d columns of a complete QR of K_p^dag, none when
+    K_p is tall.  Any other K_p takes the SVD: of the R factor of a QR when
+    K_p is tall, else of K_p^dag, and N_p is its last right singular vectors.
     """
     K = _pair_matrix(N, Lr, n)
-    # V from the SVD of whichever of K and K^dag is tall (a wide SVD gives the vectors
-    # of a near-zero singular value less accurately).  Conjugated in place, K.T is
-    # K^dag, and the left singular vectors of K^dag are the right ones of K.
-    if K.shape[0] >= K.shape[1]:
-        _, s, vh = np.linalg.svd(K, full_matrices=False)
+    rows, cols = K.shape
+    full_width = cols - min(rows, cols)
+    if width == full_width or width is None and _full_rank(K, tol):
+        if full_width == 0:
+            return np.empty((cols, 0), dtype=complex)
+        # conjugated in place, K.T is K^dag
+        Q, _ = np.linalg.qr(np.conjugate(K, out=K).T, mode="complete")
+        return Q[:, rows:].copy()
+    # V from the SVD of a tall matrix with K's right singular vectors (a wide SVD
+    # gives the vectors of a near-zero singular value less accurately): R of K = QR,
+    # a cols x cols triangle, or K^dag, whose left singular vectors are K's right ones
+    if rows >= cols:
+        _, s, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
         V = vh.conj().T
     else:
-        np.conjugate(K, out=K)
-        V, s, _ = np.linalg.svd(K.T)
+        V, s, _ = np.linalg.svd(np.conjugate(K, out=K).T)
     if width is None:
-        width = V.shape[1] - _null_rank(s, tol)
+        width = cols - _null_rank(s, tol)
     # a copy, so that the factor does not keep all of V alive
-    return V[:, V.shape[1] - width:].copy()
+    return V[:, cols - width:].copy()
 
 
 def _lift(W, N, n):
@@ -213,7 +229,7 @@ def _relation_pairs(G, tol):
 
 
 def _factors(Lr, n, top, tol):
-    """The factors N_p for p = 1..``top``: N_1 = I_n, then each from the full SVD of K_p."""
+    """The factors N_p for p = 1..``top``: N_1 = I_n, then each from K_p by ``_null_factor``."""
     factors = {1: np.eye(n, dtype=complex)}
     for p in range(2, top + 1):
         factors[p] = _null_factor(factors[p - 1], Lr, n, tol)
@@ -223,11 +239,12 @@ def _factors(Lr, n, top, tol):
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
     """Canonical ranks and factors up to ``max_degree``.
 
-    A degree below the top takes the full SVD of its K_p (``_pair_matrix``),
-    since K_{p+1} is built on N_p; at ``max_degree`` D_max = D_{max-1} n -
-    rank(K_max) comes from the singular values alone.  No W_p is formed here
-    (``FormTower.basis``).  D_p is the width of N_p, or n^p at a degree
-    without relations.
+    A degree below the top forms N_p (``_null_factor``: a Cholesky and a
+    complete QR when the Cholesky proves K_p of full rank, else an SVD), since
+    K_{p+1} is built on N_p.  At ``max_degree`` D_max = D_{max-1} n -
+    rank(K_max) comes from the Cholesky alone when it proves full rank, else
+    from singular values alone.  No W_p is formed here (``FormTower.basis``).
+    D_p is the width of N_p, or n^p at a degree without relations.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -238,11 +255,15 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     if Lr is not None:
         factors = _factors(Lr, n, max_degree - 1, tol)
         ranks.update((p, N.shape[1]) for p, N in factors.items())
-        # values only, of whichever of K and K^T is tall, as _null_factor takes K or K^dag
-        K = _pair_matrix(factors[max_degree - 1], Lr, n)
-        rank = _null_rank(np.linalg.svd(K if K.shape[0] >= K.shape[1] else K.T,
-                                        compute_uv=False), tol)
-        ranks[max_degree] = K.shape[1] - rank
+        N = factors[max_degree - 1]
+        rows, cols = N.shape[0] // n * Lr.shape[0], N.shape[1] * n
+        # K_max goes in as a temporary, which _full_rank frees before its Cholesky
+        if _full_rank(_pair_matrix(N, Lr, n), tol):
+            rank = min(rows, cols)
+        else:  # values only, of whichever of K and K^T is tall
+            K = _pair_matrix(N, Lr, n)
+            rank = _null_rank(np.linalg.svd(K if rows >= cols else K.T, compute_uv=False), tol)
+        ranks[max_degree] = cols - rank
     return FormTower(ga=G, max_degree=max_degree, ranks=ranks, relations=Lr, factors=factors)
 
 
@@ -420,8 +441,9 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
     the solutions are the X in every lifted range(alpha): conj(W_p), the
     canonical space of dimension D_p (X is every tensor at a degree without
-    relations).  W_p is needed at once, so every factor comes from the full
-    SVD of its K_q, with no values-only pass at degree p (``_factors``).
+    relations).  W_p is needed at once, so every factor N_q, degree p
+    included, comes from ``_null_factor`` (``_factors``): a Cholesky and a
+    complete QR where K_q has full rank, else an SVD, with no rank-only pass.
     Each eps_t = (1 (x) beta (x) 1) X.
     Returns (exists, basis, dim) where ``exists`` means a nonzero solution
     exists at tolerance; basis columns use the unknown layout x[t, A, r]

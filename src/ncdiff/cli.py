@@ -128,8 +128,7 @@ def cmd_analyze(args):
                  and rep_ga["P_idempotent"] < args.tol,
                  beta_alpha_identity=rep_ga["beta_alpha_identity"],
                  P_idempotent=rep_ga["P_idempotent"]),
-        _section("relation_residual", rep_ga["relation_residual"] < args.tol,
-                 residual=rep_ga["relation_residual"]),
+        _judged("relation_residual", rep_ga["relation_residual"], rep_ga["relation_bound"]),
         _section("structure_tensors", True,
                  f_norm=float(np.linalg.norm(G.F)),
                  t_norm=float(np.linalg.norm(G.t)),
@@ -171,7 +170,8 @@ def _verify_sections(G, tower, args, rng):
     sections.append(_section("generalised_algebra", rep_ga["passed"],
                              beta_alpha_identity=rep_ga["beta_alpha_identity"],
                              P_idempotent=rep_ga["P_idempotent"],
-                             relation_residual=rep_ga["relation_residual"]))
+                             relation_residual=rep_ga["relation_residual"],
+                             relation_bound=rep_ga["relation_bound"]))
     se = calculus.check_structure_equations(tower, tol=args.tol)
     sections.append(_section("structure_equations", se["passed"],
                              dtheta_plus_theta_sq=se["dtheta_plus_theta_sq"],

@@ -138,7 +138,11 @@ def use_relations(B, alpha_user, tol=DEFAULT_TOL):
 
 
 def verify_ga(G, tol=DEFAULT_TOL):
-    """Residual report for the defining identities of a GAStructure."""
+    """Residual report for the defining identities of a GAStructure.
+
+    ``relation_residual`` is max_r |alpha_r^T rho|, which is linear in rho, so
+    it is judged against ``relation_bound`` = tol * max(|rho|, 1).
+    """
     B = G.subspace
     n, m = B.n, B.m
     checks = {}
@@ -164,11 +168,11 @@ def verify_ga(G, tol=DEFAULT_TOL):
     bound = n * n + n + 1 - G.R
     checks["span_dim"] = span_dim
     checks["span_dim_bound"] = bound
-    scale = max(np.linalg.norm(rho_flat), 1.0)
+    checks["relation_bound"] = tol * max(np.linalg.norm(rho_flat), 1.0)
     passed = (
         checks["beta_alpha_identity"] < tol
         and checks["P_idempotent"] < tol
-        and checks["relation_residual"] < tol * scale
+        and checks["relation_residual"] < checks["relation_bound"]
         and span_dim <= bound
     )
     checks["passed"] = bool(passed)

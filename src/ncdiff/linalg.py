@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ShapeError
 
 DEFAULT_TOL = 1e-9
+EPS = np.finfo(float).eps
+# Least bytes of the conjugated block of K that one product of _full_rank's Gram reads.
+GRAM_BLOCK_BYTES = 1 << 18
 
 
 def dagger(f):
@@ -71,6 +74,56 @@ def _at_slot(M, t, q):
 def _rank(s, tol, floor=0.0):
     """Count of the descending singular values ``s`` above tol * s[0] and above ``floor``."""
     return int(np.count_nonzero(s > max(tol * s[0], floor)))
+
+
+def _full_rank(K, tol):
+    """True when a shifted Cholesky proves that every singular value of K exceeds tol s_max and tol.
+
+    Then ``_rank(s, tol, floor=tol)`` counts all d = min(K.shape) of them.
+
+    With X the short side of K as rows (K, or K^T when K is tall: d x k,
+    k = max(K.shape)), H = X X^dag is a d x d Hermitian Gram with the squared
+    singular values of K as eigenvalues.  It is formed in blocks of columns of
+    a quarter of K, or of GRAM_BLOCK_BYTES if that is more, so the conjugated
+    copy it makes is no larger; a K passed as a temporary is freed before the
+    Cholesky.  With t the computed trace of H and sigma = max(tol, c (d + k)
+    eps), c = 8, the diagonal of H is lowered by shift = sigma t, and
+    np.linalg.cholesky must succeed.  A False is no verdict: the caller's SVD
+    decides.
+
+    The rounding terms (u = eps / 2, Rump, BIT 46 (2006) 433):
+    the computed Gram is within (k + 2) u tr(H) of H in 2-norm; the shifted
+    diagonal within 2 u t; a Cholesky of a d x d Hermitian A that succeeds in
+    floating point proves lambda_min(A) >= -(d + 1) u tr(A) (1 + O(d u)).  Their
+    sum, (d + k + 5) u t (1 + O((d + k) u)), is at most sigma t / 2 when
+    d >= 1 (then d + k >= 2, where c = 3.5 would do; the rest of c = 8 is margin
+    for the constants of complex arithmetic).  So success proves
+    lambda_min(H) >= shift / 2, hence
+
+        s_min^2 >= shift / 2 >= (sigma / 2)(1 - (d + k) u) s_max^2,
+
+    s_min / s_max > sqrt(tol / 3) > tol for tol < 1/3, and s_min > tol,
+    which is checked as shift > 2 tol^2.  No Gram test can prove a rank
+    deficiency at such a tol: eigenvalues of H near zero carry an error of
+    about eps s_max^2, a singular value error of about 1e-8 s_max.
+    """
+    X = K.T if K.shape[0] > K.shape[1] else K
+    d, k = X.shape
+    H = np.empty((d, d), dtype=complex)
+    step = max(1, -(-d // 4), GRAM_BLOCK_BYTES // (16 * k or 1))
+    for j in range(0, d, step):
+        np.matmul(X, X[j:j + step].conj().T, out=H[:, j:j + step])
+    # a caller that passed K as a temporary held it only through these names
+    del K, X
+    shift = max(tol, 8 * (d + k) * EPS) * float(H.trace().real)
+    if not shift > 2 * tol ** 2:  # also when d = 0 or H is not finite
+        return False
+    H.ravel()[::d + 1] -= shift
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncdiff import calculus, catalog, cli, formats, genalg
+from ncdiff import linalg as ncdiff_linalg
 from ncdiff.algebra import validate_subspace
 from ncdiff.calculus import (
     build_tower,
@@ -571,15 +572,38 @@ class _Proxy:
         return getattr(self._target, name)
 
 
-def _spy_svd(monkeypatch):
-    """Record compute_uv of every numpy.linalg.svd call made in ``calculus``."""
+def _spy_decompositions(monkeypatch):
+    """Record every Cholesky, QR and SVD of the tower's rank decisions, in order.
+
+    That is every one that ``calculus`` runs, and the Cholesky of
+    ``linalg._full_rank``.
+
+    Entries: "chol" (succeeded), "chol-fail", "qr-complete", "qr-r", "svd" and
+    "svd-values" (compute_uv=False).
+    """
     calls = []
+    real = np.linalg
+
+    def cholesky(a, *args, **kwargs):
+        try:
+            out = real.cholesky(a, *args, **kwargs)
+        except real.LinAlgError:
+            calls.append("chol-fail")
+            raise
+        calls.append("chol")
+        return out
+
+    def qr(a, mode="reduced"):
+        calls.append(f"qr-{mode}")
+        return real.qr(a, mode=mode)
 
     def svd(a, *args, compute_uv=True, **kwargs):
-        calls.append(compute_uv)
-        return np.linalg.svd(a, *args, compute_uv=compute_uv, **kwargs)
+        calls.append("svd" if compute_uv else "svd-values")
+        return real.svd(a, *args, compute_uv=compute_uv, **kwargs)
 
-    monkeypatch.setattr(calculus, "np", _Proxy(np, linalg=_Proxy(np.linalg, svd=svd)))
+    monkeypatch.setattr(calculus, "np",
+                        _Proxy(np, linalg=_Proxy(real, cholesky=cholesky, qr=qr, svd=svd)))
+    monkeypatch.setattr(ncdiff_linalg, "np", _Proxy(np, linalg=_Proxy(real, cholesky=cholesky)))
     return calls
 
 
@@ -598,18 +622,21 @@ def _spy_lift(monkeypatch):
 
 @pytest.mark.parametrize("top", [2, 3, 4])
 def test_top_degree_is_rank_only(monkeypatch, top):
-    """build_tower decides D_max from singular values and forms no W_p.
+    """build_tower decides D_max from a Cholesky alone and forms no W_p.
 
-    A first projection below the top forms W_p with GEMMs alone; the first at the
-    top forms N_max with one full SVD, and then W_max.  Each is formed once.
+    Generic K_p have full rank, so each degree below the top takes a Cholesky
+    and the complete QR that gives N_p, and the top degree a Cholesky only.  A
+    first projection below the top forms W_p with GEMMs alone; the first at
+    the top forms N_max with one complete QR, and then W_max.  Each is formed
+    once.  su2(4), whose K_3 is rank-deficient, takes the fallbacks at the top:
+    the values-only SVD for D_3, and a QR's R factor and its SVD for N_3.
     """
     G = _generic_structure(3, 4, 0)
     n, m = G.subspace.n, G.subspace.m
-    calls = _spy_svd(monkeypatch)
+    calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
     tower = build_tower(G, top)
-    # full SVDs below the top degree, one values-only SVD at it
-    assert calls == [True] * (top - 2) + [False]
+    assert calls == ["chol", "qr-complete"] * (top - 2) + ["chol"]
     assert tower.ranks[top] == (top + 1) * 2 ** top
     assert sorted(tower.factors) == list(range(1, top)) and tower.bases == {} and lifts == []
     calls.clear()
@@ -620,11 +647,19 @@ def test_top_degree_is_rank_only(monkeypatch, top):
         assert calls == [] and sorted(tower.bases) == list(range(2, top))
     raw = rng.standard_normal((n,) * top + (m, m)).astype(complex)
     once = canonicalize(tower, top, raw)
-    assert calls == [True] and sorted(tower.bases) == list(range(2, top + 1))
+    assert calls == ["qr-complete"] and sorted(tower.bases) == list(range(2, top + 1))
     assert lifts == [tower.ranks[p] for p in range(2, top + 1)]
     assert tower.basis(top).shape == (n ** top, tower.ranks[top])
     assert np.array_equal(canonicalize(tower, top, raw), once)
-    assert calls == [True] and len(lifts) == top - 1
+    assert calls == ["qr-complete"] and len(lifts) == top - 1
+
+    G = _catalog_structure("su2", 4)
+    calls.clear()
+    tower = build_tower(G, 3)
+    assert calls == ["chol", "qr-complete", "chol-fail", "svd-values"]
+    assert tower.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
+    calls.clear()
+    assert tower.basis(3).shape == (27, 1) and calls == ["qr-r", "svd"]
 
 
 def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
@@ -655,32 +690,42 @@ def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 4])
-def test_epsilon_check_takes_one_full_svd_per_degree(monkeypatch, p):
-    """W_p for the chain comes from the full SVDs alone, with no values-only pass at degree p."""
+def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
+    """W_p for the chain takes one null-space factorization per degree, and no rank-only pass.
+
+    Generic K_q have full rank: a Cholesky and a complete QR each.  su2(4)'s
+    rank-deficient K_3 fails its Cholesky and takes the R factor of a QR and its
+    SVD; its K_4, tall and of full rank, needs no QR.
+    """
     G = _generic_structure(3, 4, 0)
-    calls = _spy_svd(monkeypatch)
+    calls = _spy_decompositions(monkeypatch)
     exists, basis, dim = epsilon_check(G, p)
-    assert calls == [True] * (p - 1)
+    assert calls == ["chol", "qr-complete"] * (p - 1)
     assert exists and dim == build_tower(G, p).ranks[p] == (p + 1) * 2 ** p
     assert basis.shape == ((p - 1) * G.subspace.n ** (p - 2) * G.R, dim)
+    G = _catalog_structure("su2", 4)
+    calls.clear()
+    exists, _, dim = epsilon_check(G, p)
+    assert calls == ["chol", "qr-complete", "chol-fail", "qr-r", "svd"] + ["chol"] * (p - 3)
+    assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
 
 
 def test_degree_one_tower_has_no_bases(monkeypatch):
-    calls = _spy_svd(monkeypatch)
+    calls = _spy_decompositions(monkeypatch)
     tower = build_tower(_generic_structure(3, 4, 0), 1)
     assert calls == [] and tower.bases == tower.factors == {} and tower.basis(1) is None
 
 
 def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
-    """``forms`` reads D_max off the values-only SVD and forms no W_p at any degree."""
+    """``forms`` reads every D_p off a Cholesky, takes N_p below the top from a QR, forms no W_p."""
     G = _generic_structure(3, 4, 0)
     B = G.subspace
     path = tmp_path / "generic.json"
     formats.save_algebra(path, B.m, B.label, B.lambdas)
-    calls = _spy_svd(monkeypatch)
+    calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
     assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
-    assert calls == [True, True, False] and lifts == []
+    assert calls == ["chol", "qr-complete", "chol", "qr-complete", "chol"] and lifts == []
     ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
     assert ranks == {"0": 1, "1": 4, "2": 12, "3": 32, "4": 80}
 

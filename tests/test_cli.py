@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ncdiff import calculus, cli, formats, genalg, universal
-from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, universal_A0
+from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, su2, universal_A0
 from ncdiff.linalg import DEFAULT_TOL
 
 
@@ -63,6 +63,25 @@ def test_analyze_pauli(capsys, pauli_file):
     assert code == 0
     sec = {s["name"]: s for s in rep["sections"]}
     assert sec["relations"]["R"] == 9
+
+
+def test_analyze_and_verify_judge_relation_residual_alike(tmp_path, capsys):
+    """alpha^T rho is linear in rho, so both commands judge it against tol * max(|rho|, 1).
+
+    On su2(4) scaled by kappa = 1e3 with detected relations the residual is
+    about 1.1e-9: above the bare tol, below the scaled bound.
+    """
+    e = su2(4, kappa=1e3)
+    path = tmp_path / "su2-kappa.json"
+    formats.save_algebra(path, 4, e.subspace.label, e.subspace.lambdas)
+    code, rep = _run_json(capsys, ["analyze", str(path)])
+    sec = {s["name"]: s for s in rep["sections"]}["relation_residual"]
+    assert code == 0 and sec["status"] == "pass"
+    assert DEFAULT_TOL < sec["residual"] < sec["bound"]
+    _, rep = _run_json(capsys, ["verify", str(path)])
+    ga = {s["name"]: s for s in rep["sections"]}["generalised_algebra"]
+    assert ga["status"] == "pass"
+    assert (ga["relation_residual"], ga["relation_bound"]) == (sec["residual"], sec["bound"])
 
 
 def test_analyze_traceless_violation(tmp_path, capsys):
@@ -154,6 +173,8 @@ def _generic_file(m, n):
     # Omega is the exterior algebra on 8 generators
     pytest.param(_su3_commutator_file, 8, [math.comb(8, p) for p in range(9)],
                  id="su3-commutator-p8"),
+    # certified full-rank K_p: a QR below the top, a Cholesky alone at it
+    pytest.param(_generic_file(3, 4), 6, [1, 4, 12, 32, 80, 192, 448], id="generic-m3-n4-p6"),
     pytest.param(_generic_file(4, 6), 5, [1, 6, 27, 108, 405, 1458], id="generic-m4-n6-p5"),
     pytest.param(_generic_file(5, 8), 4, [1, 8, 48, 256, 1280], id="generic-m5-n8-p4"),
 ])

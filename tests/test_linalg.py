@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from ncdiff import calculus
 from ncdiff.errors import ShapeError
 from ncdiff.linalg import (
+    DEFAULT_TOL,
     _fix_phases,
+    _full_rank,
+    _rank,
     dagger,
     gram,
     inner,
@@ -117,3 +122,100 @@ def test_span_basis():
     assert np.allclose(P, np.outer([1, 1, 0], [1, 1, 0]) / 2)
     for empty in (np.zeros((3, 2)), np.zeros((3, 0))):
         assert np.array_equal(span_projector(empty), np.zeros((3, 3)))
+
+
+EPS = np.finfo(float).eps
+
+
+def _with_singular_values(s, shape, seed):
+    """K = U diag(s) V^dag of ``shape``, with Haar-like random U and V of orthonormal columns."""
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((n, len(s), 2)) @ [1, 1j])[0] for n in shape)
+    return (U * s) @ V.conj().T
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A K of at most 8 x 8 whose singular-value ratios cover [1e-14, 1].
+
+    Besides log-uniform ratios, a ratio may be an exact zero, straddle tol (the
+    SVD rule's cut) by 0.1-1%, or straddle the ratio at which the shifted Gram
+    stops being positive definite: s_min^2 = sigma (sum of s^2), with sigma as
+    ``_full_rank`` takes it.  The whole K is then scaled, so that the absolute
+    cut at tol can bind.
+    """
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    d, k = min(shape), max(shape)
+    kinds = draw(st.lists(st.sampled_from(["zero", "log", "tol", "margin"]),
+                          min_size=d - 1, max_size=d - 1))
+    s = [1.0]
+    for kind in kinds:
+        if kind == "zero":
+            s.append(0.0)
+        elif kind == "log":
+            s.append(10.0 ** draw(st.floats(-14, 0)))
+        elif kind == "tol":
+            sign = draw(st.sampled_from([-1, 1]))
+            s.append(DEFAULT_TOL * (1 + sign * draw(st.floats(1e-3, 1e-2))))
+        else:
+            s.append(np.nan)  # set below, from the other values
+    s = np.array(s)
+    sigma = max(DEFAULT_TOL, 8 * (d + k) * EPS)
+    margin = np.sqrt(sigma * np.nansum(s ** 2) / (1 - sigma * np.isnan(s).sum()))
+    for i in np.flatnonzero(np.isnan(s)):
+        s[i] = margin * draw(st.floats(0.5, 2.0))
+    scale = draw(st.sampled_from([1.0, 1e-3, 3e-9, 3e-10, 1e-12]))
+    return _with_singular_values(np.sort(s)[::-1] * scale, shape, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _check_certificate(K, certify, tol=DEFAULT_TOL):
+    """A certified K meets the bound in ``_full_rank``'s docstring: all min(shape) values count."""
+    s = np.linalg.svd(K, compute_uv=False)
+    if certify(K.copy(), tol):
+        assert s[-1] >= np.sqrt(tol / 3) * s[0] and s[-1] > tol
+        assert _rank(s, tol, floor=tol) == min(K.shape)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_certificate_cases())
+def test_full_rank_certificate_agrees_with_svd_rule(K):
+    """Every certified K has all its values counted; the tower's rank is the SVD rule's on every K.
+
+    The tower's decision is ``calculus._null_factor`` on K: the certificate and a
+    QR, or the SVD.
+    """
+    _check_certificate(K, _full_rank)
+    s = np.linalg.svd(K, compute_uv=False)
+    # within rounding of a cut, two SVDs of K (the tower's and this one) may disagree
+    band = 1e-4 * DEFAULT_TOL
+    assume(abs(s[0] - DEFAULT_TOL) > band and np.all(np.abs(s - DEFAULT_TOL * s[0]) > band * s[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "_pair_matrix", lambda N, Lr, n: K.copy())
+        N = calculus._null_factor(None, None, None, tol=DEFAULT_TOL)
+    assert K.shape[1] - N.shape[1] == calculus._null_rank(s, DEFAULT_TOL)
+    assert np.max(np.abs(N.conj().T @ N - np.eye(N.shape[1])), initial=0.0) < 1e-12
+    assert np.linalg.norm(K @ N, 2) <= 1.01 * DEFAULT_TOL * max(s[0], 1.0) + 1e-13 * s[0]
+
+
+def _unshifted_certificate(K, tol):
+    """``_full_rank`` with the shift removed: a plain Cholesky of the Gram."""
+    X = K.T if K.shape[0] > K.shape[1] else K
+    try:
+        np.linalg.cholesky(X @ X.conj().T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_full_rank_certificate_needs_its_shift():
+    """Negative control: without the shift a K with s_min / s_max in (tol, sqrt(tol)) is certified.
+
+    That breaks the docstring's bound, so ``_check_certificate`` has teeth; the
+    shifted certificate turns the same K down and proves a K at ratio 1e-2.
+    """
+    K = _with_singular_values(np.array([1.0, 1e-6]), (5, 2), 0)
+    assert not _full_rank(K.copy(), DEFAULT_TOL)
+    _check_certificate(K, _full_rank)
+    with pytest.raises(AssertionError):
+        _check_certificate(K, _unshifted_certificate)
+    assert _full_rank(_with_singular_values(np.array([1.0, 1e-2]), (5, 2), 0), DEFAULT_TOL)
