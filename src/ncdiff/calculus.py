@@ -24,8 +24,13 @@ stack axis of same-degree forms; ``canonicalize``, ``wedge``, ``chi``,
 stack with the GEMMs they use for a single form, so the random trials of
 a check run as a few stacked calls (``trial_batches``, ``TrialDraws``).
 Projection is linear, so each operation builds its whole raw table first
-and projects it once: ``exterior_d`` sums the two theta products and the
-chi insertions in one table and calls ``canonicalize`` once.
+and projects it once.  The raw tables come from private kernels that
+write into caller-given buffers: ``_raw_d`` sums the two theta products and
+the chi insertions (``_raw_chi``) in one table, ``_raw_wedge`` is one
+pair-product GEMM, and ``_project`` projects a table in place.  The public
+operations call them with fresh buffers; ``verify`` calls them with pieces
+of one reused workspace, and builds each identity's residual as one raw
+table that it projects once.
 """
 
 from dataclasses import dataclass, field
@@ -59,8 +64,9 @@ __all__ = [
     "TrialDraws",
 ]
 
-# Largest stacked coefficient table, in bytes, that one batch of random
-# trials may build; a trial whose own table is larger runs alone.
+# Bytes of stacked coefficient tables that one batch of random trials may keep,
+# counting every table a check holds at once and the draws alive beside them; a
+# trial whose own tables are larger runs alone.
 STACK_BYTES = 1 << 20
 
 
@@ -270,18 +276,32 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
 def canonicalize(tower, degree, coeffs):
     """Project a raw coefficient table, or a stack of them, onto the canonical space: W_p W_p^dag.
 
-    At a degree without a stored basis every table is canonical and is
-    returned as it is.
+    The projection acts on a copy.  At a degree without a stored basis every
+    table is canonical and is returned as it is.
     """
     _check_degree(tower, degree)
-    n, m = tower.n, tower.m
     coeffs = np.asarray(coeffs, dtype=complex)
-    stack = _stack(coeffs, degree)
-    flat = coeffs.reshape(stack + (n ** degree, m * m))
+    shape = _stack(coeffs, degree) + (tower.n,) * degree + (tower.m, tower.m)
+    if tower.basis(degree) is None:
+        return coeffs.reshape(shape)
+    return _project(tower, degree, np.array(coeffs, order="C").reshape(shape))
+
+
+def _project(tower, degree, table):
+    """Project the raw ``table`` (or stack), which the caller owns, onto the canonical space.
+
+    W W^dag t is formed as W conj(W^T conj(t)), conjugating the table and the
+    D_p-sized coefficients in place, so neither W nor a contiguous table is
+    copied.  Returns the projected table.
+    """
     W = tower.basis(degree)
-    if W is not None:
-        flat = W @ (W.conj().T @ flat)
-    return flat.reshape(stack + (n,) * degree + (m, m))
+    if W is None:
+        return table
+    flat = table.reshape(_stack(table, degree) + (W.shape[0], -1))
+    np.conjugate(flat, out=flat)
+    coef = np.matmul(W.T, flat)
+    np.matmul(W, np.conjugate(coef, out=coef), out=flat)
+    return flat.reshape(table.shape)
 
 
 def _check_degree(tower, p):
@@ -342,12 +362,22 @@ def wedge(xi, zeta):
     tower = xi.tower
     if p + q > tower.max_degree:
         raise DegreeError(f"wedge degree {p + q} exceeds max_degree {tower.max_degree}")
+    raw = np.ascontiguousarray(_raw_wedge(tower, xi.coeffs, p, zeta.coeffs, q))
+    return Form(tower, p + q, _project(tower, p + q, raw))
+
+
+def _raw_wedge(tower, a, p, b, q, out=None, cols=None):
+    """The raw table of the product of degree-p ``a`` and degree-q ``b`` (tables or stacks).
+
+    One pair-product GEMM (``_pair_products``), written into the 1-d buffer
+    ``out`` when given, with the copy of ``b``'s columns in ``cols`` when
+    given; returns a table-shaped view of the GEMM's result.
+    """
     n, m = tower.n, tower.m
-    a = xi.coeffs.reshape(xi.stack + (n ** p, m, m))
-    b = zeta.coeffs.reshape(zeta.stack + (n ** q, m, m))
-    out = _pair_products(a, b)
-    out = out.reshape(out.shape[:-4] + (n,) * (p + q) + (m, m))
-    return Form(tower, p + q, canonicalize(tower, p + q, out))
+    a = a.reshape(_stack(a, p) + (n ** p, m, m))
+    b = b.reshape(_stack(b, q) + (n ** q, m, m))
+    prod = _pair_products(a, b, out, cols)
+    return prod.reshape(prod.shape[:-4] + (n,) * (p + q) + (m, m))
 
 
 def contract(xi, indices):
@@ -367,22 +397,23 @@ def contract(xi, indices):
     return xi.coeffs[(Ellipsis,) + indices + (slice(None), slice(None))].copy()
 
 
-def _raw_chi(F, coeffs, p):
+def _raw_chi(F, coeffs, p, out=None, tmp=None):
     """The raw (uncanonicalized) chi table of a degree-p coefficient table or stack, p >= 1.
 
     Slot q = 1..p of ``coeffs`` (axis q - 1 after the stack axis) is
     replaced by the pair slots (b, c) weighted by (-1)^q F^a_bc: one
-    stacked GEMM of F as an (n^2 x n) matrix per slot, summed into the
-    contiguous output of the first.
+    stacked GEMM of F as an (n^2 x n) matrix per slot.  The first is
+    written into the 1-d buffer ``out``, each later one into the scratch
+    buffer ``tmp`` and added; without buffers each GEMM allocates its own.
     """
     n = F.shape[0]
     s = len(_stack(coeffs, p))
     shape = coeffs.shape[:s] + (n,) * (p + 1) + coeffs.shape[-2:]
     Fm = F.reshape(n, n * n).T  # Fm[(b, c), a] = F^a_bc
-    out = _at_slot(-Fm, coeffs, s).reshape(shape)
+    table = _at_slot(-Fm, coeffs, s, out).reshape(shape)
     for q in range(2, p + 1):
-        out += _at_slot((-1) ** q * Fm, coeffs, s + q - 1).reshape(shape)
-    return out
+        table += _at_slot((-1) ** q * Fm, coeffs, s + q - 1, tmp).reshape(shape)
+    return table
 
 
 def chi(xi):
@@ -396,7 +427,7 @@ def chi(xi):
     if p == 0:
         raise DegreeError("chi is defined on degree >= 1")
     _check_degree(tower, p + 1)
-    return Form(tower, p + 1, canonicalize(tower, p + 1, _raw_chi(tower.ga.F, xi.coeffs, p)))
+    return Form(tower, p + 1, _project(tower, p + 1, _raw_chi(tower.ga.F, xi.coeffs, p)))
 
 
 def exterior_d(xi):
@@ -405,32 +436,50 @@ def exterior_d(xi):
     On degree 0 this is the commutator form df = [lambda_a, f] theta^a.  On
     degree p >= 1, with theta = -lambda_a theta^a, the raw table is
     lambda_a xi_B at (a, B), minus (-1)^p xi_B lambda_a at (B, a), plus the
-    raw chi table: one table, built from the two pair-product GEMMs of
-    ``wedge`` and the slot GEMMs of ``chi``, and projected once.  Into a
-    zero-rank target space the result is the zero form.  A stack of forms
-    gives the stack of their derivatives.
+    raw chi table: one table (``_raw_d``), built from the two pair-product
+    GEMMs of ``wedge`` and the slot GEMMs of ``chi``, and projected once.
+    Into a zero-rank target space the result is the zero form.  A stack of
+    forms gives the stack of their derivatives.
     """
     tower = xi.tower
     p = xi.degree
     _check_degree(tower, p + 1)
+    shape = xi.stack + (tower.n,) * (p + 1) + (tower.m, tower.m)
+    if tower.ranks[p + 1] == 0:
+        return Form(tower, p + 1, np.zeros(shape, dtype=complex))
+    return Form(tower, p + 1, _project(tower, p + 1, _raw_d(tower, xi.coeffs, p)))
+
+
+def _raw_d(tower, coeffs, p, out=None, tmp=None):
+    """The raw (unprojected) table of d on a degree-p table or stack, written into ``out``.
+
+    ``out`` and ``tmp`` are 1-d complex buffers with room for the degree-(p+1)
+    table; ``tmp`` is scratch.  Without them each GEMM allocates its own
+    result.  Projection is linear and d maps the relations' ideal into
+    itself, so any sum of raw tables may be projected once.
+    """
     lam = tower.ga.subspace.lambdas
     n, m = tower.n, tower.m
-    stack = xi.stack
-    if p == 0:
-        f = xi.coeffs[..., None, :, :]
-        return Form(tower, 1, lam @ f - f @ lam)
-    if tower.ranks[p + 1] == 0:
-        return Form(tower, p + 1, np.zeros(stack + (n,) * (p + 1) + (m, m), dtype=complex))
-    a = xi.coeffs.reshape(stack + (n ** p, m, m))
-    raw = _raw_chi(tower.ga.F, xi.coeffs, p)
-    raw += _pair_products(lam, a).reshape(raw.shape)
-    raw += _pair_products(a, (-1) ** (p + 1) * lam).reshape(raw.shape)
-    return Form(tower, p + 1, canonicalize(tower, p + 1, raw))
+    stack = _stack(coeffs, p)
+    shape = stack + (n,) * (p + 1) + (m, m)
+    a = coeffs.reshape(stack + (n ** p, m, m))
+    if p == 0:  # no chi term; with one index a, lambda_a f is in table order as computed
+        table = _pair_products(lam, a, out).reshape(shape)
+    else:
+        table = _raw_chi(tower.ga.F, coeffs, p, out, tmp)
+        table += _pair_products(lam, a, tmp).reshape(shape)
+    table += _pair_products(a, (-1) ** (p + 1) * lam, tmp).reshape(shape)
+    return table
 
 
 def form_norm(xi):
-    """Frobenius norm of the full coefficient table; an array of one norm per form of a stack."""
-    norms = np.linalg.norm(xi.coeffs.reshape(xi.stack + (-1,)), axis=-1)
+    """Frobenius norm of the full coefficient table; an array of one norm per form of a stack.
+
+    Each norm is the square root of one real dot product of the table's
+    float view with itself, so no table-sized temporary is made.
+    """
+    flat = np.ascontiguousarray(xi.coeffs, dtype=complex).reshape(xi.stack + (1, -1)).view(float)
+    norms = np.sqrt(np.matmul(flat, flat.swapaxes(-1, -2)))[..., 0, 0]
     return norms if xi.stack else float(norms)
 
 
@@ -541,14 +590,31 @@ def random_form(tower, degree, rng, count=None):
 
     A form draws the real parts of its table, then the imaginary parts.
     With ``count``, a stack of that many forms drawn as that many calls
-    without it would draw them.  ``rng`` is a numpy Generator or a
-    ``TrialDraws``.
+    without it would draw them.  ``rng`` is a numpy Generator.
     """
+    _check_degree(tower, degree)
     n, m = tower.n, tower.m
     stack = () if count is None else (count,)
     z = rng.standard_normal(stack + (2,) + (n,) * degree + (m, m))
-    re, im = np.moveaxis(z, len(stack), 0)
-    return Form(tower, degree, canonicalize(tower, degree, (re + 1j * im) / np.sqrt(2.0)))
+    return _form_from_normals(tower, degree, z)
+
+
+def _form_from_normals(tower, degree, z):
+    """The projected form, or stack, of (re + i im) / sqrt(2) for the parts re, im of ``z``.
+
+    ``z`` has the form's stack axis first, then an axis of length 2 (re, im).
+    """
+    re, im = np.moveaxis(z, z.ndim - degree - 3, 0)
+    return Form(tower, degree, _project(tower, degree, (re + 1j * im) / np.sqrt(2.0)))
+
+
+def _split(trials, per_trial, budget):
+    """Sizes of the batches that split ``trials`` trials of ``per_trial`` entries within ``budget``.
+
+    A batch holds as many trials as fit, and at least one.
+    """
+    size = max(1, budget // per_trial)
+    return [min(size, trials - start) for start in range(0, trials, size)]
 
 
 def trial_batches(trials, table_size):
@@ -557,31 +623,31 @@ def trial_batches(trials, table_size):
     A batch stacks as many trials as keep a stack of their largest tables,
     ``table_size`` complex entries each, within STACK_BYTES, and at least one.
     """
-    size = max(1, STACK_BYTES // (table_size * np.dtype(complex).itemsize))
-    return [min(size, trials - start) for start in range(0, trials, size)]
+    return _split(trials, table_size, STACK_BYTES // np.dtype(complex).itemsize)
 
 
 class TrialDraws:
-    """The random forms of a batch of trials, drawn in one generator call.
+    """The random forms of a chunk of trials, drawn in one generator call.
 
     Each of ``count`` trials draws one random form of each degree in
-    ``degrees``, in order, as ``random_form`` draws it, and uses every form
-    it draws.  A per-trial loop reads those numbers from
-    ``rng.standard_normal((count, total))`` row by row, so this one call
-    leaves the generator where the loop would, and a trial's forms do not
-    depend on the batch size.  ``random_form(tower, p, draws, count)`` for
-    the next degree p of ``degrees`` then stacks that form of every trial.
+    ``degrees``, in order, as ``random_form`` draws it.  A per-trial loop
+    reads those numbers from ``rng.standard_normal((count, total))`` row by
+    row, so this one call leaves the generator where the loop would, and a
+    trial's forms do not depend on how the chunk is split.  ``form(k,
+    trials)`` stacks form k of ``degrees`` over the trials in the slice
+    ``trials`` of the chunk, so each check may take the chunk's trials in
+    batches of its own size.
     """
 
     def __init__(self, tower, degrees, rng, count):
-        self._sizes = [2 * tower.n ** p * tower.m ** 2 for p in degrees]
-        self._rows = rng.standard_normal((count, sum(self._sizes)))
-        self._next = self._at = 0
+        self._tower, self._degrees = tower, list(degrees)
+        sizes = [2 * tower.n ** p * tower.m ** 2 for p in self._degrees]
+        self._at = np.cumsum([0, *sizes]).tolist()
+        self._rows = rng.standard_normal((count, self._at[-1]))
 
-    def standard_normal(self, shape):
-        """The next form's numbers of every trial, as an array of ``shape`` (count first)."""
-        width = self._sizes[self._next]
-        block = self._rows[:, self._at:self._at + width]
-        self._next += 1
-        self._at += width
-        return block.reshape(shape)
+    def form(self, k, trials=slice(None)):
+        """Form k of ``degrees`` of the ``trials`` (a slice of the chunk), as a stack."""
+        tower, p = self._tower, self._degrees[k]
+        block = self._rows[trials, self._at[k]:self._at[k + 1]]
+        z = block.reshape((len(block), 2) + (tower.n,) * p + (tower.m, tower.m))
+        return _form_from_normals(tower, p, z)

@@ -99,11 +99,17 @@ def build_projector(alpha, tol=DEFAULT_TOL):
 
 
 def detect_structure(B, tol=DEFAULT_TOL):
-    """Auto-detect the maximal generalised-algebra structure of B."""
+    """Auto-detect the maximal generalised-algebra structure of B.
+
+    Its alpha has orthonormal columns (right singular vectors from
+    ``rank_nullspace``), so beta = alpha^dag and P = alpha alpha^dag with no
+    Gram solve (``build_projector`` serves user-supplied alphas).
+    """
     D = dual_data(B, tol=tol)
     F, t, rho = structure_constants(B, D)
     alpha, R = _relations_from_rho(rho, D, tol)
-    beta, P = build_projector(alpha, tol=tol)
+    beta = alpha.conj().T.copy()
+    P = alpha @ beta
     return GAStructure(
         subspace=B, dual=D, R=R, alpha=alpha, beta=beta, P=P,
         F=F, t=t, rho=rho, mode="auto-maximal",

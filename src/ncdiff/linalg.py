@@ -45,30 +45,54 @@ def gram(a, b=None):
     return np.einsum("aij,bij->ab", a.conj(), b)
 
 
-def _pair_products(a, b):
+def _carve(buf, shape):
+    """The first prod(``shape``) entries of the 1-d buffer ``buf``, as an array of ``shape``.
+
+    The array is a contiguous view of ``buf``; None when ``buf`` is None, so
+    that a numpy ``out=`` argument allocates.
+    """
+    return None if buf is None else buf[:math.prod(shape)].reshape(shape)
+
+
+def _pair_products(a, b, out=None, cols=None):
     """out[..., x, y] = a[..., x] @ b[..., y] for stacks a (..., A, i, j) and b (..., B, j, k).
 
     Each product of the stacked rows of ``a`` with the side-by-side columns
     of ``b`` is one (A i) x (B k) GEMM, one per index of the leading axes,
     which broadcast; leading axes on ``a`` alone fold into the rows of a
-    single GEMM.  Returns an (..., A, B, i, k) view.
+    single GEMM.  Returns an (..., A, B, i, k) view of the GEMM's result.
+    The 1-d buffers ``out`` and ``cols``, when given, receive that result
+    and the copy of ``b``'s columns that the GEMM reads; ``out`` may hold
+    ``b`` itself when ``cols`` is given, since ``b`` is copied first.
     """
     *_, A, i, j = a.shape
     *_, B, _, k = b.shape
-    cols = np.swapaxes(b, -3, -2).reshape(b.shape[:-3] + (j, B * k))
-    rows = a.reshape(-1, j) if b.ndim == 3 else a.reshape(a.shape[:-3] + (A * i, j))
+    shape = b.shape[:-3] + (j, B * k)
+    if cols is None:
+        cols = np.swapaxes(b, -3, -2).reshape(shape)
+    else:
+        np.copyto(_carve(cols, b.shape[:-3] + (j, B, k)), np.swapaxes(b, -3, -2))
+        cols = _carve(cols, shape)
     lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-    return np.swapaxes((rows @ cols).reshape(lead + (A, i, B, k)), -3, -2)
+    if b.ndim == 3:
+        rows = a.reshape(-1, j)
+        out = _carve(out, (rows.shape[0], B * k))
+    else:
+        rows = a.reshape(a.shape[:-3] + (A * i, j))
+        out = _carve(out, lead + (A * i, B * k))
+    return np.swapaxes(np.matmul(rows, cols, out=out).reshape(lead + (A, i, B, k)), -3, -2)
 
 
-def _at_slot(M, t, q):
+def _at_slot(M, t, q, out=None):
     """sum_j M[i, j] t[..., j, ...] with j on axis q of ``t``, as one stacked GEMM.
 
-    Axis q of the result holds M's row index i; the other axes are t's.
+    Axis q of the result holds M's row index i; the other axes are t's.  The
+    1-d buffer ``out``, when given, receives the result.
     """
     shape = t.shape
-    out = M @ t.reshape(math.prod(shape[:q]), shape[q], -1)
-    return out.reshape(shape[:q] + (M.shape[0],) + shape[q + 1:])
+    lead, rest = math.prod(shape[:q]), math.prod(shape[q + 1:])
+    res = np.matmul(M, t.reshape(lead, shape[q], rest), out=_carve(out, (lead, M.shape[0], rest)))
+    return res.reshape(shape[:q] + (M.shape[0],) + shape[q + 1:])
 
 
 def _rank(s, tol, floor=0.0):

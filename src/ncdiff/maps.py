@@ -13,7 +13,6 @@ from .calculus import (
     coframe,
     exterior_d,
     form_norm,
-    random_form,
     theta,
     trial_batches,
     wedge,
@@ -155,14 +154,13 @@ def check_equivalence(U, B, tower, trials=10, seed=0, tol=DEFAULT_TOL):
     res_d = 0.0
     for count in trial_batches(trials, B.n ** tower.max_degree * B.m ** 2):
         draws = TrialDraws(tower_p, degrees, rng, count)
-        xi = random_form(tower_p, 1, draws, count)
-        zeta = random_form(tower_p, 1, draws, count)
+        xi, zeta = draws.form(0), draws.form(1)
         lhs = _ustar(U, tower, wedge(xi, zeta))
         rhs = wedge(_ustar(U, tower, xi), _ustar(U, tower, zeta))
         denom = np.maximum(np.maximum(form_norm(lhs), form_norm(rhs)), 1.0)
         res_prod = max(res_prod, float((form_norm(lhs - rhs) / denom).max()))
         for deg in range(tower.max_degree):
-            om = random_form(tower_p, deg, draws, count)
+            om = draws.form(2 + deg)
             lhs = _ustar(U, tower, exterior_d(om))
             rhs = exterior_d(_ustar(U, tower, om))
             denom = np.maximum(form_norm(om) * scale ** 2, 1.0)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from ncdiff import catalog, detect_structure, use_relations, build_tower
+from ncdiff import algebra, catalog, detect_structure, use_relations, build_tower
+
+
+def generic_subspace(m, n, seed):
+    """A generic subspace: n seeded complex Gaussian m x m matrices, made traceless."""
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
+    return algebra.validate_subspace(m, list(lam))
 
 
 @pytest.fixture

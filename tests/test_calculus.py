@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import generic_subspace
 
 from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff import linalg as ncdiff_linalg
@@ -167,14 +168,8 @@ def _catalog_structure(name, m):
     return genalg.use_relations(e.subspace, e.suggested_alpha)
 
 
-def _generic_lambdas(m, n, seed):
-    rng = np.random.default_rng(seed)
-    lam = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-    return lam - np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
-
-
 def _generic_structure(m, n, seed):
-    return genalg.detect_structure(validate_subspace(m, list(_generic_lambdas(m, n, seed))))
+    return genalg.detect_structure(generic_subspace(m, n, seed))
 
 
 def _chain_equations(G, p):
@@ -793,8 +788,8 @@ def _rank_invariants(m, lambdas):
     pytest.param(3, catalog.clock_shift(3).subspace.lambdas, id="clock-shift-m3"),
     pytest.param(4, catalog.fuzzy_ellipsoid(4).subspace.lambdas, id="ellipsoid-m4"),
     pytest.param(2, catalog.universal_A0(2).subspace.lambdas, id="a0-m2"),
-    pytest.param(3, _generic_lambdas(3, 4, 0), id="generic-m3-n4"),
-    pytest.param(4, _generic_lambdas(4, 5, 1), id="generic-m4-n5"),
+    pytest.param(3, generic_subspace(3, 4, 0).lambdas, id="generic-m3-n4"),
+    pytest.param(4, generic_subspace(4, 5, 1).lambdas, id="generic-m4-n5"),
 ])
 def test_ranks_invariant_under_presentation(m, lambdas, seed):
     """R and D_p do not depend on the basis of B or on a unitary frame of C^m."""
@@ -892,3 +887,68 @@ def test_trial_batches_cover_trials(monkeypatch):
     monkeypatch.setattr(calculus, "STACK_BYTES", 3 * 16 * 100)
     assert calculus.trial_batches(7, 100) == [3, 3, 1]
     assert calculus.trial_batches(2, 1000) == [1, 1]
+
+
+@pytest.mark.parametrize("make, top", [
+    pytest.param(lambda: _catalog_structure("a0", 2), 3, id="a0-m2"),
+    pytest.param(lambda: _catalog_structure("su2", 4), 3, id="su2-m4"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4"),
+])
+def test_kernels_into_nan_workspace_match_public_operations(make, top):
+    """d and wedge written into NaN-filled buffers, then projected in place, equal the public ops.
+
+    A kernel that read an entry of its buffers before writing it would carry
+    a NaN into the table.
+    """
+    tower = build_tower(make(), top)
+    n, m = tower.n, tower.m
+    rng = np.random.default_rng(3)
+
+    def nan_buffer(degree):
+        return np.full(3 * n ** degree * m * m, np.nan, dtype=complex)
+
+    for p in range(top):
+        xi = random_form(tower, p, rng, 3)
+        raw = calculus._raw_d(tower, xi.coeffs, p, nan_buffer(p + 1), nan_buffer(p + 1))
+        assert np.array_equal(calculus._project(tower, p + 1, raw), exterior_d(xi).coeffs)
+        for q in range(top - p + 1):
+            zeta = random_form(tower, q, rng, 3)
+            for cols in (None, nan_buffer(q)):
+                raw = calculus._raw_wedge(tower, xi.coeffs, p, zeta.coeffs, q,
+                                          nan_buffer(p + q), cols)
+                table = calculus._project(tower, p + q, np.ascontiguousarray(raw))
+                assert np.array_equal(table, wedge(xi, zeta).coeffs)
+
+
+@pytest.mark.parametrize("make, top", [
+    pytest.param(lambda: _catalog_structure("a0", 3), 3, id="a0-m3"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 2, id="ellipsoid-m4"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4"),
+])
+def test_identity_tables_in_nan_workspace_match_public_operations(make, top):
+    """verify's d o d and Leibniz tables, built in NaN-filled buffers, are the public residuals."""
+    tower = build_tower(make(), top)
+    n, m = tower.n, tower.m
+    rng = np.random.default_rng(4)
+
+    def bufs(degree, count):
+        return [np.full(4 * n ** degree * m * m, np.nan, dtype=complex) for _ in range(count)]
+
+    def residual(degree, table):
+        return form_norm(calculus.Form(tower, degree, calculus._project(tower, degree, table)))
+
+    for p in range(top - 1):
+        om = random_form(tower, p, rng, 4)
+        ref = form_norm(exterior_d(exterior_d(om)))
+        got = residual(p + 2, cli._dd_table(tower, om, bufs(p + 2, 2)))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(form_norm(om), 1.0))
+    for dz in range(2):
+        for dx in range(2):
+            if dz + dx + 1 > top:
+                continue
+            z, x = random_form(tower, dz, rng, 4), random_form(tower, dx, rng, 4)
+            lhs = exterior_d(wedge(z, x))
+            rhs = wedge(exterior_d(z), x) + (-1.0) ** dz * wedge(z, exterior_d(x))
+            got = residual(dz + dx + 1, cli._leibniz_table(tower, z, x, bufs(dz + dx + 1, 3)))
+            scale = np.maximum(form_norm(z) * form_norm(x), 1.0)
+            assert np.all(np.abs(got - form_norm(lhs - rhs)) <= 1e-13 * scale)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import generic_subspace
 
 from ncdiff import calculus, cli, formats, genalg, universal
 from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, su2, universal_A0
@@ -160,10 +162,7 @@ def _su3_commutator_file(path):
 
 def _generic_file(m, n):
     def write(path):
-        rng = np.random.default_rng(0)
-        lam = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-        lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
-        formats.save_algebra(path, m, f"generic-{m}-{n}", lam)
+        formats.save_algebra(path, m, f"generic-{m}-{n}", generic_subspace(m, n, 0).lambdas)
         return []
     return write
 
@@ -189,6 +188,20 @@ def test_forms_large_regime_in_a_capped_process(tmp_path, write, top, D):
     assert run.returncode == 0, run.stderr
     ranks = json.loads(run.stdout)["sections"][0]["D"]
     assert ranks == {str(p): d for p, d in enumerate(D)}
+
+
+@pytest.mark.large
+def test_verify_large_projection_in_a_capped_process(tmp_path):
+    """verify on generic (4, 6) to degree 4 projects onto W_4 (1296 x 405) and passes, capped."""
+    path = tmp_path / "algebra.json"
+    _generic_file(4, 6)(path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["verify", str(path), "--max-degree", "4", "--trials", "5", "--format", "json"]
+    run = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    sec = {s["name"]: s for s in json.loads(run.stdout)["sections"]}
+    assert all(s["status"] == "pass" for s in sec.values())
 
 
 @pytest.mark.parametrize("command", ["forms", "verify"])
@@ -453,19 +466,42 @@ def _verify_trials_reference(tower, trials, rng):
     return worst_dd, worst_leib, worst_u
 
 
-@pytest.mark.parametrize("batch", [None, 3])
-@pytest.mark.parametrize("name, m, top", [("su2", 3, 3), ("clock-shift", 3, 2), ("a0", 2, 4)])
+def _entry_structure(name, m):
+    e = build_entry(name, m)
+    return (genalg.use_relations(e.subspace, e.suggested_alpha) if e.suggested_alpha is not None
+            else genalg.detect_structure(e.subspace))
+
+
+@pytest.mark.parametrize("batch", [None, 3, 12])
+@pytest.mark.parametrize("name, m, top", [
+    ("su2", 3, 3), ("clock-shift", 3, 2), ("a0", 2, 4),
+    # a0(3) has no basis at any degree; generic (3, 4) projects at the top degree, 4;
+    # su2 takes its embedded commutator relations
+    ("a0", 3, 3), ("generic", 3, 4), ("su2", 4, 3),
+])
 def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
     """Stacked verify trials read the per-trial generator stream and find its residuals.
 
-    With ``batch`` the byte cap holds three trials, so seven trials run as 3 + 3 + 1.
+    With ``batch`` the byte cap holds that many tables of the top degree.  The
+    checks keep two or three tables of their own degrees per trial, beside
+    the chunk's draws, so at 12 the d o d and Leibniz checks split the seven
+    trials into different numbers of batches.
     """
-    e = build_entry(name, m)
-    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if e.suggested_alpha is not None
-         else genalg.detect_structure(e.subspace))
+    G = (genalg.detect_structure(generic_subspace(m, 2 * (m - 1), 0)) if name == "generic"
+         else _entry_structure(name, m))
     tower = calculus.build_tower(G, top)
     if batch:
         monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** min(top, 4) * m * m)
+    stacks = {}
+    for name in ("_dd_table", "_leibniz_table"):
+        table = getattr(cli, name)
+
+        def spy(tower, *args, table=table):
+            key = tuple(f.degree for f in args[:-1])
+            stacks.setdefault(key, []).append(args[0].stack[0])
+            return table(tower, *args)
+
+        monkeypatch.setattr(cli, name, spy)
     args = argparse.Namespace(tol=DEFAULT_TOL, trials=7, seed=5)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     sec = {s["name"]: s for s in cli._verify_sections(G, tower, args, rng)}
@@ -474,6 +510,10 @@ def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
     for key, worst in zip(("d_squared_zero", "graded_leibniz", "universal_identity"), ref):
         assert sec[key]["status"] == "pass"
         assert abs(sec[key]["residual"] - worst) < 1e-14
+    # every check that ran took each trial once
+    assert all(sum(sizes) == args.trials for sizes in stacks.values())
+    if batch == 12:
+        assert len({len(sizes) for sizes in stacks.values()}) > 1, stacks
 
 
 def _traced_peak(argv):
@@ -499,13 +539,71 @@ def test_verify_memory_does_not_grow_with_trials(tmp_path):
     assert many <= 1.25 * few, (few, many)
 
 
+def test_verify_a0_m4_memory(tmp_path):
+    """verify on a0(m=4): the degree-3 identities share one workspace, so the peak stays low.
+
+    The bound is the traced peak of the stacked verify before the workspace,
+    5.86 MiB; the top-degree tables are 864 KB each.
+    """
+    e = universal_A0(4)
+    path = str(tmp_path / "a0.json")
+    formats.save_algebra(path, 4, e.subspace.label, e.subspace.lambdas)
+    argv = ["verify", path, "--max-degree", "3", "--format", "json", "--trials", "20"]
+    _traced_peak(argv)  # the first run in a process also makes one-time allocations
+    assert _traced_peak(argv) <= 5.9 * 2 ** 20
+
+
+def _detect_with_gram_solve(B, tol=DEFAULT_TOL):
+    """detect_structure with beta and P from build_projector's Gram solve, as for a user alpha."""
+    G = _detect_structure(B, tol=tol)
+    beta, P = genalg.build_projector(G.alpha, tol=tol)
+    return dataclasses.replace(G, beta=beta, P=P)
+
+
+_detect_structure = genalg.detect_structure
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_analyze_auto_projector_keeps_reports(monkeypatch, capsys, tmp_path, seed):
+    """analyze with the auto projector keeps the Gram solve's statuses, R and alpha_columns.
+
+    On small catalog and generic inputs, beta = alpha^dag and P = alpha alpha^dag
+    leave every status as it was, and R and alpha_columns byte-identical.
+    """
+    inputs = []
+    for name, m in (("su2", 3), ("clock-shift", 5), ("ellipsoid", 4), ("a0", 2)):
+        e = build_entry(name, m)
+        path = str(tmp_path / f"{name}.json")
+        formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+        inputs.append([path] + (["--alpha", "embedded"] if e.suggested_alpha is not None else []))
+    for m, n in ((3, 3), (3, 4), (2, 2), (4, 3)):
+        path = str(tmp_path / f"generic-{m}-{n}.json")
+        formats.save_algebra(path, m, "generic", generic_subspace(m, n, seed).lambdas)
+        inputs.append([path])
+
+    def summary(argv):
+        code, rep = _run_json(capsys, ["analyze", *argv])
+        rel = next(s for s in rep["sections"] if s["name"] == "relations")
+        return code, [(s["name"], s["status"]) for s in rep["sections"]], json.dumps(
+            [rel["R"], rel["alpha_columns"]])
+
+    auto = [summary(argv) for argv in inputs]
+    monkeypatch.setattr(genalg, "detect_structure", _detect_with_gram_solve)
+    assert [summary(argv) for argv in inputs] == auto
+
+
 def test_verify_fails_on_broken_chi(monkeypatch, capsys, tmp_path):
     """Negative control: d with the chi term's sign flipped breaks d o d = 0 (su2 has F != 0)."""
     e = build_entry("su2", 3)
     path = str(tmp_path / "su2.json")
     formats.save_algebra(path, 3, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
     raw_chi = calculus._raw_chi
-    monkeypatch.setattr(calculus, "_raw_chi", lambda F, coeffs, p: -raw_chi(F, coeffs, p))
+
+    def flipped_chi(*args):
+        table = raw_chi(*args)
+        return np.negative(table, out=table)
+
+    monkeypatch.setattr(calculus, "_raw_chi", flipped_chi)
     code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded", "--trials", "3"])
     assert code == cli.EXIT_VERIFY
     sec = {s["name"]: s for s in rep["sections"]}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import generic_subspace
 
 from ncdiff import algebra, genalg
-from ncdiff.catalog import clock_shift, gell_mann_basis, su2, universal_A0
+from ncdiff.catalog import NAMES, build_entry, clock_shift, gell_mann_basis, su2, universal_A0
 from ncdiff.errors import InvalidRelation
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,3 +141,28 @@ def test_structure_constants_match_einsum(rng):
     prod = np.einsum("bij,cjk->bcik", lam, lam)
     assert np.max(np.abs(F - np.einsum("aij,bcij->abc", D.duals.conj(), prod))) < 1e-12
     assert np.max(np.abs(t - np.einsum("bcii->bc", prod))) < 1e-12
+
+
+def _auto_cases():
+    for name in NAMES:
+        for m in range(2, 6):
+            try:
+                build_entry(name, m)
+            except ValueError:  # m below the entry's minimum
+                continue
+            yield pytest.param(lambda name=name, m=m: build_entry(name, m).subspace,
+                               id=f"{name}-m{m}")
+    for m, n in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 5), (4, 6), (5, 8)):
+        for seed in range(3):
+            yield pytest.param(lambda m=m, n=n, seed=seed: generic_subspace(m, n, seed),
+                               id=f"generic-m{m}-n{n}-s{seed}")
+
+
+@pytest.mark.parametrize("make", list(_auto_cases()))
+def test_auto_projector_from_orthonormal_alpha(make):
+    """Auto alpha is orthonormal: beta = alpha^dag, and P is build_projector's to 1e-13."""
+    G = genalg.detect_structure(make())
+    assert np.array_equal(G.beta, G.alpha.conj().T)
+    _, P = genalg.build_projector(G.alpha)
+    assert np.max(np.abs(G.P - P), initial=0.0) < 1e-13
+    assert genalg.verify_ga(G)["passed"]
