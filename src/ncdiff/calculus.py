@@ -28,9 +28,11 @@ and projects it once.  The raw tables come from private kernels that
 write into caller-given buffers: ``_raw_d`` sums the two theta products and
 the chi insertions (``_raw_chi``) in one table, ``_raw_wedge`` is one
 pair-product GEMM, and ``_project`` projects a table in place.  The public
-operations call them with fresh buffers; ``verify`` calls them with pieces
-of one reused workspace, and builds each identity's residual as one raw
-table that it projects once.
+operations call them with fresh buffers.  ``identity_residuals``, the d o d
+and graded Leibniz checks of ``verify``, gives every check two tables of its
+residual's degree per trial, one for the result and one for scratch, carved
+from one workspace, and projects each residual once.  ``trial_batches`` is
+the one rule that sizes a batch of random trials, under ``STACK_BYTES``.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +64,7 @@ __all__ = [
     "random_form",
     "trial_batches",
     "TrialDraws",
+    "identity_residuals",
 ]
 
 # Bytes of stacked coefficient tables that one batch of random trials may keep,
@@ -366,17 +369,17 @@ def wedge(xi, zeta):
     return Form(tower, p + q, _project(tower, p + q, raw))
 
 
-def _raw_wedge(tower, a, p, b, q, out=None, cols=None):
+def _raw_wedge(tower, a, p, b, q, out=None):
     """The raw table of the product of degree-p ``a`` and degree-q ``b`` (tables or stacks).
 
     One pair-product GEMM (``_pair_products``), written into the 1-d buffer
-    ``out`` when given, with the copy of ``b``'s columns in ``cols`` when
-    given; returns a table-shaped view of the GEMM's result.
+    ``out`` when given, which must not hold ``a`` or ``b``; returns a
+    table-shaped view of the GEMM's result.
     """
     n, m = tower.n, tower.m
     a = a.reshape(_stack(a, p) + (n ** p, m, m))
     b = b.reshape(_stack(b, q) + (n ** q, m, m))
-    prod = _pair_products(a, b, out, cols)
+    prod = _pair_products(a, b, out)
     return prod.reshape(prod.shape[:-4] + (n,) * (p + q) + (m, m))
 
 
@@ -593,37 +596,21 @@ def random_form(tower, degree, rng, count=None):
     without it would draw them.  ``rng`` is a numpy Generator.
     """
     _check_degree(tower, degree)
-    n, m = tower.n, tower.m
-    stack = () if count is None else (count,)
-    z = rng.standard_normal(stack + (2,) + (n,) * degree + (m, m))
-    return _form_from_normals(tower, degree, z)
+    xi = TrialDraws(tower, [degree], rng, 1 if count is None else count).form(0)
+    return xi if count is not None else Form(tower, degree, xi.coeffs[0])
 
 
-def _form_from_normals(tower, degree, z):
-    """The projected form, or stack, of (re + i im) / sqrt(2) for the parts re, im of ``z``.
-
-    ``z`` has the form's stack axis first, then an axis of length 2 (re, im).
-    """
-    re, im = np.moveaxis(z, z.ndim - degree - 3, 0)
-    return Form(tower, degree, _project(tower, degree, (re + 1j * im) / np.sqrt(2.0)))
-
-
-def _split(trials, per_trial, budget):
-    """Sizes of the batches that split ``trials`` trials of ``per_trial`` entries within ``budget``.
-
-    A batch holds as many trials as fit, and at least one.
-    """
-    size = max(1, budget // per_trial)
-    return [min(size, trials - start) for start in range(0, trials, size)]
-
-
-def trial_batches(trials, table_size):
+def trial_batches(trials, per_trial, budget=None):
     """Sizes of the batches that split ``trials`` random trials, in order.
 
-    A batch stacks as many trials as keep a stack of their largest tables,
-    ``table_size`` complex entries each, within STACK_BYTES, and at least one.
+    A batch stacks as many trials as keep ``per_trial`` complex entries each
+    within ``budget`` entries, STACK_BYTES' worth when not given, and at
+    least one.
     """
-    return _split(trials, table_size, STACK_BYTES // np.dtype(complex).itemsize)
+    if budget is None:
+        budget = STACK_BYTES // np.dtype(complex).itemsize
+    size = max(1, budget // per_trial)
+    return [min(size, trials - start) for start in range(0, trials, size)]
 
 
 class TrialDraws:
@@ -649,5 +636,78 @@ class TrialDraws:
         """Form k of ``degrees`` of the ``trials`` (a slice of the chunk), as a stack."""
         tower, p = self._tower, self._degrees[k]
         block = self._rows[trials, self._at[k]:self._at[k + 1]]
-        z = block.reshape((len(block), 2) + (tower.n,) * p + (tower.m, tower.m))
-        return _form_from_normals(tower, p, z)
+        z = block.reshape(len(block), 2, -1)
+        coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        shape = (len(block),) + (tower.n,) * p + (tower.m, tower.m)
+        return Form(tower, p, _project(tower, p, coeffs.reshape(shape)))
+
+
+def _dd_table(tower, om, bufs):
+    """The raw table of d applied to the form d(om), for a stack ``om``, built in bufs[0].
+
+    bufs[1] is scratch.  d(om) is canonical, as d o d = 0 asks of forms;
+    projecting it is cheap, since it is n times smaller than the result.
+    """
+    return _raw_d(tower, exterior_d(om).coeffs, om.degree + 1, *bufs)
+
+
+def _leibniz_table(tower, z, x, bufs):
+    """The raw table of d(z x) - d(z) x - (-1)^deg(z) z d(x) for stacks z, x, built in bufs[0].
+
+    bufs[1] is scratch for d(z x), then holds each product in turn; the
+    derivatives d(z) and d(x) are fresh tables.
+    """
+    p, q = z.degree, x.degree
+    zx = np.ascontiguousarray(_raw_wedge(tower, z.coeffs, p, x.coeffs, q))
+    res = _raw_d(tower, zx, p + q, *bufs)
+    res -= _raw_wedge(tower, _raw_d(tower, z.coeffs, p), p + 1, x.coeffs, q, bufs[1])
+    res -= _raw_wedge(tower, (-1.0) ** p * z.coeffs, p, _raw_d(tower, x.coeffs, q), q + 1,
+                      bufs[1])
+    return res
+
+
+def identity_residuals(tower, trials, rng):
+    """Worst d o d = 0 and graded Leibniz residuals over ``trials`` seeded random trials.
+
+    Each trial draws forms of degree 0..min(2, top - 2) for d o d, then one
+    (z, x) pair per Leibniz degree pair, in chunks of trials (``TrialDraws``)
+    that read a per-trial loop's generator stream.  Every check keeps two
+    tables of its residual's degree per trial, the result and scratch, in
+    one workspace made once, and takes a chunk's trials in batches that keep
+    those tables and the chunk's draws within STACK_BYTES; a chunk is the
+    largest such batch.  Each residual is one raw table, projected once.
+    d o d is relative to max(|om|, 1), Leibniz to max(|z| |x|, 1).
+    """
+    top, n, m = tower.max_degree, tower.n, tower.m
+    dd_degrees = range(min(2, top - 2) + 1)
+    pairs = [(dz, dx) for dz in range(2) for dx in range(2) if dz + dx + 1 <= top]
+    degrees = [*dd_degrees, *(d for pair in pairs for d in pair)]
+    # (table builder, draw indices, residual degree) of each check; a residual
+    # in a zero-rank space is exactly zero, so it is left out
+    dd = [(_dd_table, (k,), p + 2) for k, p in enumerate(dd_degrees)]
+    leibniz = [(_leibniz_table, (len(dd) + 2 * i, len(dd) + 2 * i + 1), dz + dx + 1)
+               for i, (dz, dx) in enumerate(pairs)]
+    checks = [c for c in dd + leibniz if tower.ranks[c[2]] > 0]
+    need = [2 * n ** p * m * m for *_, p in checks]
+    draw_size = sum(n ** p for p in degrees) * m * m
+    budget = STACK_BYTES // np.dtype(complex).itemsize
+    chunks = trial_batches(trials, draw_size + min(need), budget)
+    # the chunk's draws stay alive through every batch of every check
+    room = budget - chunks[0] * draw_size
+    workspace = np.empty(max(trial_batches(chunks[0], k, room)[0] * k for k in need),
+                         dtype=complex)
+    worst = {build: 0.0 for build, *_ in dd + leibniz}
+    for chunk in chunks:
+        draws = TrialDraws(tower, degrees, rng, chunk)
+        for (build, indices, p), k in zip(checks, need):
+            start = 0
+            for count in trial_batches(chunk, k, room):
+                forms = [draws.form(i, slice(start, start + count)) for i in indices]
+                start += count
+                size = count * k // 2
+                table = build(tower, *forms, (workspace[:size], workspace[size:2 * size]))
+                res = form_norm(Form(tower, p, _project(tower, p, table)))
+                scale = np.prod([form_norm(f) for f in forms], axis=0)
+                worst[build] = max(worst[build], float((res / np.maximum(scale, 1.0)).max()))
+        del draws  # before the next chunk draws its own
+    return worst[_dd_table], worst[_leibniz_table]

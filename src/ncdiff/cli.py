@@ -156,90 +156,6 @@ def cmd_forms(args):
     return _finish(args, digest, sections)
 
 
-def _dd_table(tower, om, bufs):
-    """The raw table of d applied to the form d(om), for a stack ``om``, built in bufs[0].
-
-    bufs[1] is scratch.  d(om) is canonical, as d o d = 0 asks of forms;
-    projecting it is cheap, since it is n times smaller than the result.
-    """
-    return calculus._raw_d(tower, calculus.exterior_d(om).coeffs, om.degree + 1, *bufs)
-
-
-def _leibniz_table(tower, z, x, bufs):
-    """The raw table of d(z x) - d(z) x - (-1)^deg(z) z d(x) for stacks z, x, built in bufs[0].
-
-    bufs[1] and bufs[2] are scratch.  A derivative has the residual's size
-    only when the other factor has degree 0; it is then formed in bufs[1],
-    and every other table, n times smaller at least, is fresh.
-    """
-    d, wedge = calculus._raw_d, calculus._raw_wedge
-    p, q = z.degree, x.degree
-    zx = np.ascontiguousarray(wedge(tower, z.coeffs, p, x.coeffs, q))
-    res = d(tower, zx, p + q, bufs[0], bufs[1])
-    if q == 0:
-        res -= wedge(tower, d(tower, z.coeffs, p, bufs[1], bufs[2]), p + 1, x.coeffs, q, bufs[2])
-    else:
-        res -= wedge(tower, d(tower, z.coeffs, p), p + 1, x.coeffs, q, bufs[1])
-    sz = (-1.0) ** p * z.coeffs
-    if p == 0:  # d(x) in bufs[1] is copied to bufs[2] before the product overwrites it
-        res -= wedge(tower, sz, p, d(tower, x.coeffs, q, bufs[1], bufs[2]), q + 1,
-                     bufs[1], bufs[2])
-    else:
-        res -= wedge(tower, sz, p, d(tower, x.coeffs, q), q + 1, bufs[1])
-    return res
-
-
-def _identity_residuals(tower, trials, rng):
-    """Worst d o d = 0 and graded Leibniz residuals over ``trials`` seeded random trials.
-
-    Each trial draws forms of degree 0..min(2, top - 2) for d o d, then one
-    (z, x) pair per Leibniz degree pair; ``TrialDraws`` draws a chunk of
-    trials at once, so the generator stream is a per-trial loop's.  Each
-    check takes the chunk's trials in batches of its own size: as many as
-    keep the buffers it needs, each one table of its residual's degree per
-    trial, and the chunk's draws within STACK_BYTES; the chunk is the
-    largest such batch.  The buffers are carved from one workspace,
-    made once and reused by every batch and degree; each residual is built
-    there as one raw table and projected once.  d o d is relative to
-    max(|om|, 1), Leibniz to max(|z| |x|, 1).
-    """
-    top, n, m = tower.max_degree, tower.n, tower.m
-    dd_degrees = range(min(2, top - 2) + 1)
-    pairs = [(dz, dx) for dz in range(2) for dx in range(2) if dz + dx + 1 <= top]
-    degrees = [*dd_degrees, *(d for pair in pairs for d in pair)]
-    # (table builder, draw indices, residual degree, buffers per trial) of each
-    # check; a residual in a zero-rank space is exactly zero, so it is left out
-    dd = [(_dd_table, (k,), p + 2, 2) for k, p in enumerate(dd_degrees)]
-    leibniz = [(_leibniz_table, (len(dd) + 2 * i, len(dd) + 2 * i + 1), dz + dx + 1,
-                3 if 0 in (dz, dx) else 2) for i, (dz, dx) in enumerate(pairs)]
-    checks = [c for c in dd + leibniz if tower.ranks[c[2]] > 0]
-    need = [bufs * n ** p * m * m for *_, p, bufs in checks]
-    draw_size = sum(n ** p for p in degrees) * m * m
-    budget = calculus.STACK_BYTES // np.dtype(complex).itemsize
-    chunks = calculus._split(trials, draw_size + min(need), budget)
-    # the chunk's draws stay alive through every batch of every check
-    room = budget - chunks[0] * draw_size
-    workspace = np.empty(max(calculus._split(chunks[0], k, room)[0] * k for k in need),
-                         dtype=complex)
-    worst = {build: 0.0 for build, *_ in dd + leibniz}
-    for chunk in chunks:
-        draws = calculus.TrialDraws(tower, degrees, rng, chunk)
-        for (build, indices, p, bufs), k in zip(checks, need):
-            start = 0
-            for count in calculus._split(chunk, k, room):
-                forms = [draws.form(i, slice(start, start + count)) for i in indices]
-                start += count
-                size = count * k // bufs
-                table = build(tower, *forms, [workspace[j * size:(j + 1) * size]
-                                              for j in range(bufs)])
-                table = calculus._project(tower, p, table)
-                res = calculus.form_norm(calculus.Form(tower, p, table))
-                scale = np.prod([calculus.form_norm(f) for f in forms], axis=0)
-                worst[build] = max(worst[build], float((res / np.maximum(scale, 1.0)).max()))
-        del draws  # before the next chunk draws its own
-    return worst[_dd_table], worst[_leibniz_table]
-
-
 def _verify_sections(G, tower, args, rng):
     sections = []
     rep_ga = genalg.verify_ga(G, tol=args.tol)
@@ -255,12 +171,12 @@ def _verify_sections(G, tower, args, rng):
                              relation_form=se["relation_form"]))
 
     # d o d = 0 and graded Leibniz on seeded random forms, in stacked batches
-    worst_dd, worst_leib = _identity_residuals(tower, args.trials, rng)
-    m = G.subspace.m
+    worst_dd, worst_leib = calculus.identity_residuals(tower, args.trials, rng)
     sections.append(_judged("d_squared_zero", worst_dd, 1e-8))
     sections.append(_judged("graded_leibniz", worst_leib, 1e-8))
 
     # Universal-calculus identities on a full matrix basis.
+    m = G.subspace.m
     gammas = np.concatenate([np.eye(m, dtype=complex)[None],
                              catalog.gell_mann_basis(m)])
     tl = universal.verify_trace_lemma(gammas, trials=args.trials, seed=args.seed)
@@ -268,17 +184,9 @@ def _verify_sections(G, tower, args, rng):
                              trace_identity=tl["trace_identity"],
                              tensor_commutator=tl["tensor_commutator"],
                              bound=tl["bound"]))
-    th = universal.theta_u(gammas)
-    worst_u = 0.0
-    # a batch keeps up to four stacked m^2 x m^2 tables: [f, theta_u] and du(f)'s three
-    for count in calculus.trial_batches(args.trials, 4 * m ** 4):
-        # per trial: re f, then im f
-        z = rng.standard_normal((count, 2, m, m))
-        f = z[:, 0] + 1j * z[:, 1]
-        # f.theta_u - theta_u.f = -[theta_u, f] = du(f)
-        diff = universal.commutator(f, th) - universal.du(f)
-        worst_u = max(worst_u, float(np.linalg.norm(diff.reshape(count, -1), axis=1).max()))
-    sections.append(_judged("universal_identity", worst_u, 1e-10))
+    sections.append(_judged("universal_identity",
+                            universal.universal_identity_residual(gammas, args.trials, rng),
+                            1e-10))
 
     # Co-frame reconstruction from the universal formula.
     _, _, cf = calculus.coframe_from_formula(tower, gammas, tol=args.tol)

@@ -54,25 +54,19 @@ def _carve(buf, shape):
     return None if buf is None else buf[:math.prod(shape)].reshape(shape)
 
 
-def _pair_products(a, b, out=None, cols=None):
+def _pair_products(a, b, out=None):
     """out[..., x, y] = a[..., x] @ b[..., y] for stacks a (..., A, i, j) and b (..., B, j, k).
 
     Each product of the stacked rows of ``a`` with the side-by-side columns
     of ``b`` is one (A i) x (B k) GEMM, one per index of the leading axes,
     which broadcast; leading axes on ``a`` alone fold into the rows of a
-    single GEMM.  Returns an (..., A, B, i, k) view of the GEMM's result.
-    The 1-d buffers ``out`` and ``cols``, when given, receive that result
-    and the copy of ``b``'s columns that the GEMM reads; ``out`` may hold
-    ``b`` itself when ``cols`` is given, since ``b`` is copied first.
+    single GEMM.  Returns an (..., A, B, i, k) view of the GEMM's result,
+    which is written into the 1-d buffer ``out`` when given; ``out`` must
+    not hold ``a`` or ``b``.
     """
     *_, A, i, j = a.shape
     *_, B, _, k = b.shape
-    shape = b.shape[:-3] + (j, B * k)
-    if cols is None:
-        cols = np.swapaxes(b, -3, -2).reshape(shape)
-    else:
-        np.copyto(_carve(cols, b.shape[:-3] + (j, B, k)), np.swapaxes(b, -3, -2))
-        cols = _carve(cols, shape)
+    cols = np.swapaxes(b, -3, -2).reshape(b.shape[:-3] + (j, B * k))
     lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
     if b.ndim == 3:
         rows = a.reshape(-1, j)

@@ -15,6 +15,7 @@ each O(m^5), with no Kronecker product formed.
 import numpy as np
 
 from .algebra import matrix_basis_duals
+from .calculus import trial_batches
 from .errors import ShapeError
 from .linalg import DEFAULT_TOL, dagger
 
@@ -25,25 +26,30 @@ __all__ = [
     "theta_u_a",
     "contract_ad",
     "verify_trace_lemma",
+    "universal_identity_residual",
 ]
 
 
 def _kron_sum(F, G):
-    """sum_t kron(F[t], G[t]) for (terms, m, m) stacks F and G, as one GEMM."""
-    m = F.shape[-1]
-    F, G = (np.asarray(x, dtype=complex).reshape(-1, m * m) for x in (F, G))
+    """sum_t kron(F[..., t], G[t]) for stacks F (..., terms, m, m) and G (terms, m, m), by GEMM."""
+    m, lead = F.shape[-1], F.shape[:-3]
+    F, G = (np.asarray(x, dtype=complex).reshape(x.shape[:-3] + (-1, m * m)) for x in (F, G))
     # (F^T G)[(i, j), (k, l)] = sum_t f_t[i, j] g_t[k, l] = kron-sum at [(i, k), (j, l)]
-    return (F.T @ G).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    K = (np.swapaxes(F, -1, -2) @ G).reshape(lead + (m,) * 4)
+    return K.swapaxes(-3, -2).reshape(lead + (m * m, m * m))
 
 
 def commutator(h, X):
     """[h, X] = h.X - X.h in the bimodule sense, for X in Kronecker layout.
 
-    A stack of matrices h gives the stack of their commutators with X.
+    A stack of matrices h gives the stack of their commutators with X, or,
+    when X is a stack as long, with the X of the same index.
     """
     m = h.shape[-1]
-    shape = h.shape[:-2] + X.shape
-    return (h @ X.reshape(m, -1)).reshape(shape) - (X.reshape(-1, m) @ h).reshape(shape)
+    lead = X.shape[:-2]
+    shape = np.broadcast_shapes(h.shape[:-2], lead) + X.shape[-2:]
+    return ((h @ X.reshape(lead + (m, -1))).reshape(shape)
+            - (X.reshape(lead + (-1, m)) @ h).reshape(shape))
 
 
 def du(f):
@@ -85,25 +91,35 @@ def contract_ad(X, h):
     return np.einsum("ikjl,jk->il", X4, h) - np.einsum("ijjl->il", X4) @ h
 
 
+def _worst_norm(stack):
+    """The largest Frobenius norm of the arrays of a stack."""
+    return float(np.linalg.norm(stack.reshape(len(stack), -1), axis=1).max())
+
+
 def verify_trace_lemma(basis_gamma, trials=20, seed=0):
     """Numerical check of the basis-completeness identities.
 
     For random f, g: sum_mu gamma_mu f gamma^{mu dag} = tr(f) 1, and
     f (gamma_mu g (x) gamma^{mu dag}) = (gamma_mu g (x) gamma^{mu dag}) f
-    in the Kronecker representation of A (x) A.  Both residuals are judged
-    against ``bound`` = 1e-10 * m.
+    in the Kronecker representation of A (x) A.  The trials run in stacked
+    batches; a batch keeps up to four m^2 x m^2 tables per trial: the
+    products gamma_mu g, the sum and its two products with f.  Both residuals
+    are judged against ``bound`` = 1e-10 * m.
     """
     gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, DEFAULT_TOL)
     m = gam.shape[1]
-    # per trial: re f, im f, re g, im g, in the order of one draw per matrix
-    z = np.random.default_rng(seed).standard_normal((trials, 4, m, m))
-    f = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
-    g = (z[:, 2] + 1j * z[:, 3]) / np.sqrt(2)
-    total = np.einsum("uij,tjk,ukl->til", gam, f, gdual_dag, optimize=True)
-    total -= np.trace(f, axis1=1, axis2=2)[:, None, None] * np.eye(m)
-    res_trace = float(np.linalg.norm(total.reshape(trials, -1), axis=1).max())
-    res_comm = max(float(np.linalg.norm(commutator(ft, _kron_sum(gam @ gt, gdual_dag))))
-                   for ft, gt in zip(f, g))
+    rng = np.random.default_rng(seed)
+    res_trace = res_comm = 0.0
+    for count in trial_batches(trials, 4 * m ** 4):
+        # per trial: re f, im f, re g, im g, in the order of one draw per matrix
+        z = rng.standard_normal((count, 4, m, m))
+        f = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+        g = (z[:, 2] + 1j * z[:, 3]) / np.sqrt(2)
+        total = np.einsum("uij,tjk,ukl->til", gam, f, gdual_dag, optimize=True)
+        total -= np.trace(f, axis1=1, axis2=2)[:, None, None] * np.eye(m)
+        res_trace = max(res_trace, _worst_norm(total))
+        res_comm = max(res_comm, _worst_norm(commutator(f, _kron_sum(gam @ g[:, None],
+                                                                     gdual_dag))))
     bound = 1e-10 * m
     return {
         "trace_identity": res_trace,
@@ -111,3 +127,21 @@ def verify_trace_lemma(basis_gamma, trials=20, seed=0):
         "bound": bound,
         "passed": bool(res_trace < bound and res_comm < bound),
     }
+
+
+def universal_identity_residual(basis_gamma, trials, rng):
+    """Worst |f.theta_u - theta_u.f - du(f)| over ``trials`` random matrices f.
+
+    f.theta_u - theta_u.f = -[theta_u, f] is du(f).  Each trial draws the
+    real part of f, then the imaginary part, from the numpy Generator
+    ``rng``.  A batch keeps up to four m^2 x m^2 tables per trial:
+    [f, theta_u] and the three of du(f).
+    """
+    th = theta_u(basis_gamma)
+    m = np.shape(basis_gamma)[-1]
+    worst = 0.0
+    for count in trial_batches(trials, 4 * m ** 4):
+        z = rng.standard_normal((count, 2, m, m))
+        f = z[:, 0] + 1j * z[:, 1]
+        worst = max(worst, _worst_norm(commutator(f, th) - du(f)))
+    return worst

@@ -887,6 +887,10 @@ def test_trial_batches_cover_trials(monkeypatch):
     monkeypatch.setattr(calculus, "STACK_BYTES", 3 * 16 * 100)
     assert calculus.trial_batches(7, 100) == [3, 3, 1]
     assert calculus.trial_batches(2, 1000) == [1, 1]
+    # an explicit budget, in complex entries, replaces STACK_BYTES
+    assert calculus.trial_batches(7, 100, budget=250) == [2, 2, 2, 1]
+    assert calculus.trial_batches(5, 100, budget=10 ** 6) == [5]
+    assert calculus.trial_batches(3, 100, budget=0) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("make, top", [
@@ -913,11 +917,9 @@ def test_kernels_into_nan_workspace_match_public_operations(make, top):
         assert np.array_equal(calculus._project(tower, p + 1, raw), exterior_d(xi).coeffs)
         for q in range(top - p + 1):
             zeta = random_form(tower, q, rng, 3)
-            for cols in (None, nan_buffer(q)):
-                raw = calculus._raw_wedge(tower, xi.coeffs, p, zeta.coeffs, q,
-                                          nan_buffer(p + q), cols)
-                table = calculus._project(tower, p + q, np.ascontiguousarray(raw))
-                assert np.array_equal(table, wedge(xi, zeta).coeffs)
+            raw = calculus._raw_wedge(tower, xi.coeffs, p, zeta.coeffs, q, nan_buffer(p + q))
+            table = calculus._project(tower, p + q, np.ascontiguousarray(raw))
+            assert np.array_equal(table, wedge(xi, zeta).coeffs)
 
 
 @pytest.mark.parametrize("make, top", [
@@ -931,8 +933,8 @@ def test_identity_tables_in_nan_workspace_match_public_operations(make, top):
     n, m = tower.n, tower.m
     rng = np.random.default_rng(4)
 
-    def bufs(degree, count):
-        return [np.full(4 * n ** degree * m * m, np.nan, dtype=complex) for _ in range(count)]
+    def bufs(degree):
+        return [np.full(4 * n ** degree * m * m, np.nan, dtype=complex) for _ in range(2)]
 
     def residual(degree, table):
         return form_norm(calculus.Form(tower, degree, calculus._project(tower, degree, table)))
@@ -940,7 +942,7 @@ def test_identity_tables_in_nan_workspace_match_public_operations(make, top):
     for p in range(top - 1):
         om = random_form(tower, p, rng, 4)
         ref = form_norm(exterior_d(exterior_d(om)))
-        got = residual(p + 2, cli._dd_table(tower, om, bufs(p + 2, 2)))
+        got = residual(p + 2, calculus._dd_table(tower, om, bufs(p + 2)))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(form_norm(om), 1.0))
     for dz in range(2):
         for dx in range(2):
@@ -949,6 +951,6 @@ def test_identity_tables_in_nan_workspace_match_public_operations(make, top):
             z, x = random_form(tower, dz, rng, 4), random_form(tower, dx, rng, 4)
             lhs = exterior_d(wedge(z, x))
             rhs = wedge(exterior_d(z), x) + (-1.0) ** dz * wedge(z, exterior_d(x))
-            got = residual(dz + dx + 1, cli._leibniz_table(tower, z, x, bufs(dz + dx + 1, 3)))
+            got = residual(dz + dx + 1, calculus._leibniz_table(tower, z, x, bufs(dz + dx + 1)))
             scale = np.maximum(form_norm(z) * form_norm(x), 1.0)
             assert np.all(np.abs(got - form_norm(lhs - rhs)) <= 1e-13 * scale)

@@ -483,9 +483,9 @@ def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
     """Stacked verify trials read the per-trial generator stream and find its residuals.
 
     With ``batch`` the byte cap holds that many tables of the top degree.  The
-    checks keep two or three tables of their own degrees per trial, beside
-    the chunk's draws, so at 12 the d o d and Leibniz checks split the seven
-    trials into different numbers of batches.
+    checks keep two tables of their own degrees per trial, beside the chunk's
+    draws, so at 12 the d o d and Leibniz checks split the seven trials into
+    different numbers of batches.
     """
     G = (genalg.detect_structure(generic_subspace(m, 2 * (m - 1), 0)) if name == "generic"
          else _entry_structure(name, m))
@@ -494,14 +494,14 @@ def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
         monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** min(top, 4) * m * m)
     stacks = {}
     for name in ("_dd_table", "_leibniz_table"):
-        table = getattr(cli, name)
+        table = getattr(calculus, name)
 
         def spy(tower, *args, table=table):
             key = tuple(f.degree for f in args[:-1])
             stacks.setdefault(key, []).append(args[0].stack[0])
             return table(tower, *args)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(calculus, name, spy)
     args = argparse.Namespace(tol=DEFAULT_TOL, trials=7, seed=5)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     sec = {s["name"]: s for s in cli._verify_sections(G, tower, args, rng)}

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ncdiff import algebra, universal
+from ncdiff import algebra, calculus, universal
 from ncdiff.catalog import gell_mann_basis
 from ncdiff.universal import (
     _kron_sum,
@@ -126,6 +128,29 @@ def test_trace_lemma_matches_loop(m, monkeypatch):
     assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
     assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
     assert not rep["passed"] and rep["bound"] == 1e-10 * m
+    # the same residuals from batches of one trial
+    monkeypatch.setattr(calculus, "STACK_BYTES", 1)
+    rep = verify_trace_lemma(gam, trials=4, seed=5)
+    assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
+    assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_lemma_memory_does_not_grow_with_trials():
+    """The trials run in batches under a byte cap, so 20x the trials keep the peak within 25%."""
+    gam = _full_basis(8)
+    _traced_peak(lambda: verify_trace_lemma(gam, trials=20))  # one-time allocations
+    few = _traced_peak(lambda: verify_trace_lemma(gam, trials=20))
+    many = _traced_peak(lambda: verify_trace_lemma(gam, trials=400))
+    assert many <= 1.25 * few, (few, many)
 
 
 def test_theta_u_a_multiplies_to_zero():
