@@ -28,11 +28,11 @@ and projects it once.  The raw tables come from private kernels that
 write into caller-given buffers: ``_raw_d`` sums the two theta products and
 the chi insertions (``_raw_chi``) in one table, ``_raw_wedge`` is one
 pair-product GEMM, and ``_project`` projects a table in place.  The public
-operations call them with fresh buffers.  ``identity_residuals``, the d o d
-and graded Leibniz checks of ``verify``, gives every check two tables of its
-residual's degree per trial, one for the result and one for scratch, carved
-from one workspace, and projects each residual once.  ``trial_batches`` is
-the one rule that sizes a batch of random trials, under ``STACK_BYTES``.
+operations call them with fresh buffers.  ``generator_residuals`` decides
+d o d = 0 and the graded Leibniz rule exactly, on the generators E_ij,
+theta^a and L_r (x) 1_m at degree 3 or less, in batches carved from one
+workspace.  ``trial_batches`` is the one rule that sizes a batch of stacked
+forms, under ``STACK_BYTES``.
 """
 
 from dataclasses import dataclass, field
@@ -64,12 +64,12 @@ __all__ = [
     "random_form",
     "trial_batches",
     "TrialDraws",
-    "identity_residuals",
+    "generator_residuals",
 ]
 
-# Bytes of stacked coefficient tables that one batch of random trials may keep,
-# counting every table a check holds at once and the draws alive beside them; a
-# trial whose own tables are larger runs alone.
+# Bytes of stacked coefficient tables that one batch of trials or generators may
+# keep, counting every table a check holds at once; one whose own tables are
+# larger runs alone.
 STACK_BYTES = 1 << 20
 
 
@@ -369,17 +369,16 @@ def wedge(xi, zeta):
     return Form(tower, p + q, _project(tower, p + q, raw))
 
 
-def _raw_wedge(tower, a, p, b, q, out=None):
+def _raw_wedge(tower, a, p, b, q):
     """The raw table of the product of degree-p ``a`` and degree-q ``b`` (tables or stacks).
 
-    One pair-product GEMM (``_pair_products``), written into the 1-d buffer
-    ``out`` when given, which must not hold ``a`` or ``b``; returns a
-    table-shaped view of the GEMM's result.
+    One pair-product GEMM (``_pair_products``); returns a table-shaped view
+    of the GEMM's result.
     """
     n, m = tower.n, tower.m
     a = a.reshape(_stack(a, p) + (n ** p, m, m))
     b = b.reshape(_stack(b, q) + (n ** q, m, m))
-    prod = _pair_products(a, b, out)
+    prod = _pair_products(a, b)
     return prod.reshape(prod.shape[:-4] + (n,) * (p + q) + (m, m))
 
 
@@ -600,30 +599,24 @@ def random_form(tower, degree, rng, count=None):
     return xi if count is not None else Form(tower, degree, xi.coeffs[0])
 
 
-def trial_batches(trials, per_trial, budget=None):
-    """Sizes of the batches that split ``trials`` random trials, in order.
+def trial_batches(trials, per_trial):
+    """Sizes of the batches that split ``trials`` trials or generators, in order.
 
-    A batch stacks as many trials as keep ``per_trial`` complex entries each
-    within ``budget`` entries, STACK_BYTES' worth when not given, and at
-    least one.
+    A batch stacks as many as keep ``per_trial`` complex entries each within
+    STACK_BYTES, and at least one.
     """
-    if budget is None:
-        budget = STACK_BYTES // np.dtype(complex).itemsize
-    size = max(1, budget // per_trial)
+    size = max(1, STACK_BYTES // np.dtype(complex).itemsize // per_trial)
     return [min(size, trials - start) for start in range(0, trials, size)]
 
 
 class TrialDraws:
-    """The random forms of a chunk of trials, drawn in one generator call.
+    """The random forms of a batch of trials, drawn in one generator call.
 
     Each of ``count`` trials draws one random form of each degree in
     ``degrees``, in order, as ``random_form`` draws it.  A per-trial loop
     reads those numbers from ``rng.standard_normal((count, total))`` row by
-    row, so this one call leaves the generator where the loop would, and a
-    trial's forms do not depend on how the chunk is split.  ``form(k,
-    trials)`` stacks form k of ``degrees`` over the trials in the slice
-    ``trials`` of the chunk, so each check may take the chunk's trials in
-    batches of its own size.
+    row, so this one call leaves the generator where the loop would.
+    ``form(k)`` stacks form k of ``degrees`` over the trials.
     """
 
     def __init__(self, tower, degrees, rng, count):
@@ -632,82 +625,63 @@ class TrialDraws:
         self._at = np.cumsum([0, *sizes]).tolist()
         self._rows = rng.standard_normal((count, self._at[-1]))
 
-    def form(self, k, trials=slice(None)):
-        """Form k of ``degrees`` of the ``trials`` (a slice of the chunk), as a stack."""
+    def form(self, k):
+        """Form k of ``degrees`` of every trial, as a stack."""
         tower, p = self._tower, self._degrees[k]
-        block = self._rows[trials, self._at[k]:self._at[k + 1]]
-        z = block.reshape(len(block), 2, -1)
+        z = self._rows[:, self._at[k]:self._at[k + 1]].reshape(len(self._rows), 2, -1)
         coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        shape = (len(block),) + (tower.n,) * p + (tower.m, tower.m)
+        shape = (len(self._rows),) + (tower.n,) * p + (tower.m, tower.m)
         return Form(tower, p, _project(tower, p, coeffs.reshape(shape)))
 
 
-def _dd_table(tower, om, bufs):
-    """The raw table of d applied to the form d(om), for a stack ``om``, built in bufs[0].
+def _generator_residual(tower, g, p, steps, bufs):
+    """|pi d g| (``steps`` 1) or |pi d(d g)| (``steps`` 2) for each form of the degree-p stack g.
 
-    bufs[1] is scratch.  d(om) is canonical, as d o d = 0 asks of forms;
-    projecting it is cheap, since it is n times smaller than the result.
+    The last d's raw table is built in bufs[0], with bufs[1] as scratch, and
+    projected in place; with two steps the first d is the public, projected one.
     """
-    return _raw_d(tower, exterior_d(om).coeffs, om.degree + 1, *bufs)
+    if steps == 2:
+        g, p = exterior_d(Form(tower, p, g)).coeffs, p + 1
+    return form_norm(Form(tower, p + 1, _project(tower, p + 1, _raw_d(tower, g, p, *bufs))))
 
 
-def _leibniz_table(tower, z, x, bufs):
-    """The raw table of d(z x) - d(z) x - (-1)^deg(z) z d(x) for stacks z, x, built in bufs[0].
+def generator_residuals(tower):
+    """The d o d = 0 and graded Leibniz residuals of the calculus, decided exactly on generators.
 
-    bufs[1] is scratch for d(z x), then holds each product in turn; the
-    derivatives d(z) and d(x) are fresh tables.
+    The raw d is a graded derivation of T(V) (x) M_m, since the co-frame is
+    central.  So Leibniz holds on Omega iff d maps the relation ideal into
+    itself, that is iff pi_3 d(L_r (x) 1_m) = 0 for the k columns L_r of
+    L = null(P^T).  Then d o d, an even derivation, vanishes on all of Omega
+    iff it vanishes on the generators E_ij (degree 0) and theta^a (degree 1).
+    Neither check goes above degree 3, which the tower must reach.  Each
+    residual is the worst |pi d(d g)| or |pi d g| over |g|, relative to the
+    scale of d: max(|lambda|^2, 1) for d o d, max(|lambda|, 1) for the ideal.
+    A check into a zero-rank space is zero and left out.  Each check takes
+    its generators in ``trial_batches`` batches, keeping a result and a
+    scratch table of its residual's degree per generator in one workspace.
+    Returns (d o d residual, Leibniz residual).
     """
-    p, q = z.degree, x.degree
-    zx = np.ascontiguousarray(_raw_wedge(tower, z.coeffs, p, x.coeffs, q))
-    res = _raw_d(tower, zx, p + q, *bufs)
-    res -= _raw_wedge(tower, _raw_d(tower, z.coeffs, p), p + 1, x.coeffs, q, bufs[1])
-    res -= _raw_wedge(tower, (-1.0) ** p * z.coeffs, p, _raw_d(tower, x.coeffs, q), q + 1,
-                      bufs[1])
-    return res
-
-
-def identity_residuals(tower, trials, rng):
-    """Worst d o d = 0 and graded Leibniz residuals over ``trials`` seeded random trials.
-
-    Each trial draws forms of degree 0..min(2, top - 2) for d o d, then one
-    (z, x) pair per Leibniz degree pair, in chunks of trials (``TrialDraws``)
-    that read a per-trial loop's generator stream.  Every check keeps two
-    tables of its residual's degree per trial, the result and scratch, in
-    one workspace made once, and takes a chunk's trials in batches that keep
-    those tables and the chunk's draws within STACK_BYTES; a chunk is the
-    largest such batch.  Each residual is one raw table, projected once.
-    d o d is relative to max(|om|, 1), Leibniz to max(|z| |x|, 1).
-    """
-    top, n, m = tower.max_degree, tower.n, tower.m
-    dd_degrees = range(min(2, top - 2) + 1)
-    pairs = [(dz, dx) for dz in range(2) for dx in range(2) if dz + dx + 1 <= top]
-    degrees = [*dd_degrees, *(d for pair in pairs for d in pair)]
-    # (table builder, draw indices, residual degree) of each check; a residual
-    # in a zero-rank space is exactly zero, so it is left out
-    dd = [(_dd_table, (k,), p + 2) for k, p in enumerate(dd_degrees)]
-    leibniz = [(_leibniz_table, (len(dd) + 2 * i, len(dd) + 2 * i + 1), dz + dx + 1)
-               for i, (dz, dx) in enumerate(pairs)]
-    checks = [c for c in dd + leibniz if tower.ranks[c[2]] > 0]
-    need = [2 * n ** p * m * m for *_, p in checks]
-    draw_size = sum(n ** p for p in degrees) * m * m
-    budget = STACK_BYTES // np.dtype(complex).itemsize
-    chunks = trial_batches(trials, draw_size + min(need), budget)
-    # the chunk's draws stay alive through every batch of every check
-    room = budget - chunks[0] * draw_size
-    workspace = np.empty(max(trial_batches(chunks[0], k, room)[0] * k for k in need),
-                         dtype=complex)
-    worst = {build: 0.0 for build, *_ in dd + leibniz}
-    for chunk in chunks:
-        draws = TrialDraws(tower, degrees, rng, chunk)
-        for (build, indices, p), k in zip(checks, need):
-            start = 0
-            for count in trial_batches(chunk, k, room):
-                forms = [draws.form(i, slice(start, start + count)) for i in indices]
-                start += count
-                size = count * k // 2
-                table = build(tower, *forms, (workspace[:size], workspace[size:2 * size]))
-                res = form_norm(Form(tower, p, _project(tower, p, table)))
-                scale = np.prod([form_norm(f) for f in forms], axis=0)
-                worst[build] = max(worst[build], float((res / np.maximum(scale, 1.0)).max()))
-        del draws  # before the next chunk draws its own
-    return worst[_dd_table], worst[_leibniz_table]
+    if tower.max_degree < 3:
+        raise DegreeError(f"generator checks need max_degree >= 3, got {tower.max_degree}")
+    n, m = tower.n, tower.m
+    one = np.eye(m, dtype=complex)
+    Lr = np.empty((0, n, n)) if tower.relations is None else tower.relations
+    # (generator stack, its degree, applications of d) for E_ij, theta^a and L_r (x) 1_m
+    checks = [(np.eye(m * m, dtype=complex).reshape(-1, m, m), 0, 2),
+              (np.eye(n)[:, :, None, None] * one, 1, 2),
+              (Lr.conj()[..., None, None] * one, 2, 1)]
+    checks = [(g, p, s, 2 * n ** (p + s) * m * m) for g, p, s in checks
+              if len(g) and tower.ranks[p + s] > 0]
+    sizes = [trial_batches(len(g), k)[0] * k for g, *_, k in checks]
+    workspace = np.empty(max(sizes, default=0), dtype=complex)
+    worst = {1: 0.0, 2: 0.0}  # by applications of d: 2 for d o d, 1 for the ideal
+    for gens, p, steps, k in checks:
+        start = 0
+        for count in trial_batches(len(gens), k):
+            g, size = gens[start:start + count], count * k // 2
+            start += count
+            bufs = workspace[:size], workspace[size:2 * size]
+            res = _generator_residual(tower, g, p, steps, bufs)
+            worst[steps] = max(worst[steps], float((res / form_norm(Form(tower, p, g))).max()))
+    lam = np.linalg.norm(tower.ga.subspace.lambdas)
+    return float(worst[2] / max(lam ** 2, 1.0)), float(worst[1] / max(lam, 1.0))

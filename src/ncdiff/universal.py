@@ -104,7 +104,8 @@ def verify_trace_lemma(basis_gamma, trials=20, seed=0):
     in the Kronecker representation of A (x) A.  The trials run in stacked
     batches; a batch keeps up to four m^2 x m^2 tables per trial: the
     products gamma_mu g, the sum and its two products with f.  Both residuals
-    are judged against ``bound`` = 1e-10 * m.
+    are judged against ``bound`` = 1e-10 * m.  ``seed`` is anything
+    ``numpy.random.default_rng`` takes, such as a child ``SeedSequence``.
     """
     gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, DEFAULT_TOL)
     m = gam.shape[1]

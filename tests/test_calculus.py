@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import generic_subspace
+from conftest import generic_subspace, random_identity_residuals
 
 from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff import linalg as ncdiff_linalg
@@ -887,10 +887,12 @@ def test_trial_batches_cover_trials(monkeypatch):
     monkeypatch.setattr(calculus, "STACK_BYTES", 3 * 16 * 100)
     assert calculus.trial_batches(7, 100) == [3, 3, 1]
     assert calculus.trial_batches(2, 1000) == [1, 1]
-    # an explicit budget, in complex entries, replaces STACK_BYTES
-    assert calculus.trial_batches(7, 100, budget=250) == [2, 2, 2, 1]
-    assert calculus.trial_batches(5, 100, budget=10 ** 6) == [5]
-    assert calculus.trial_batches(3, 100, budget=0) == [1, 1, 1]
+    monkeypatch.setattr(calculus, "STACK_BYTES", 250 * 16)
+    assert calculus.trial_batches(7, 100) == [2, 2, 2, 1]
+    monkeypatch.setattr(calculus, "STACK_BYTES", 10 ** 6 * 16)
+    assert calculus.trial_batches(5, 100) == [5]
+    monkeypatch.setattr(calculus, "STACK_BYTES", 0)
+    assert calculus.trial_batches(3, 100) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("make, top", [
@@ -899,7 +901,7 @@ def test_trial_batches_cover_trials(monkeypatch):
     pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4"),
 ])
 def test_kernels_into_nan_workspace_match_public_operations(make, top):
-    """d and wedge written into NaN-filled buffers, then projected in place, equal the public ops.
+    """d written into NaN-filled buffers, and the raw wedge, projected in place, equal the public ops.
 
     A kernel that read an entry of its buffers before writing it would carry
     a NaN into the table.
@@ -917,40 +919,62 @@ def test_kernels_into_nan_workspace_match_public_operations(make, top):
         assert np.array_equal(calculus._project(tower, p + 1, raw), exterior_d(xi).coeffs)
         for q in range(top - p + 1):
             zeta = random_form(tower, q, rng, 3)
-            raw = calculus._raw_wedge(tower, xi.coeffs, p, zeta.coeffs, q, nan_buffer(p + q))
+            raw = calculus._raw_wedge(tower, xi.coeffs, p, zeta.coeffs, q)
             table = calculus._project(tower, p + q, np.ascontiguousarray(raw))
             assert np.array_equal(table, wedge(xi, zeta).coeffs)
 
 
 @pytest.mark.parametrize("make, top", [
     pytest.param(lambda: _catalog_structure("a0", 3), 3, id="a0-m3"),
-    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 2, id="ellipsoid-m4"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 3, id="ellipsoid-m4"),
     pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4"),
 ])
 def test_identity_tables_in_nan_workspace_match_public_operations(make, top):
-    """verify's d o d and Leibniz tables, built in NaN-filled buffers, are the public residuals."""
+    """verify's generator tables, built in NaN-filled buffers, are the public residuals.
+
+    d(d g) for the E_ij and theta^a, and pi_3 d(L_r (x) 1_m) for the relation
+    columns, through ``exterior_d`` and ``canonicalize``.
+    """
     tower = build_tower(make(), top)
     n, m = tower.n, tower.m
-    rng = np.random.default_rng(4)
+    one = np.eye(m, dtype=complex)
+    Lr = tower.relations if tower.relations is not None else np.empty((0, n, n))
+    gens = [(np.eye(m * m, dtype=complex).reshape(-1, m, m), 0, 2),
+            (np.eye(n)[:, :, None, None] * one, 1, 2),
+            (Lr.conj()[..., None, None] * one, 2, 1)]
+    for g, p, steps in gens:
+        if not len(g):
+            continue
+        bufs = [np.full(len(g) * n ** (p + steps) * m * m, np.nan, dtype=complex)
+                for _ in range(2)]
+        got = calculus._generator_residual(tower, g, p, steps, bufs)
+        if steps == 2:
+            ref = form_norm(exterior_d(exterior_d(calculus.Form(tower, p, g))))
+        else:
+            ref = form_norm(calculus.Form(tower, 3, canonicalize(
+                tower, 3, calculus._raw_d(tower, g, p))))
+        assert np.all(np.abs(got - ref) <= 1e-13)
 
-    def bufs(degree):
-        return [np.full(4 * n ** degree * m * m, np.nan, dtype=complex) for _ in range(2)]
 
-    def residual(degree, table):
-        return form_norm(calculus.Form(tower, degree, calculus._project(tower, degree, table)))
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("su2", 3), id="su2-m3"),
+    pytest.param(lambda: genalg.detect_structure(catalog.su2(4).subspace), id="su2-m4-auto"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), id="clock-shift-m5"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), id="ellipsoid-m4"),
+    pytest.param(lambda: _catalog_structure("a0", 2), id="a0-m2"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+    pytest.param(lambda: _generic_structure(2, 2, 1), id="generic-m2-n2"),
+])
+def test_raw_d_is_a_graded_derivation(make):
+    """The raw d is a graded derivation of T(V) (x) M_m on random raw tables.
 
-    for p in range(top - 1):
-        om = random_form(tower, p, rng, 4)
-        ref = form_norm(exterior_d(exterior_d(om)))
-        got = residual(p + 2, calculus._dd_table(tower, om, bufs(p + 2)))
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(form_norm(om), 1.0))
-    for dz in range(2):
-        for dx in range(2):
-            if dz + dx + 1 > top:
-                continue
-            z, x = random_form(tower, dz, rng, 4), random_form(tower, dx, rng, 4)
-            lhs = exterior_d(wedge(z, x))
-            rhs = wedge(exterior_d(z), x) + (-1.0) ** dz * wedge(z, exterior_d(x))
-            got = residual(dz + dx + 1, calculus._leibniz_table(tower, z, x, bufs(dz + dx + 1)))
-            scale = np.maximum(form_norm(z) * form_norm(x), 1.0)
-            assert np.all(np.abs(got - form_norm(lhs - rhs)) <= 1e-13 * scale)
+    This is the fact that lets ``generator_residuals`` decide d o d = 0 and
+    the Leibniz rule on generators; the random-trial residuals of the
+    projected forms stay at rounding level too.
+    """
+    tower = build_tower(make(), 3)
+    _, raw_leibniz = random_identity_residuals(tower, 5, np.random.default_rng(7), raw=True)
+    dd, leibniz = random_identity_residuals(tower, 5, np.random.default_rng(7))
+    scale = max(np.linalg.norm(tower.ga.subspace.lambdas), 1.0)
+    assert raw_leibniz < 1e-14 * scale
+    assert max(dd, leibniz) < 1e-12

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
@@ -14,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import generic_subspace
+from conftest import generic_subspace, random_identity_residuals
 
 from ncdiff import calculus, cli, formats, genalg, universal
 from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, su2, universal_A0
-from ncdiff.linalg import DEFAULT_TOL
+from ncdiff.errors import DegreeError
+from ncdiff.linalg import DEFAULT_TOL, _at_slot
 
 
 @pytest.fixture
@@ -192,7 +194,11 @@ def test_forms_large_regime_in_a_capped_process(tmp_path, write, top, D):
 
 @pytest.mark.large
 def test_verify_large_projection_in_a_capped_process(tmp_path):
-    """verify on generic (4, 6) to degree 4 projects onto W_4 (1296 x 405) and passes, capped."""
+    """verify on generic (4, 6) builds the tower to degree 4 and passes, capped.
+
+    D_4 = 405 is decided without forming W_4; the identity checks project onto
+    W_3 (216 x 108) at most.
+    """
     path = tmp_path / "algebra.json"
     _generic_file(4, 6)(path)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -202,6 +208,22 @@ def test_verify_large_projection_in_a_capped_process(tmp_path):
     assert run.returncode == 0, run.stderr
     sec = {s["name"]: s for s in json.loads(run.stdout)["sections"]}
     assert all(s["status"] == "pass" for s in sec.values())
+
+
+@pytest.mark.large
+def test_verify_su3_commutator_degree8_in_a_capped_process(tmp_path):
+    """verify on su(3) with commutator relations to degree 8: exact sections, capped, exit 0."""
+    path = tmp_path / "algebra.json"
+    extra = _su3_commutator_file(path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["verify", str(path), *extra, "--max-degree", "8", "--format", "json"]
+    run = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    sec = {s["name"]: s for s in json.loads(run.stdout)["sections"]}
+    assert all(s["status"] == "pass" for s in sec.values())
+    for name in ("d_squared_zero", "graded_leibniz"):
+        assert sec[name]["method"] == "exact on generators"
 
 
 @pytest.mark.parametrize("command", ["forms", "verify"])
@@ -259,7 +281,8 @@ def _judged_sections(rep, command):
     sec = {s["name"]: s for s in rep["sections"]}
     out = []
     for name in JUDGED[command]:
-        residuals = [v for k, v in sec[name].items() if k not in ("name", "status", "bound")]
+        residuals = [v for k, v in sec[name].items()
+                     if k not in ("name", "status", "bound", "method")]
         out.append((sec[name]["status"], max(residuals), sec[name]["bound"]))
     return out
 
@@ -437,35 +460,6 @@ def test_python_dash_m_runs_cli(tmp_path, clock_file, module):
     assert "Traceback" not in bad.stderr
 
 
-def _verify_trials_reference(tower, trials, rng):
-    """verify's d o d, graded Leibniz and universal-identity loops, one trial at a time."""
-    worst_dd, worst_leib = 0.0, 0.0
-    top = tower.max_degree
-    for _ in range(trials):
-        for deg in range(min(2, top - 2) + 1):
-            om = calculus.random_form(tower, deg, rng)
-            res = calculus.form_norm(calculus.exterior_d(calculus.exterior_d(om)))
-            worst_dd = max(worst_dd, res / max(calculus.form_norm(om), 1.0))
-        for dz in range(0, 2):
-            for dx in range(0, 2):
-                if dz + dx + 1 > top:
-                    continue
-                z = calculus.random_form(tower, dz, rng)
-                x = calculus.random_form(tower, dx, rng)
-                lhs = calculus.exterior_d(calculus.wedge(z, x))
-                rhs = calculus.wedge(calculus.exterior_d(z), x) + \
-                    (-1.0) ** dz * calculus.wedge(z, calculus.exterior_d(x))
-                scale = max(calculus.form_norm(z) * calculus.form_norm(x), 1.0)
-                worst_leib = max(worst_leib, calculus.form_norm(lhs - rhs) / scale)
-    m = tower.m
-    th = universal.theta_u(np.concatenate([np.eye(m, dtype=complex)[None], gell_mann_basis(m)]))
-    worst_u = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        worst_u = max(worst_u, float(np.linalg.norm(universal.commutator(f, th) - universal.du(f))))
-    return worst_dd, worst_leib, worst_u
-
-
 def _entry_structure(name, m):
     e = build_entry(name, m)
     return (genalg.use_relations(e.subspace, e.suggested_alpha) if e.suggested_alpha is not None
@@ -475,45 +469,51 @@ def _entry_structure(name, m):
 @pytest.mark.parametrize("batch", [None, 3, 12])
 @pytest.mark.parametrize("name, m, top", [
     ("su2", 3, 3), ("clock-shift", 3, 2), ("a0", 2, 4),
-    # a0(3) has no basis at any degree; generic (3, 4) projects at the top degree, 4;
-    # su2 takes its embedded commutator relations
+    # a0(3) has no basis at any degree; generic (3, 4) projects at degree 3;
+    # su2 takes its embedded commutator relations; clock-shift(3) at
+    # --max-degree 2 is checked on a degree-3 tower, as verify builds it
     ("a0", 3, 3), ("generic", 3, 4), ("su2", 4, 3),
 ])
 def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
-    """Stacked verify trials read the per-trial generator stream and find its residuals.
+    """verify's batched generator checks and the random-trial loop agree: both pass below 1e-12.
 
-    With ``batch`` the byte cap holds that many tables of the top degree.  The
-    checks keep two tables of their own degrees per trial, beside the chunk's
-    draws, so at 12 the d o d and Leibniz checks split the seven trials into
-    different numbers of batches.
+    With ``batch`` the byte cap holds that many tables of degree 3; a check
+    keeps two tables of its residual's degree per generator, so at 3 each
+    theta^a runs alone while the E_ij share batches.  Every generator is taken
+    once, and the residuals do not depend on the batching.
     """
     G = (genalg.detect_structure(generic_subspace(m, 2 * (m - 1), 0)) if name == "generic"
          else _entry_structure(name, m))
-    tower = calculus.build_tower(G, top)
+    if top < 3:
+        with pytest.raises(DegreeError):
+            calculus.generator_residuals(calculus.build_tower(G, top))
+    tower = calculus.build_tower(G, max(top, 3))
+    unbatched = calculus.generator_residuals(tower)
     if batch:
-        monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** min(top, 4) * m * m)
+        monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** 3 * m * m)
     stacks = {}
-    for name in ("_dd_table", "_leibniz_table"):
-        table = getattr(calculus, name)
+    residual = calculus._generator_residual
 
-        def spy(tower, *args, table=table):
-            key = tuple(f.degree for f in args[:-1])
-            stacks.setdefault(key, []).append(args[0].stack[0])
-            return table(tower, *args)
+    def spy(tower, g, p, steps, bufs):
+        stacks.setdefault((p, steps), []).append(len(g))
+        return residual(tower, g, p, steps, bufs)
 
-        monkeypatch.setattr(calculus, name, spy)
+    monkeypatch.setattr(calculus, "_generator_residual", spy)
     args = argparse.Namespace(tol=DEFAULT_TOL, trials=7, seed=5)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    sec = {s["name"]: s for s in cli._verify_sections(G, tower, args, rng)}
-    ref = _verify_trials_reference(tower, args.trials, ref_rng)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for key, worst in zip(("d_squared_zero", "graded_leibniz", "universal_identity"), ref):
-        assert sec[key]["status"] == "pass"
-        assert abs(sec[key]["residual"] - worst) < 1e-14
-    # every check that ran took each trial once
-    assert all(sum(sizes) == args.trials for sizes in stacks.values())
-    if batch == 12:
-        assert len({len(sizes) for sizes in stacks.values()}) > 1, stacks
+    sec = {s["name"]: s for s in cli._verify_sections(G, tower, args)}
+    random = random_identity_residuals(tower, args.trials, np.random.default_rng(5))
+    for key, exact, trial in zip(("d_squared_zero", "graded_leibniz"), unbatched, random):
+        assert sec[key]["status"] == "pass" and sec[key]["method"] == "exact on generators"
+        assert abs(sec[key]["residual"] - exact) < 1e-16
+        assert sec[key]["residual"] < 1e-12 and trial < 1e-12
+    # a check into a zero-rank space is left out: clock-shift(3) has D_3 = 0
+    k = len(tower.relations) if tower.relations is not None else 0
+    D3 = tower.ranks[3]
+    expected = {(0, 2): m * m, (1, 2): tower.n * (D3 > 0), (2, 1): k * (D3 > 0)}
+    assert {key: sum(sizes) for key, sizes in stacks.items()} == {
+        key: count for key, count in expected.items() if count}
+    if batch == 3 and D3:
+        assert set(stacks[1, 2]) == {1} and len(stacks[0, 2]) < m * m, stacks
 
 
 def _traced_peak(argv):
@@ -608,6 +608,122 @@ def test_verify_fails_on_broken_chi(monkeypatch, capsys, tmp_path):
     assert code == cli.EXIT_VERIFY
     sec = {s["name"]: s for s in rep["sections"]}
     assert sec["d_squared_zero"]["status"] == "fail"
+
+
+def _su2_file(tmp_path, m, kappa=1.0):
+    e = su2(m, kappa=kappa)
+    path = str(tmp_path / f"su2-{m}.json")
+    formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    return path
+
+
+def _chi_with_later_slots_flipped(F, coeffs, p, out=None, tmp=None):
+    """``calculus._raw_chi`` with the sign of every slot q >= 2 flipped."""
+    n = F.shape[0]
+    s = len(calculus._stack(coeffs, p))
+    shape = coeffs.shape[:s] + (n,) * (p + 1) + coeffs.shape[-2:]
+    Fm = F.reshape(n, n * n).T
+    table = _at_slot(-Fm, coeffs, s, out).reshape(shape)
+    for q in range(2, p + 1):
+        table -= _at_slot((-1) ** q * Fm, coeffs, s + q - 1, tmp).reshape(shape)
+    return table
+
+
+@pytest.mark.parametrize("m, mode, caught_by, residual", [
+    # the auto relations stay an ideal under the broken d, but d o d fails on generators
+    (3, "auto", "d_squared_zero", 0.255452014912),
+    (4, "auto", "d_squared_zero", 0.131736469341),
+    # the commutator relations do not: d leaves their ideal
+    (3, "embedded", "graded_leibniz", 1 / 3),
+    (4, "embedded", "graded_leibniz", 0.210818510678),
+])
+def test_verify_fails_on_chi_with_later_slots_flipped(monkeypatch, capsys, tmp_path, m, mode,
+                                                      caught_by, residual):
+    """Negative control: chi with the sign of its slots q >= 2 flipped fails verify.
+
+    Each case records the section that catches it and its residual; the other
+    of the two generator sections stays at rounding level.
+    """
+    path = _su2_file(tmp_path, m)
+    monkeypatch.setattr(calculus, "_raw_chi", _chi_with_later_slots_flipped)
+    code, rep = _run_json(capsys, ["verify", path, "--alpha", mode, "--trials", "3"])
+    assert code == cli.EXIT_VERIFY
+    sec = {s["name"]: s for s in rep["sections"]}
+    other = ({"d_squared_zero", "graded_leibniz"} - {caught_by}).pop()
+    assert sec[caught_by]["status"] == "fail"
+    assert sec[caught_by]["residual"] == pytest.approx(residual, rel=1e-6)
+    assert sec[other]["status"] == "pass" and sec[other]["residual"] < 1e-14
+
+
+@pytest.mark.parametrize("kappa", [1e2, 3e3, 1e4])
+def test_verify_scale_covariant_on_scaled_su2(monkeypatch, capsys, tmp_path, kappa):
+    """su2(m=4) times kappa passes verify, with d o d judged relative to |lambda|^2.
+
+    With chi negated, d_squared_zero still fails at every kappa.
+    """
+    path = _su2_file(tmp_path, 4, kappa)
+    argv = ["verify", path, "--max-degree", "3", "--seed", "1"]
+    code, rep = _run_json(capsys, argv)
+    assert code == cli.EXIT_OK
+    sec = {s["name"]: s for s in rep["sections"]}
+    assert sec["d_squared_zero"]["residual"] < 1e-14
+    assert sec["graded_leibniz"]["residual"] < 1e-14
+    raw_chi = calculus._raw_chi
+
+    def negated_chi(*args):
+        table = raw_chi(*args)
+        return np.negative(table, out=table)
+
+    monkeypatch.setattr(calculus, "_raw_chi", negated_chi)
+    code, rep = _run_json(capsys, argv)
+    assert code == cli.EXIT_VERIFY
+    assert {s["name"]: s for s in rep["sections"]}["d_squared_zero"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("mode", ["auto", "embedded"])
+def test_verify_max_degree_2_checks_exactly(monkeypatch, capsys, tmp_path, mode):
+    """At --max-degree 2 both generator sections still run exactly, through degree 3.
+
+    They report what --max-degree 3 reports, and the flipped-chi control that
+    only a degree-3 check catches (graded_leibniz on the commutator relations)
+    still fails.
+    """
+    path = _su2_file(tmp_path, 3)
+    reports = {}
+    for top in ("2", "3"):
+        code, rep = _run_json(capsys, ["verify", path, "--alpha", mode, "--max-degree", top])
+        assert code == cli.EXIT_OK
+        reports[top] = [s for s in rep["sections"]
+                        if s["name"] in ("d_squared_zero", "graded_leibniz")]
+    assert [s["method"] for s in reports["2"]] == ["exact on generators"] * 2
+    assert reports["2"] == reports["3"]
+    monkeypatch.setattr(calculus, "_raw_chi", _chi_with_later_slots_flipped)
+    code, rep = _run_json(capsys, ["verify", path, "--alpha", mode, "--max-degree", "2"])
+    assert code == cli.EXIT_VERIFY
+    failed = {s["name"] for s in rep["sections"] if s["status"] == "fail"}
+    assert failed == {"d_squared_zero" if mode == "auto" else "graded_leibniz"}
+
+
+def test_verify_random_sections_draw_separate_streams(monkeypatch, capsys, clock_file):
+    """trace_lemma and universal_identity each draw from their own child stream of --seed."""
+    firsts = {}
+    trace_lemma, identity = universal.verify_trace_lemma, universal.universal_identity_residual
+
+    def spy_trace_lemma(gammas, trials, seed):
+        firsts["trace_lemma"] = np.random.default_rng(seed).standard_normal(8)
+        return trace_lemma(gammas, trials=trials, seed=seed)
+
+    def spy_identity(gammas, trials, rng):
+        firsts["universal_identity"] = copy.deepcopy(rng).standard_normal(8)
+        return identity(gammas, trials, rng)
+
+    monkeypatch.setattr(universal, "verify_trace_lemma", spy_trace_lemma)
+    monkeypatch.setattr(universal, "universal_identity_residual", spy_identity)
+    code, rep = _run_json(capsys, ["verify", clock_file, "--seed", "42"])
+    assert code == cli.EXIT_OK and rep["seed"] == 42
+    plain = np.random.default_rng(42).standard_normal(8)
+    draws = [firsts["trace_lemma"], firsts["universal_identity"], plain]
+    assert all(not np.array_equal(a, b) for i, a in enumerate(draws) for b in draws[i + 1:])
 
 
 def test_verify_fails_on_broken_degree0_d(monkeypatch, capsys, tmp_path):

@@ -135,6 +135,40 @@ def test_trace_lemma_matches_loop(m, monkeypatch):
     assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
 
 
+def _universal_identity_loop(gam, trials, rng):
+    """universal_identity_residual one trial at a time: f's real part, then its imaginary part."""
+    th = theta_u(gam)
+    worst = 0.0
+    for _ in range(trials):
+        f = rng.standard_normal(gam.shape[1:]) + 1j * rng.standard_normal(gam.shape[1:])
+        worst = max(worst, np.linalg.norm(commutator(f, th) - du(f)))
+    return worst
+
+
+@pytest.mark.parametrize("fake_duals", [False, True])
+@pytest.mark.parametrize("m", [2, 3])
+def test_universal_identity_matches_loop(m, fake_duals, monkeypatch):
+    """The stacked residual is the per-trial loop's, batched or not, and leaves the same stream.
+
+    Random "duals" make the residual O(1), so the comparison is not one of
+    rounding noise; the true duals compare at rounding level.
+    """
+    if fake_duals:
+        rng = np.random.default_rng(11)
+        fake = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
+        monkeypatch.setattr(universal, "matrix_basis_duals", lambda gam, tol: fake)
+    gam = _full_basis(m)
+    ref_rng = np.random.default_rng(5)
+    ref = _universal_identity_loop(gam, 7, ref_rng)
+    assert (ref > 1.0) == fake_duals
+    for stack_bytes in (calculus.STACK_BYTES, 1):  # 1: batches of one trial
+        monkeypatch.setattr(calculus, "STACK_BYTES", stack_bytes)
+        rng = np.random.default_rng(5)
+        worst = universal.universal_identity_residual(gam, 7, rng)
+        assert worst == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
