@@ -24,19 +24,15 @@ from .calculus import (
     check_structure_equations,
     coframe,
     coframe_from_formula,
-    contract,
     epsilon_check,
     exterior_d,
     form_norm,
-    scalar_form,
     theta,
     wedge,
-    zero_form,
 )
 from .genalg import (
     GAStructure,
     build_projector,
-    detect_relations,
     detect_structure,
     structure_constants,
     use_relations,
@@ -52,4 +48,4 @@ from .maps import (
     pullback,
     pushforward,
 )
-from .universal import commutator, du, theta_u, theta_u_a, verify_trace_lemma
+from .universal import commutator, du, theta_u, verify_trace_lemma

@@ -1,6 +1,7 @@
 """The differential calculus over a generalised algebra: co-frame 1-forms,
-the tower of canonical p-form spaces, wedge product, contraction, the
-insertion map chi, and the exterior derivative d = -[theta, .] + chi.
+the tower of canonical p-form spaces, wedge product, the insertion map chi,
+the exterior derivative d = -[theta, .] + chi, and the checks of its
+identities.
 
 Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
 the ideal generated by the quadratic relations: L = null(P^T) lifted to
@@ -13,7 +14,7 @@ D-sized Gram (``linalg._full_rank``); then N_p comes from a QR, and the top
 degree needs nothing more.  Only a K_p that the proof does not cover takes an
 SVD.  A basis W_p (n^p x D_p) is formed only when something first projects
 onto degree p (``FormTower.basis``), so ``forms``, which reads only the ranks,
-forms none.
+forms none; ``epsilon_check`` reads W_p off a tower built to degree p.
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -40,23 +41,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import matrix_basis_duals
-from .errors import DegreeError, ShapeError
+from .errors import DegreeError
 from .linalg import DEFAULT_TOL, _at_slot, _full_rank, _pair_products, _rank, rank_nullspace
 
 __all__ = [
     "FormTower",
     "Form",
     "build_tower",
-    "zero_form",
-    "scalar_form",
     "coframe",
     "theta",
     "wedge",
-    "contract",
     "chi",
     "exterior_d",
-    "lmul",
-    "rmul",
     "form_norm",
     "epsilon_check",
     "check_structure_equations",
@@ -237,14 +233,6 @@ def _relation_pairs(G, tol):
     return L.T.conj().reshape(-1, n, n) if L.shape[1] else None
 
 
-def _factors(Lr, n, top, tol):
-    """The factors N_p for p = 1..``top``: N_1 = I_n, then each from K_p by ``_null_factor``."""
-    factors = {1: np.eye(n, dtype=complex)}
-    for p in range(2, top + 1):
-        factors[p] = _null_factor(factors[p - 1], Lr, n, tol)
-    return factors
-
-
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
     """Canonical ranks and factors up to ``max_degree``.
 
@@ -262,7 +250,9 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     factors = {}
     Lr = _relation_pairs(G, tol) if max_degree >= 2 else None
     if Lr is not None:
-        factors = _factors(Lr, n, max_degree - 1, tol)
+        factors = {1: np.eye(n, dtype=complex)}
+        for p in range(2, max_degree):
+            factors[p] = _null_factor(factors[p - 1], Lr, n, tol)
         ranks.update((p, N.shape[1]) for p, N in factors.items())
         N = factors[max_degree - 1]
         rows, cols = N.shape[0] // n * Lr.shape[0], N.shape[1] * n
@@ -314,20 +304,6 @@ def _check_degree(tower, p):
         raise DegreeError("negative degree")
 
 
-def zero_form(tower, degree):
-    _check_degree(tower, degree)
-    n, m = tower.n, tower.m
-    return Form(tower, degree, np.zeros((n,) * degree + (m, m), dtype=complex))
-
-
-def scalar_form(tower, f):
-    """Wrap a matrix as a degree-0 form."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (tower.m, tower.m):
-        raise ShapeError(f"expected shape ({tower.m}, {tower.m}), got {f.shape}")
-    return Form(tower, 0, f)
-
-
 def coframe(tower, a):
     """The basis 1-form theta^a: coefficient 1 at index a."""
     n, m = tower.n, tower.m
@@ -341,18 +317,6 @@ def coframe(tower, a):
 def theta(tower):
     """theta = -lambda_a theta^a, the generator of d on degree 0."""
     return Form(tower, 1, -tower.ga.subspace.lambdas.copy())
-
-
-def lmul(f, xi):
-    """Left module action f . xi."""
-    f = np.asarray(f, dtype=complex)
-    return Form(xi.tower, xi.degree, f @ xi.coeffs)
-
-
-def rmul(xi, f):
-    """Right module action xi . f."""
-    f = np.asarray(f, dtype=complex)
-    return Form(xi.tower, xi.degree, xi.coeffs @ f)
 
 
 def wedge(xi, zeta):
@@ -380,23 +344,6 @@ def _raw_wedge(tower, a, p, b, q):
     b = b.reshape(_stack(b, q) + (n ** q, m, m))
     prod = _pair_products(a, b)
     return prod.reshape(prod.shape[:-4] + (n,) * (p + q) + (m, m))
-
-
-def contract(xi, indices):
-    """Evaluate xi on the derivations (e_{b1}, ..., e_{bp}).
-
-    The coefficients of a form are canonical, so this is the coefficient at
-    (b1, ..., bp); for xi = theta^a theta^b it is the entry P^{ab}_{b1 b2}
-    of the projector times the identity.
-    """
-    p = xi.degree
-    indices = tuple(indices)
-    if len(indices) != p:
-        raise ShapeError(f"need {p} indices, got {len(indices)}")
-    n = xi.tower.n
-    if not all(0 <= b < n for b in indices):
-        raise IndexError(f"derivation indices {indices} out of range 0..{n - 1}")
-    return xi.coeffs[(Ellipsis,) + indices + (slice(None), slice(None))].copy()
 
 
 def _raw_chi(F, coeffs, p, out=None, tmp=None):
@@ -492,10 +439,8 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
     the solutions are the X in every lifted range(alpha): conj(W_p), the
     canonical space of dimension D_p (X is every tensor at a degree without
-    relations).  W_p is needed at once, so every factor N_q, degree p
-    included, comes from ``_null_factor`` (``_factors``): a Cholesky and a
-    complete QR where K_q has full rank, else an SVD, with no rank-only pass.
-    Each eps_t = (1 (x) beta (x) 1) X.
+    relations).  W_p is ``build_tower(G, p, tol).basis(p)``, so D_p is decided
+    by the code that decides it for ``forms``.  Each eps_t = (1 (x) beta (x) 1) X.
     Returns (exists, basis, dim) where ``exists`` means a nonzero solution
     exists at tolerance; basis columns use the unknown layout x[t, A, r]
     with A in n^(p-2) row-major.
@@ -506,10 +451,7 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     R = G.R
     if R == 0:
         return False, None, 0
-    Lr = _relation_pairs(G, tol)
-    W = None
-    for N in ({} if Lr is None else _factors(Lr, n, p, tol)).values():  # from N_1 = I_n
-        W = _lift(W, N, n)
+    W = build_tower(G, p, tol).basis(p)
     X = np.eye(n ** p, dtype=complex) if W is None else W.conj()
     dim = X.shape[1]
     if dim == 0:
@@ -655,7 +597,8 @@ def generator_residuals(tower):
     iff it vanishes on the generators E_ij (degree 0) and theta^a (degree 1).
     Neither check goes above degree 3, which the tower must reach.  Each
     residual is the worst |pi d(d g)| or |pi d g| over |g|, relative to the
-    scale of d: max(|lambda|^2, 1) for d o d, max(|lambda|, 1) for the ideal.
+    scale of d: |lambda|^2 for d o d, |lambda| for the ideal, so a small basis
+    is judged as strictly as a large one.
     A check into a zero-rank space is zero and left out.  Each check takes
     its generators in ``trial_batches`` batches, keeping a result and a
     scratch table of its residual's degree per generator in one workspace.
@@ -684,4 +627,4 @@ def generator_residuals(tower):
             res = _generator_residual(tower, g, p, steps, bufs)
             worst[steps] = max(worst[steps], float((res / form_norm(Form(tower, p, g))).max()))
     lam = np.linalg.norm(tower.ga.subspace.lambdas)
-    return float(worst[2] / max(lam ** 2, 1.0)), float(worst[1] / max(lam, 1.0))
+    return float(worst[2] / lam ** 2), float(worst[1] / lam)

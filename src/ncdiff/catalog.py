@@ -98,17 +98,14 @@ def universal_A0(m, tol=DEFAULT_TOL):
     )
 
 
-def su2(m, hermitian=False, kappa=1.0, tol=DEFAULT_TOL):
-    """Spin-j representation of su(2); anti-Hermitian lambda = -i kappa J by
-    default.  The suggested relations keep only the three commutator columns,
-    ignoring the Casimir."""
+def su2(m, kappa=1.0, tol=DEFAULT_TOL):
+    """Spin-j representation of su(2) with anti-Hermitian lambda = -i kappa J.
+
+    The suggested relations keep only the three commutator columns, ignoring
+    the Casimir."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    J = spin_matrices(m)
-    if hermitian:
-        lams = [kappa * Ji for Ji in J]
-    else:
-        lams = [-1j * kappa * Ji for Ji in J]
+    lams = [-1j * kappa * Ji for Ji in spin_matrices(m)]
     B = validate_subspace(m, lams, tol=tol, label=f"su2(m={m})")
     cols = []
     for c in range(3):
@@ -117,7 +114,7 @@ def su2(m, hermitian=False, kappa=1.0, tol=DEFAULT_TOL):
     alpha = np.column_stack(cols)
     return CatalogEntry(
         name="su2",
-        parameters={"m": m, "hermitian": hermitian, "kappa": kappa},
+        parameters={"m": m, "kappa": kappa},
         subspace=B,
         suggested_alpha=alpha,
         expected={

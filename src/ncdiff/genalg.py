@@ -15,7 +15,6 @@ from .linalg import DEFAULT_TOL, _pair_products, _rank, rank_nullspace
 
 __all__ = [
     "GAStructure",
-    "detect_relations",
     "build_projector",
     "structure_constants",
     "detect_structure",
@@ -56,17 +55,6 @@ def structure_constants(B, D):
     rho = (prod - np.einsum("abc,aij->bcij", F, B.lambdas)
            - np.einsum("bc,ij->bcij", t / B.m, np.eye(B.m)))
     return F, t, rho
-
-
-def detect_relations(B, D, tol=DEFAULT_TOL):
-    """Maximal relation matrix alpha and its rank R.
-
-    alpha spans the right kernel of the map sending a pair-indexed vector
-    v^{ab} to sum_ab v^{ab} eta_perp(lambda_a lambda_b).  R = 0 is a valid
-    result and means B is not a generalised algebra (for nontrivial 2-forms).
-    """
-    _, _, rho = structure_constants(B, D)
-    return _relations_from_rho(rho, D, tol)
 
 
 def _relations_from_rho(rho, D, tol):

@@ -17,11 +17,6 @@ EPS = np.finfo(float).eps
 GRAM_BLOCK_BYTES = 1 << 18
 
 
-def dagger(f):
-    """Conjugate transpose."""
-    return np.asarray(f).conj().T
-
-
 def inner(f, g):
     """Trace inner product tr(f^dag g).
 

@@ -1,4 +1,6 @@
-"""Degree-1 slice of the universal calculus over M_m(C).
+"""Degree-1 slice of the universal calculus over M_m(C): the universal
+differential du, the form theta_u that generates it, and the two checks that
+verify runs on them (the trace lemma and du(f) = -[theta_u, f]).
 
 An element X = sum_k f_k (x) g_k of A (x) A is held as one m^2 x m^2 array,
 its Kronecker matrix sum_k kron(f_k, g_k); that is faithful and never
@@ -17,14 +19,12 @@ import numpy as np
 from .algebra import matrix_basis_duals
 from .calculus import trial_batches
 from .errors import ShapeError
-from .linalg import DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL
 
 __all__ = [
     "commutator",
     "du",
     "theta_u",
-    "theta_u_a",
-    "contract_ad",
     "verify_trace_lemma",
     "universal_identity_residual",
 ]
@@ -72,23 +72,6 @@ def theta_u(basis_gamma, tol=DEFAULT_TOL):
     gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, tol)
     m = gam.shape[1]
     return _kron_sum(gam / m, gdual_dag) - np.eye(m * m)
-
-
-def theta_u_a(basis_gamma, D, a, tol=DEFAULT_TOL):
-    """theta^a_u = sum_mu gamma_mu lambda^{a dag} (x) gamma^{mu dag}."""
-    gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, tol)
-    return _kron_sum(gam @ dagger(D.duals[a]), gdual_dag)
-
-
-def contract_ad(X, h):
-    """Contraction of sum f_i (x) g_i against the derivation ad(h): sum f_i [h, g_i].
-
-    Through the multiplication map f (x) g -> fg, which is sum_j X[(i, j), (j, l)]:
-    sum f h g is the product of X.reshape(m, m, m, m)[i, k, j, l] against h[j, k].
-    """
-    h = np.asarray(h, dtype=complex)
-    X4 = X.reshape(h.shape * 2)
-    return np.einsum("ikjl,jk->il", X4, h) - np.einsum("ijjl->il", X4) @ h
 
 
 def _worst_norm(stack):

@@ -10,6 +10,7 @@ import pytest
 
 from ncdiff import algebra, calculus, genalg, maps, universal
 from ncdiff.calculus import (
+    Form,
     build_tower,
     canonicalize,
     coframe,
@@ -17,7 +18,6 @@ from ncdiff.calculus import (
     exterior_d,
     form_norm,
     random_form,
-    scalar_form,
     theta,
     wedge,
 )
@@ -250,7 +250,7 @@ def test_criterion_10_negative_controls():
         phi = maps.LinearMap(G.subspace, G.subspace, M)
         f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f -= np.trace(f) * np.eye(2) / 2
-        xi = scalar_form(tower, f)
+        xi = Form(tower, 0, f)
         res = form_norm(maps.pullback(phi, exterior_d(xi), tower)
                         - exterior_d(maps.pullback(phi, xi, tower)))
         witnessed = max(witnessed, res)

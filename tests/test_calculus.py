@@ -9,22 +9,19 @@ from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff import linalg as ncdiff_linalg
 from ncdiff.algebra import validate_subspace
 from ncdiff.calculus import (
+    Form,
     build_tower,
     canonicalize,
     check_structure_equations,
     chi,
     coframe,
     coframe_from_formula,
-    contract,
     epsilon_check,
     exterior_d,
     form_norm,
-    lmul,
     random_form,
-    rmul,
     theta,
     wedge,
-    zero_form,
 )
 from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import clock_shift, gell_mann_basis
@@ -64,9 +61,10 @@ def test_canonicalize_idempotent(clock3_tower, rng):
 
 
 def test_contract_clock_values(clock3_tower):
+    """A canonical form evaluated on (e_b1, e_b2) is its coefficient at (b1, b2)."""
     xi = wedge(coframe(clock3_tower, 0), coframe(clock3_tower, 1))
-    c01 = contract(xi, (0, 1))
-    c10 = contract(xi, (1, 0))
+    c01 = xi.coeffs[0, 1]
+    c10 = xi.coeffs[1, 0]
     assert np.allclose(c01, 0.5 * np.eye(3), atol=1e-12)
     assert np.allclose(c10, (-np.conj(Q3) / 2) * np.eye(3), atol=1e-12)
 
@@ -76,7 +74,7 @@ def test_contract_annihilates_relations(clock3_tower):
     t21 = wedge(coframe(clock3_tower, 1), coframe(clock3_tower, 0))
     rel = Q3 * t12 + t21
     for idx in ((0, 1), (1, 0), (0, 0), (1, 1)):
-        assert np.linalg.norm(contract(rel, idx)) < 1e-12
+        assert np.linalg.norm(rel.coeffs[idx]) < 1e-12
 
 
 def test_wedge_degree_overflow(pauli_tower):
@@ -95,7 +93,7 @@ def test_theta_coefficients(pauli_tower):
 def test_exterior_d_degree0(pauli_tower):
     lam = pauli_tower.ga.subspace.lambdas
     f = lam[2]  # sigma_z
-    df = exterior_d(calculus.scalar_form(pauli_tower, f))
+    df = exterior_d(Form(pauli_tower, 0, f))
     # df coefficients are [lambda_a, f].
     for a in range(3):
         assert np.allclose(df.coeffs[a], lam[a] @ f - f @ lam[a])
@@ -104,7 +102,7 @@ def test_exterior_d_degree0(pauli_tower):
 def test_exterior_d_clock_y(clock3_tower):
     lam = clock3_tower.ga.subspace.lambdas
     y = lam[1]
-    dy = exterior_d(calculus.scalar_form(clock3_tower, y))
+    dy = exterior_d(Form(clock3_tower, 0, y))
     assert np.allclose(dy.coeffs[0], lam[0] @ y - y @ lam[0])
     assert np.allclose(dy.coeffs[1], 0.0, atol=1e-13)
 
@@ -242,17 +240,17 @@ def _coframe_loop(tower, gam):
     """coframe_from_formula's rebuilt forms, one basis element nu at a time."""
     n, m = tower.n, tower.m
     gdual = matrix_basis_duals(gam)
-    d = [exterior_d(calculus.scalar_form(tower, g.conj().T)) for g in gdual]
+    d = [exterior_d(Form(tower, 0, g.conj().T)) for g in gdual]
     rebuilt = []
     for a in range(n):
         la_dag = tower.ga.dual.duals[a].conj().T
-        acc = zero_form(tower, 1)
+        acc = Form(tower, 1, np.zeros((n, m, m), dtype=complex))
         for nu in range(m * m):
-            acc = acc + lmul(gam[nu] @ la_dag, d[nu])
+            acc = acc + Form(tower, 1, gam[nu] @ la_dag @ d[nu].coeffs)
         rebuilt.append(acc)
-    acc = zero_form(tower, 1)
+    acc = Form(tower, 1, np.zeros((n, m, m), dtype=complex))
     for mu in range(m * m):
-        acc = acc + lmul(gam[mu] / m, d[mu])
+        acc = acc + Form(tower, 1, gam[mu] / m @ d[mu].coeffs)
     return rebuilt, acc
 
 
@@ -334,12 +332,6 @@ def test_form_arithmetic(pauli_tower, rng):
     assert form_norm(-a + a) == 0.0
 
 
-def test_zero_form(pauli_tower):
-    z = zero_form(pauli_tower, 2)
-    assert z.degree == 2
-    assert form_norm(z) == 0.0
-
-
 def test_canonicalize_degree_check(pauli_tower, rng):
     with pytest.raises(DegreeError):
         random_form(pauli_tower, pauli_tower.max_degree + 1, rng)
@@ -415,7 +407,7 @@ def test_tower_matches_dense_projectors(make):
         xi = random_form(tower, p, rng)
         T = np.tensordot(pi.conj(), xi.coeffs.reshape(n ** p, m, m), axes=([0], [0]))
         for col, idx in enumerate(np.ndindex((n,) * p)):
-            assert np.max(np.abs(contract(xi, idx) - T[col])) < 1e-12
+            assert np.max(np.abs(xi.coeffs[idx] - T[col])) < 1e-12
         lie = lie_derivative(tower, f, xi).coeffs
         assert np.max(np.abs(lie - _lie_derivative_dense(tower, pi, f, xi))) < 1e-12
 
@@ -427,20 +419,16 @@ def test_tower_matches_dense_projectors(make):
     pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
 ])
 def test_kernels_match_einsum(make):
-    """wedge, lmul, rmul and degree-0 d against their einsum formulas on random forms."""
+    """wedge and degree-0 d against their einsum formulas on random forms."""
     tower = build_tower(make(), 3)
     n, m = tower.n, tower.m
     rng = np.random.default_rng(3)
     f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     lam = tower.ga.subspace.lambdas
     d0 = np.einsum("aij,jk->aik", lam, f) - np.einsum("ij,ajk->aik", f, lam)
-    assert np.max(np.abs(exterior_d(calculus.scalar_form(tower, f)).coeffs - d0)) < 1e-12
+    assert np.max(np.abs(exterior_d(Form(tower, 0, f)).coeffs - d0)) < 1e-12
     for p in range(4):
         xi = random_form(tower, p, rng)
-        left = np.einsum("ij,...jk->...ik", f, xi.coeffs)
-        right = np.einsum("...ij,jk->...ik", xi.coeffs, f)
-        assert np.max(np.abs(lmul(f, xi).coeffs - left)) < 1e-12
-        assert np.max(np.abs(rmul(xi, f).coeffs - right)) < 1e-12
         for q in range(4 - p):
             zeta = random_form(tower, q, rng)
             a = xi.coeffs.reshape(n ** p, m, m)
@@ -686,11 +674,13 @@ def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
-    """W_p for the chain takes one null-space factorization per degree, and no rank-only pass.
+    """W_p for the chain takes one null-space factorization per degree, from the tower.
 
-    Generic K_q have full rank: a Cholesky and a complete QR each.  su2(4)'s
-    rank-deficient K_3 fails its Cholesky and takes the R factor of a QR and its
-    SVD; its K_4, tall and of full rank, needs no QR.
+    epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)`` and
+    no others.  Generic K_q have full rank: a Cholesky and a complete QR each.
+    su2(4)'s rank-deficient K_3 fails its Cholesky; below the top it takes the R
+    factor of a QR and its SVD, and at the top the tower's values-only SVD for
+    D_3 comes first.  Its K_4, tall and of full rank, needs no QR.
     """
     G = _generic_structure(3, 4, 0)
     calls = _spy_decompositions(monkeypatch)
@@ -701,8 +691,13 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     G = _catalog_structure("su2", 4)
     calls.clear()
     exists, _, dim = epsilon_check(G, p)
-    assert calls == ["chol", "qr-complete", "chol-fail", "qr-r", "svd"] + ["chol"] * (p - 3)
+    expected = (["chol", "qr-complete", "chol-fail", "svd-values", "qr-r", "svd"] if p == 3
+                else ["chol", "qr-complete", "chol-fail", "qr-r", "svd", "chol"])
+    assert calls == expected
     assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
+    calls.clear()
+    build_tower(G, p).basis(p)
+    assert calls == expected
 
 
 def test_degree_one_tower_has_no_bases(monkeypatch):
@@ -836,8 +831,6 @@ def test_stacked_forms_match_per_form(make, count):
         _close(exterior_d(xi).coeffs, [exterior_d(f).coeffs for f in forms])
         if p > 0:
             _close(chi(xi).coeffs, [chi(f).coeffs for f in forms])
-            idx = tuple(range(p))
-            _close(contract(xi, idx), [contract(f, idx) for f in forms])
         norms = form_norm(xi)
         assert norms.shape == (count,)
         _close(norms, [form_norm(f) for f in forms])

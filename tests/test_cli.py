@@ -655,14 +655,17 @@ def test_verify_fails_on_chi_with_later_slots_flipped(monkeypatch, capsys, tmp_p
     assert sec[other]["status"] == "pass" and sec[other]["residual"] < 1e-14
 
 
-@pytest.mark.parametrize("kappa", [1e2, 3e3, 1e4])
+@pytest.mark.parametrize("kappa", [1e2, 3e3, 1e4, 1e-6])
 def test_verify_scale_covariant_on_scaled_su2(monkeypatch, capsys, tmp_path, kappa):
     """su2(m=4) times kappa passes verify, with d o d judged relative to |lambda|^2.
 
-    With chi negated, d_squared_zero still fails at every kappa.
+    With chi negated, d_squared_zero still fails at every kappa; at 1e-6 a floor
+    of 1 under |lambda|^2 would pass it.  Below kappa = 1 the detected relations
+    are wrong (ROADMAP item 1), so that case runs on the commutator relations.
     """
     path = _su2_file(tmp_path, 4, kappa)
     argv = ["verify", path, "--max-degree", "3", "--seed", "1"]
+    argv += ["--alpha", "embedded"] if kappa < 1 else []
     code, rep = _run_json(capsys, argv)
     assert code == cli.EXIT_OK
     sec = {s["name"]: s for s in rep["sections"]}

@@ -29,10 +29,10 @@ def test_structure_constants_pauli():
 
 
 def test_detect_pauli_maximal():
-    B, D = _pauli()
-    null, R = genalg.detect_relations(B, D)
-    assert R == 9
-    assert null.shape == (9, 9)
+    B, _ = _pauli()
+    G = genalg.detect_structure(B)
+    assert G.R == 9
+    assert G.alpha.shape == (9, 9)
 
 
 def test_detect_clock_shift_kernel():

@@ -9,17 +9,11 @@ from ncdiff.linalg import (
     _fix_phases,
     _full_rank,
     _rank,
-    dagger,
     gram,
     inner,
     rank_nullspace,
     span_projector,
 )
-
-
-def test_dagger():
-    a = np.array([[1.0, 2.0 + 1j], [3.0, 4j]])
-    assert np.allclose(dagger(a), a.conj().T)
 
 
 def test_inner_pauli_norm():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncdiff import algebra, calculus, genalg, maps
-from ncdiff.calculus import coframe, exterior_d, form_norm, random_form, scalar_form
+from ncdiff.calculus import Form, coframe, exterior_d, form_norm, random_form
 from ncdiff.catalog import clock_shift, su2, universal_A0
 from ncdiff.errors import ConfigError, ShapeError, SingularTransform
 from ncdiff.maps import (
@@ -143,9 +143,9 @@ def test_non_conjugation_breaks_d(pauli_structure, pauli_tower):
     for _ in range(5):
         f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f -= np.trace(f) * np.eye(2) / 2
-        df = exterior_d(scalar_form(pauli_tower, f))
+        df = exterior_d(Form(pauli_tower, 0, f))
         pulled_df = pullback(phi, df, pauli_tower)
-        d_f = exterior_d(scalar_form(pauli_tower, f))
+        d_f = exterior_d(Form(pauli_tower, 0, f))
         # Pull back the co-frame only; the function part is untouched, so
         # compare phi* d f with d f directly.
         worst = max(worst, form_norm(pulled_df - df))
@@ -156,7 +156,7 @@ def test_lie_derivative_degree_and_commutator(pauli_tower, rng):
     # On functions the Lie derivative along f is -[f, g].
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    om = scalar_form(pauli_tower, g)
+    om = Form(pauli_tower, 0, g)
     L = lie_derivative(pauli_tower, f, om)
     assert L.degree == 0
     assert np.allclose(L.coeffs, -(f @ g - g @ f), atol=1e-12)

@@ -1,6 +1,6 @@
 """Exact-rational cross-check of relation detection.
 
-The floating-point kernel rank R from detect_relations is compared against
+The floating-point kernel rank R from detect_structure is compared against
 an independent sympy implementation of the same construction carried out in
 exact arithmetic (rationals, roots of unity, square roots).
 """

@@ -3,15 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncdiff import algebra, calculus, universal
+from ncdiff import calculus, universal
 from ncdiff.catalog import gell_mann_basis
 from ncdiff.universal import (
     _kron_sum,
     commutator,
-    contract_ad,
     du,
     theta_u,
-    theta_u_a,
     verify_trace_lemma,
 )
 
@@ -26,12 +24,6 @@ def _rand(m, rng):
 
 def _stack(k, m, rng):
     return np.array([_rand(m, rng) for _ in range(k)]).reshape(k, m, m)
-
-
-def _multiply(X):
-    """The multiplication map f (x) g -> fg on the Kronecker matrix: sum_j X[(i, j), (j, l)]."""
-    m = round(X.shape[0] ** 0.5)
-    return np.einsum("ijjl->il", X.reshape(m, m, m, m))
 
 
 def test_flatten_kron():
@@ -185,31 +177,3 @@ def test_trace_lemma_memory_does_not_grow_with_trials():
     few = _traced_peak(lambda: verify_trace_lemma(gam, trials=20))
     many = _traced_peak(lambda: verify_trace_lemma(gam, trials=400))
     assert many <= 1.25 * few, (few, many)
-
-
-def test_theta_u_a_multiplies_to_zero():
-    # By the trace lemma, sum_mu gamma_mu lambda^{a dag} gamma^{mu dag}
-    # = tr(lambda^{a dag}) . 1 = 0, so theta^a_u multiplies out to zero.
-    gam = _full_basis(2)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    B = algebra.validate_subspace(2, [sx, sy, sz])
-    D = algebra.dual_data(B)
-    for a in range(3):
-        X = theta_u_a(gam, D, a)
-        assert np.linalg.norm(X) > 0.5
-        assert np.linalg.norm(_multiply(X)) < 1e-10
-
-
-def test_contract_ad(rng):
-    m = 3
-    f, g, h = _rand(m, rng), _rand(m, rng), _rand(m, rng)
-    assert np.allclose(contract_ad(np.kron(f, g), h), f @ (h @ g - g @ h))
-
-
-def test_contract_ad_of_du(rng):
-    # ad(h) contracted with du(g) = 1 (x) g - g (x) 1 gives [h, g] - g [h, 1] = [h, g].
-    m = 4
-    g, h = _rand(m, rng), _rand(m, rng)
-    assert np.allclose(contract_ad(du(g), h), h @ g - g @ h)
