@@ -1,17 +1,16 @@
 """The traceless subspace B of M_m(C): validation, Gram/dual data, the
-orthogonal projections eta and eta_perp, and adjoint derivations."""
+orthogonal projections eta and eta_perp, and adjoint derivations.
+
+``dual_data`` alone forms, conditions, inverts and dualises a Gram matrix: for
+B's basis in ``validate_subspace`` (kept as ``Subspace.dual``) and for a full
+basis of M_m(C) in ``matrix_basis_duals``.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    DependentBasis,
-    ShapeError,
-    TracelessViolation,
-    ValidationError,
-)
+from .errors import DependentBasis, ShapeError, TracelessViolation, ValidationError
 from .linalg import DEFAULT_TOL, gram
 
 __all__ = [
@@ -27,16 +26,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class DualData:
+    """Trace-dual data of a stack of matrices mu_a, from :func:`dual_data`.
+
+    ``gram`` is g_ab = <mu_a, mu_b>, ``condition`` its 2-norm condition
+    number, ``gram_inv`` its inverse and ``duals`` the stack of trace duals
+    mu^a = g^{ba} mu_b, with <mu^a, mu_b> = delta^a_b.
+    """
+
+    gram: np.ndarray = field(repr=False)
+    condition: float
+    gram_inv: np.ndarray = field(repr=False)
+    duals: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
 class Subspace:
     """An n-dimensional subspace of traceless m x m matrices.
 
-    ``lambdas`` has shape (n, m, m) and ``gram`` is its Gram matrix g_ab;
-    construct via :func:`validate_subspace`.
+    ``lambdas`` has shape (n, m, m) and ``dual`` is its :class:`DualData`:
+    the Gram matrix g_ab, its condition number and inverse, and the dual basis
+    lambda^a.  Construct via :func:`validate_subspace`.
     """
 
     m: int
     lambdas: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
+    dual: DualData = field(repr=False)
     label: str = ""
 
     @property
@@ -44,17 +59,22 @@ class Subspace:
         return self.lambdas.shape[0]
 
 
-@dataclass(frozen=True)
-class DualData:
-    """Gram matrix g_ab, its inverse, and the dual basis of a subspace."""
+def dual_data(mats, tol=DEFAULT_TOL):
+    """Gram matrix, condition number, inverse and trace duals of a stack of matrices.
 
-    gram: np.ndarray = field(repr=False)
-    gram_inv: np.ndarray = field(repr=False)
-    duals: np.ndarray = field(repr=False)
+    Raises DependentBasis when the Gram condition number exceeds 1/tol.
+    """
+    g = gram(mats)
+    cond = float(np.linalg.cond(g))
+    if not np.isfinite(cond) or cond > 1.0 / tol:
+        raise DependentBasis(f"matrices are dependent at tolerance (Gram condition {cond:.3e})")
+    gram_inv = np.linalg.inv(g)
+    duals = np.einsum("ba,bij->aij", gram_inv, mats)
+    return DualData(gram=g, condition=cond, gram_inv=gram_inv, duals=duals)
 
 
 def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
-    """Certify that ``basis`` is an independent traceless basis in M_m(C)."""
+    """Certify that ``basis`` is an independent traceless basis in M_m(C), and dualise it."""
     mats = [np.asarray(b, dtype=complex) for b in basis]
     if not mats:
         raise ShapeError("basis must be nonempty")
@@ -67,42 +87,22 @@ def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
         if norm == 0.0 or abs(np.trace(b)) > tol * norm:
             raise TracelessViolation(i, abs(np.trace(b)))
     lambdas = np.array(mats)
-    g = gram(lambdas)
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1.0 / tol:
-        raise DependentBasis(
-            f"basis is linearly dependent at tolerance (Gram condition {cond:.3e})"
-        )
-    return Subspace(m=m, lambdas=lambdas, gram=g, label=label)
+    return Subspace(m=m, lambdas=lambdas, dual=dual_data(lambdas, tol), label=label)
 
 
-def dual_data(B, tol=DEFAULT_TOL):
-    """Gram matrix, its inverse, and the dual basis lambda^a = g^{ba} lambda_b."""
-    lam, g = B.lambdas, B.gram
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1.0 / tol:
-        raise ConditioningError(f"Gram matrix condition number {cond:.3e} exceeds 1/tol")
-    gram_inv = np.linalg.inv(g)
-    # lambda^a = g^{ba} lambda_b
-    duals = np.einsum("ba,bij->aij", gram_inv, lam)
-    return DualData(gram=g, gram_inv=gram_inv, duals=duals)
-
-
-def eta(B, D, f):
+def eta(B, f):
     """Orthogonal projection of f onto span(B)."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (B.m, B.m):
         raise ShapeError(f"expected shape ({B.m}, {B.m}), got {f.shape}")
-    coeffs = np.einsum("ajk,jk->a", D.duals.conj(), f)
+    coeffs = np.einsum("ajk,jk->a", B.dual.duals.conj(), f)
     return np.einsum("a,aij->ij", coeffs, B.lambdas)
 
 
-def eta_perp(B, D, f):
+def eta_perp(B, f):
     """Component of f orthogonal to span(B) + C.1."""
     f = np.asarray(f, dtype=complex)
-    if f.shape != (B.m, B.m):
-        raise ShapeError(f"expected shape ({B.m}, {B.m}), got {f.shape}")
-    return f - eta(B, D, f) - (np.trace(f) / B.m) * np.eye(B.m)
+    return f - eta(B, f) - (np.trace(f) / B.m) * np.eye(B.m)
 
 
 def ad_operator(h):
@@ -116,16 +116,9 @@ def ad_operator(h):
 
 
 def matrix_basis_duals(gammas, tol=DEFAULT_TOL):
-    """Trace-duals of a full basis of M_m(C); raises DependentBasis otherwise."""
+    """Trace-duals gamma^mu of a full basis gamma_mu of M_m(C); raises DependentBasis otherwise."""
     gam = np.array([np.asarray(g, dtype=complex) for g in gammas])
     m = gam.shape[1]
     if gam.shape != (m * m, m, m):
-        raise DependentBasis(
-            f"need {m * m} matrices of shape ({m}, {m}) for a full basis, got {gam.shape}"
-        )
-    g = gram(gam)
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1.0 / tol:
-        raise DependentBasis(f"gamma matrices are not a basis (Gram condition {cond:.3e})")
-    # gamma^a = sum_b (g^-1)[b, a] gamma_b: one GEMM on the flattened stack
-    return (np.linalg.inv(g).T @ gam.reshape(m * m, -1)).reshape(gam.shape)
+        raise DependentBasis(f"a full basis needs {m * m} matrices ({m} x {m}), got {gam.shape}")
+    return dual_data(gam, tol).duals

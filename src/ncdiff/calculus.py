@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import matrix_basis_duals
 from .errors import DegreeError
 from .linalg import DEFAULT_TOL, _at_slot, _full_rank, _pair_products, _rank, rank_nullspace
 
@@ -497,23 +496,23 @@ def check_structure_equations(tower, tol=DEFAULT_TOL):
     }
 
 
-def coframe_from_formula(tower, basis_gamma, tol=DEFAULT_TOL):
+def coframe_from_formula(tower, basis_gamma, duals, tol=DEFAULT_TOL):
     """Rebuild theta^a and theta from d on degree-0 elements.
 
     theta^a = sum_nu (gamma_nu lambda^{a dag}) d(gamma^{nu dag}) and
     theta = (1/m) sum_mu gamma_mu d(gamma^{mu dag}), for any basis gamma of
-    M_m(C).  The d(gamma^{nu dag}) are one stacked ``exterior_d`` call, and
-    every sum over nu is one GEMM: the rows (a, i) and columns (nu, j) of
-    (gamma_nu X_a)[i, j], for X_a = lambda^{a dag} and X_n = 1/m, against the
-    rows (nu, j) and columns (b, l) of d(gamma^{nu dag})_b[j, l].  Returns the
-    rebuilt forms and a residual report against the co-frame of the tower.
+    M_m(C) with trace duals ``duals`` (``algebra.matrix_basis_duals``).  The
+    d(gamma^{nu dag}) are one stacked ``exterior_d`` call, and every sum over
+    nu is one GEMM: the rows (a, i) and columns (nu, j) of (gamma_nu X_a)[i, j],
+    for X_a = lambda^{a dag} and X_n = 1/m, against the rows (nu, j) and
+    columns (b, l) of d(gamma^{nu dag})_b[j, l].  Returns the rebuilt forms and
+    a residual report against the co-frame of the tower.
     """
-    G = tower.ga
-    B = G.subspace
+    B = tower.ga.subspace
     n, m = B.n, B.m
-    gam = np.array([np.asarray(g, dtype=complex) for g in basis_gamma])
-    gdual_dag = matrix_basis_duals(gam, tol=tol).conj().transpose(0, 2, 1)
-    X = np.concatenate([G.dual.duals.conj().transpose(0, 2, 1), np.eye(m)[None] / m])
+    gam = np.asarray(basis_gamma, dtype=complex)
+    gdual_dag = np.asarray(duals).conj().transpose(0, 2, 1)
+    X = np.concatenate([B.dual.duals.conj().transpose(0, 2, 1), np.eye(m)[None] / m])
     # left[(a, i), (nu, j)] = (gamma_nu X_a)[i, j]
     left = _pair_products(gam, X).transpose(1, 2, 0, 3).reshape((n + 1) * m, m ** 3)
     # right[(nu, j), (b, l)] = d(gamma^{nu dag})_b[j, l]

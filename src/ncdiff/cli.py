@@ -119,9 +119,7 @@ def cmd_analyze(args):
     rho_norm = float(np.linalg.norm(G.rho))
     sections = [
         _section("validate", True, m=B.m, n=B.n, label=B.label),
-        _section("gram", True,
-                 condition=float(np.linalg.cond(G.dual.gram)),
-                 gram=G.dual.gram.tolist()),
+        _section("gram", True, condition=B.dual.condition, gram=B.dual.gram.tolist()),
         _section("relations", True, R=G.R, mode=G.mode,
                  alpha_columns=G.alpha.T.tolist()),
         _section("projector", rep_ga["beta_alpha_identity"] < args.tol
@@ -175,24 +173,24 @@ def _verify_sections(G, tower, args):
     sections.append(_judged("d_squared_zero", dd, 1e-8, method="exact on generators"))
     sections.append(_judged("graded_leibniz", leibniz, 1e-8, method="exact on generators"))
 
-    # Universal-calculus identities on a full matrix basis, each on its own
-    # child stream of --seed
+    # Universal-calculus identities on a full matrix basis, dualised once, each
+    # on its own child stream of --seed
     m = G.subspace.m
     gammas = np.concatenate([np.eye(m, dtype=complex)[None],
                              catalog.gell_mann_basis(m)])
+    gduals = algebra.matrix_basis_duals(gammas, tol=args.tol)
     trace_seed, universal_seed = np.random.SeedSequence(args.seed).spawn(2)
-    tl = universal.verify_trace_lemma(gammas, trials=args.trials, seed=trace_seed)
+    tl = universal.verify_trace_lemma(gammas, gduals, trials=args.trials, seed=trace_seed)
     sections.append(_section("trace_lemma", tl["passed"],
                              trace_identity=tl["trace_identity"],
                              tensor_commutator=tl["tensor_commutator"],
                              bound=tl["bound"]))
-    sections.append(_judged("universal_identity",
-                            universal.universal_identity_residual(
-                                gammas, args.trials, np.random.default_rng(universal_seed)),
-                            1e-10))
+    identity = universal.universal_identity_residual(gammas, gduals, args.trials,
+                                                     np.random.default_rng(universal_seed))
+    sections.append(_judged("universal_identity", identity, 1e-10))
 
     # Co-frame reconstruction from the universal formula.
-    _, _, cf = calculus.coframe_from_formula(tower, gammas, tol=args.tol)
+    _, _, cf = calculus.coframe_from_formula(tower, gammas, gduals, tol=args.tol)
     sections.append(_section("coframe_formula", cf["passed"],
                              residual=max(v for k, v in cf.items() if k != "passed")))
     return sections

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import dual_data
-from .errors import DependentRelations, InvalidRelation, ShapeError, ValidationError
+from .errors import (ConditioningError, DependentRelations, InvalidRelation, ShapeError,
+                     ValidationError)
 from .linalg import DEFAULT_TOL, _pair_products, _rank, rank_nullspace
 
 __all__ = [
@@ -34,7 +34,6 @@ class GAStructure:
     """
 
     subspace: object
-    dual: object
     R: int
     alpha: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
@@ -45,11 +44,11 @@ class GAStructure:
     mode: str = "auto-maximal"
 
 
-def structure_constants(B, D):
+def structure_constants(B):
     """F^a_bc = <lambda^a, lambda_b lambda_c>, t_bc = tr(lambda_b lambda_c),
     rho_bc = eta_perp(lambda_b lambda_c)."""
     prod = _pair_products(B.lambdas, B.lambdas)
-    F = np.einsum("aij,bcij->abc", D.duals.conj(), prod)
+    F = np.einsum("aij,bcij->abc", B.dual.duals.conj(), prod)
     t = np.einsum("bcii->bc", prod)
     # eta_perp of every product: subtract its eta part F^a_bc lambda_a and its trace part
     rho = (prod - np.einsum("abc,aij->bcij", F, B.lambdas)
@@ -57,13 +56,19 @@ def structure_constants(B, D):
     return F, t, rho
 
 
-def _relations_from_rho(rho, D, tol):
+def _check_conditioning(B, tol):
+    """Judge B's Gram condition number, stored at validation, against a structure's 1/tol."""
+    if B.dual.condition > 1.0 / tol:
+        raise ConditioningError(f"Gram condition number {B.dual.condition:.3e} exceeds 1/tol")
+
+
+def _relations_from_rho(rho, B, tol):
     n, m = rho.shape[0], rho.shape[2]
     M = rho.reshape(n * n, m * m).T  # columns indexed by the pair (a, b)
     # Judge significance against the size of the products themselves, so a
     # rho of pure rounding noise (products fully inside B + C.1) gives the
     # maximal kernel rather than a noise rank.
-    scale = max(float(np.linalg.norm(D.gram)), 1.0)
+    scale = max(float(np.linalg.norm(B.dual.gram)), 1.0)
     res = rank_nullspace(M / scale, tol=tol, floor=tol)
     return res.nullspace, res.nullspace.shape[1]
 
@@ -93,13 +98,13 @@ def detect_structure(B, tol=DEFAULT_TOL):
     ``rank_nullspace``), so beta = alpha^dag and P = alpha alpha^dag with no
     Gram solve (``build_projector`` serves user-supplied alphas).
     """
-    D = dual_data(B, tol=tol)
-    F, t, rho = structure_constants(B, D)
-    alpha, R = _relations_from_rho(rho, D, tol)
+    _check_conditioning(B, tol)
+    F, t, rho = structure_constants(B)
+    alpha, R = _relations_from_rho(rho, B, tol)
     beta = alpha.conj().T.copy()
     P = alpha @ beta
     return GAStructure(
-        subspace=B, dual=D, R=R, alpha=alpha, beta=beta, P=P,
+        subspace=B, R=R, alpha=alpha, beta=beta, P=P,
         F=F, t=t, rho=rho, mode="auto-maximal",
     )
 
@@ -110,14 +115,14 @@ def use_relations(B, alpha_user, tol=DEFAULT_TOL):
     Every column must lie in the maximal kernel; this enables conventional
     sub-choices such as keeping only the Lie-algebra commutator relations.
     """
-    D = dual_data(B, tol=tol)
+    _check_conditioning(B, tol)
     alpha_user = np.asarray(alpha_user, dtype=complex)
     n, m = B.n, B.m
     if alpha_user.ndim != 2 or alpha_user.shape[0] != n * n:
         raise ShapeError(f"alpha has shape {alpha_user.shape}, expected ({n * n}, R)")
     if not np.all(np.isfinite(alpha_user)):
         raise ValidationError("alpha has a non-finite entry")
-    F, t, rho = structure_constants(B, D)
+    F, t, rho = structure_constants(B)
     rho_flat = rho.reshape(n * n, m * m)
     scale = max(np.max(np.linalg.norm(rho_flat, axis=1)), 1.0)
     for r in range(alpha_user.shape[1]):
@@ -126,7 +131,7 @@ def use_relations(B, alpha_user, tol=DEFAULT_TOL):
             raise InvalidRelation(r, residual)
     beta, P = build_projector(alpha_user, tol=tol)
     return GAStructure(
-        subspace=B, dual=D, R=alpha_user.shape[1], alpha=alpha_user, beta=beta,
+        subspace=B, R=alpha_user.shape[1], alpha=alpha_user, beta=beta,
         P=P, F=F, t=t, rho=rho, mode="user-supplied",
     )
 

@@ -186,11 +186,10 @@ def lie_derivative(tower, f, xi):
     if p > tower.max_degree:
         raise DegreeError(f"degree {p} outside the tower range")
     B = tower.ga.subspace
-    duals = tower.ga.dual.duals
     first = f @ xi.coeffs - xi.coeffs @ f
     # Wt[c, b] = <lambda^b, [f, lambda_c]>
     comm = f @ B.lambdas - B.lambdas @ f
-    Wt = gram(duals, comm).T
+    Wt = gram(B.dual.duals, comm).T
     second = np.zeros_like(xi.coeffs)
     for q in range(p):
         second += _at_slot(Wt, xi.coeffs, q)

@@ -2,6 +2,9 @@
 differential du, the form theta_u that generates it, and the two checks that
 verify runs on them (the trace lemma and du(f) = -[theta_u, f]).
 
+Each takes a full basis gamma_mu of M_m(C) and its trace duals gamma^mu
+(``algebra.matrix_basis_duals``), which a caller forms once for all of them.
+
 An element X = sum_k f_k (x) g_k of A (x) A is held as one m^2 x m^2 array,
 its Kronecker matrix sum_k kron(f_k, g_k); that is faithful and never
 larger than the list of pairs.  Row (i, k) and column (j, l) of X hold the
@@ -16,10 +19,8 @@ each O(m^5), with no Kronecker product formed.
 
 import numpy as np
 
-from .algebra import matrix_basis_duals
 from .calculus import trial_batches
 from .errors import ShapeError
-from .linalg import DEFAULT_TOL
 
 __all__ = [
     "commutator",
@@ -61,17 +62,11 @@ def du(f):
     return np.kron(eye, f) - np.kron(f, eye)
 
 
-def _basis_and_dual_daggers(basis_gamma, tol):
-    """The basis gamma_mu as an (m^2, m, m) stack, and the stack of gamma^{mu dag}."""
-    gam = np.array([np.asarray(g, dtype=complex) for g in basis_gamma])
-    return gam, matrix_basis_duals(gam, tol=tol).conj().transpose(0, 2, 1)
-
-
-def theta_u(basis_gamma, tol=DEFAULT_TOL):
-    """theta_u = (1/m) sum_mu gamma_mu (x) gamma^{mu dag} - 1 (x) 1."""
-    gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, tol)
+def theta_u(basis_gamma, duals):
+    """theta_u = (1/m) sum_mu gamma_mu (x) gamma^{mu dag} - 1 (x) 1, gamma^mu the ``duals``."""
+    gam = np.asarray(basis_gamma, dtype=complex)
     m = gam.shape[1]
-    return _kron_sum(gam / m, gdual_dag) - np.eye(m * m)
+    return _kron_sum(gam / m, np.asarray(duals).conj().transpose(0, 2, 1)) - np.eye(m * m)
 
 
 def _worst_norm(stack):
@@ -79,7 +74,7 @@ def _worst_norm(stack):
     return float(np.linalg.norm(stack.reshape(len(stack), -1), axis=1).max())
 
 
-def verify_trace_lemma(basis_gamma, trials=20, seed=0):
+def verify_trace_lemma(basis_gamma, duals, trials=20, seed=0):
     """Numerical check of the basis-completeness identities.
 
     For random f, g: sum_mu gamma_mu f gamma^{mu dag} = tr(f) 1, and
@@ -90,7 +85,8 @@ def verify_trace_lemma(basis_gamma, trials=20, seed=0):
     are judged against ``bound`` = 1e-10 * m.  ``seed`` is anything
     ``numpy.random.default_rng`` takes, such as a child ``SeedSequence``.
     """
-    gam, gdual_dag = _basis_and_dual_daggers(basis_gamma, DEFAULT_TOL)
+    gam = np.asarray(basis_gamma, dtype=complex)
+    gdual_dag = np.asarray(duals).conj().transpose(0, 2, 1)
     m = gam.shape[1]
     rng = np.random.default_rng(seed)
     res_trace = res_comm = 0.0
@@ -113,7 +109,7 @@ def verify_trace_lemma(basis_gamma, trials=20, seed=0):
     }
 
 
-def universal_identity_residual(basis_gamma, trials, rng):
+def universal_identity_residual(basis_gamma, duals, trials, rng):
     """Worst |f.theta_u - theta_u.f - du(f)| over ``trials`` random matrices f.
 
     f.theta_u - theta_u.f = -[theta_u, f] is du(f).  Each trial draws the
@@ -121,7 +117,7 @@ def universal_identity_residual(basis_gamma, trials, rng):
     ``rng``.  A batch keeps up to four m^2 x m^2 tables per trial:
     [f, theta_u] and the three of du(f).
     """
-    th = theta_u(basis_gamma)
+    th = theta_u(basis_gamma, duals)
     m = np.shape(basis_gamma)[-1]
     worst = 0.0
     for count in trial_batches(trials, 4 * m ** 4):

@@ -148,7 +148,7 @@ def test_criterion_5_coframe_theorem():
         bases = (np.concatenate([np.eye(m, dtype=complex)[None],
                                  gell_mann_basis(m)]), units)
         for gam in bases:
-            rebuilt, th, rep = coframe_from_formula(tower, gam)
+            rebuilt, th, rep = coframe_from_formula(tower, gam, algebra.matrix_basis_duals(gam))
             worst = max(worst, max(v for k, v in rep.items() if k != "passed"))
     _report(5, "co-frame theorem: 50 random subspaces (m<=4, n<=5), "
                "two gamma bases", worst < 1e-8, f"max residual {worst:.2e}")
@@ -158,7 +158,8 @@ def test_criterion_6_trace_lemma():
     worst = 0.0
     for m in (2, 3, 4):
         gam = np.concatenate([np.eye(m, dtype=complex)[None], gell_mann_basis(m)])
-        rep = universal.verify_trace_lemma(gam, trials=20, seed=42)
+        rep = universal.verify_trace_lemma(gam, algebra.matrix_basis_duals(gam), trials=20,
+                                           seed=42)
         worst = max(worst, rep["trace_identity"], rep["tensor_commutator"])
     _report(6, "trace lemma at m=2,3,4, 20 random f,g", worst < 1e-10,
             f"max residual {worst:.2e}")
@@ -169,7 +170,7 @@ def test_criterion_7_universal_identity():
     worst = 0.0
     for m in (2, 3):
         gam = np.concatenate([np.eye(m, dtype=complex)[None], gell_mann_basis(m)])
-        th = universal.theta_u(gam)
+        th = universal.theta_u(gam, algebra.matrix_basis_duals(gam))
         for _ in range(20):
             f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             lhs = universal.commutator(f, th)  # -[theta_u, f]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncdiff import algebra
+from ncdiff import algebra, genalg
 from ncdiff.catalog import gell_mann_basis
 from ncdiff.errors import ConditioningError, DependentBasis, ShapeError, TracelessViolation
 from ncdiff.linalg import gram
@@ -35,15 +36,17 @@ def test_validate_rejects_wrong_shape():
 
 def test_dual_data_pauli():
     B = algebra.validate_subspace(2, [SX, SY, SZ])
-    D = algebra.dual_data(B)
+    D = B.dual
     assert np.allclose(D.gram, 2.0 * np.eye(3))
+    assert D.condition == pytest.approx(1.0)
+    assert np.allclose(D.gram_inv, 0.5 * np.eye(3))
     # Orthogonal basis: duals are lambda_a / 2.
     assert np.allclose(D.duals, B.lambdas / 2.0)
 
 
 def test_dual_data_non_orthogonal():
     B = algebra.validate_subspace(2, [SX, SX + SY])
-    D = algebra.dual_data(B)
+    D = B.dual
     assert np.allclose(D.gram, [[2.0, 2.0], [2.0, 4.0]])
     # Duality: <lambda^a, lambda_b> = delta^a_b.
     for a in range(2):
@@ -53,30 +56,34 @@ def test_dual_data_non_orthogonal():
 
 
 def test_dual_data_reuses_subspace_gram(monkeypatch):
+    """validate_subspace forms, conditions and inverts the Gram once; a structure built on B
+    judges the stored condition number at its own tol, with no second decomposition."""
     B = algebra.validate_subspace(2, [SX, SX + SY])
-    assert np.array_equal(B.gram, gram(B.lambdas))
+    assert np.array_equal(B.dual.gram, gram(B.lambdas))
     monkeypatch.setattr(algebra, "gram", lambda *args: pytest.fail("Gram recomputed"))
-    assert algebra.dual_data(B).gram is B.gram
-    # cond = 6.85 > 1/tol: dual_data keeps its own conditioning check
+    for name in ("cond", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    assert genalg.detect_structure(B).subspace.dual is B.dual
+    # cond = 6.85 > 1/tol
     with pytest.raises(ConditioningError, match="exceeds 1/tol"):
-        algebra.dual_data(B, tol=0.5)
+        genalg.detect_structure(B, tol=0.5)
+    with pytest.raises(ConditioningError, match="exceeds 1/tol"):
+        genalg.use_relations(B, np.zeros((4, 0)), tol=0.5)
 
 
 def test_eta_projection():
     B = algebra.validate_subspace(2, [SX, SX + SY])
-    D = algebra.dual_data(B)
     f = 0.3 * SX + 0.7 * (SX + SY)
-    assert np.allclose(algebra.eta(B, D, f), f)
+    assert np.allclose(algebra.eta(B, f), f)
     # eta_perp kills everything in B + C.1.
-    assert np.allclose(algebra.eta_perp(B, D, f + 2.0 * np.eye(2)), 0.0, atol=1e-12)
+    assert np.allclose(algebra.eta_perp(B, f + 2.0 * np.eye(2)), 0.0, atol=1e-12)
 
 
 def test_eta_splits_sz():
     # B = span{sx, sy} inside M_2: sz is orthogonal and traceless.
     B = algebra.validate_subspace(2, [SX, SY])
-    D = algebra.dual_data(B)
-    assert np.allclose(algebra.eta(B, D, SZ), 0.0, atol=1e-12)
-    assert np.allclose(algebra.eta_perp(B, D, SZ), SZ)
+    assert np.allclose(algebra.eta(B, SZ), 0.0, atol=1e-12)
+    assert np.allclose(algebra.eta_perp(B, SZ), SZ)
 
 
 def test_ad_operator_matches_commutator(rng):
@@ -96,8 +103,52 @@ def test_matrix_basis_duals():
 
 
 def test_matrix_basis_duals_match_einsum():
-    """The GEMM trace-duals against the einsum contraction sum_b (g^-1)[b, a] gamma_b."""
+    """The trace-duals against the einsum contraction sum_b (g^-1)[b, a] gamma_b."""
     m = 8
     gam = np.concatenate([np.eye(m, dtype=complex)[None], gell_mann_basis(m)])
     ref = np.einsum("ba,bij->aij", np.linalg.inv(gram(gam)), gam)
     assert np.max(np.abs(algebra.matrix_basis_duals(gam) - ref)) < 1e-14
+
+
+@st.composite
+def _dual_cases(draw):
+    """A stack of m x m matrices, m = 2..6, and its Gram condition number, 1 to 1e6.
+
+    Either n <= m^2 - 1 traceless matrices or a full basis of m^2.  The stack
+    is Q diag(s) V as m^2 x n columns, Q orthonormal (in the traceless
+    hyperplane unless full) and V unitary, so the Gram is V^dag diag(s^2) V.
+    """
+    m = draw(st.integers(2, 6))
+    full = draw(st.booleans())
+    n = m * m if full else draw(st.integers(1, m * m - 1))
+    cond = 10.0 ** draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.standard_normal((m * m, n)) + 1j * rng.standard_normal((m * m, n))
+    if not full:
+        e = np.eye(m).reshape(-1) / np.sqrt(m)  # vec(1) / |1|, orthogonal to the traceless
+        z -= np.outer(e, e @ z)
+    q = np.linalg.qr(z)[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    s = np.sqrt(np.geomspace(1.0, cond, n))
+    return ((q * s) @ v).T.reshape(n, m, m), s[-1] ** 2 / s[0] ** 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dual_cases())
+def test_dual_data_duality_and_conditioning(case):
+    """<mu^a, mu_b> = delta_ab within condition * 1e-13, and DependentBasis once the
+    condition exceeds 1/tol."""
+    mats, cond = case
+    D = algebra.dual_data(mats, tol=0.5 / cond)
+    assert D.condition == pytest.approx(cond, rel=1e-6)
+    n, m = mats.shape[:2]
+    assert np.max(np.abs(gram(D.duals, mats) - np.eye(n))) <= D.condition * 1e-13
+    assert np.max(np.abs(D.gram_inv @ D.gram - np.eye(n))) <= D.condition * 1e-13
+    if n == m * m:
+        assert np.array_equal(algebra.matrix_basis_duals(mats, tol=0.5 / cond), D.duals)
+    else:
+        assert abs(np.trace(mats, axis1=1, axis2=2)).max() < 1e-12
+    # the verdict flips where 1/tol crosses the condition number
+    algebra.dual_data(mats, tol=1.0 / (D.condition * (1 + 1e-9)))
+    with pytest.raises(DependentBasis):
+        algebra.dual_data(mats, tol=1.0 / (D.condition * (1 - 1e-9)))

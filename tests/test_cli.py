@@ -18,6 +18,7 @@ import pytest
 from conftest import generic_subspace, random_identity_residuals
 
 from ncdiff import calculus, cli, formats, genalg, universal
+from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, su2, universal_A0
 from ncdiff.errors import DegreeError
 from ncdiff.linalg import DEFAULT_TOL, _at_slot
@@ -312,6 +313,67 @@ def test_equiv_singular(tmp_path, clock_file):
     with open(upath, "w") as fh:
         json.dump(formats.matrix_to_json(np.zeros((3, 3))), fh)
     assert cli.main(["equiv", clock_file, str(upath)]) == cli.EXIT_VALIDATION
+
+
+def test_equiv_refuses_ill_conditioned_conjugate(tmp_path, capsys):
+    """equiv builds the conjugated structure at tol max(tol, 1e-7).
+
+    On su2(3) with u = diag(1, 1, 1e4) the conjugated basis has Gram condition
+    1e8: validation at 1e-9 admits it, and the structure, judging the stored
+    condition number at its own tol, refuses it.
+    """
+    e = su2(3)
+    path, upath = tmp_path / "su2.json", tmp_path / "u.json"
+    formats.save_algebra(path, 3, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(np.diag([1.0, 1.0, 1e4])), fh)
+    code = cli.main(["equiv", str(path), str(upath), "--alpha", "embedded"])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "ConditioningError" in err and "1.000e+08 exceeds 1/tol" in err
+
+
+# np.linalg.cond and np.linalg.inv calls per command: each matrix basis (B; for
+# verify also the gamma basis; for equiv also B's conjugate, whose third inv is
+# u^-1) is conditioned and inverted once
+LINALG_CALLS = {
+    "catalog": {"cond": 1, "inv": 1},
+    "analyze": {"cond": 1, "inv": 1},
+    "forms": {"cond": 1, "inv": 1},
+    "verify": {"cond": 2, "inv": 2},
+    "equiv": {"cond": 2, "inv": 3},
+}
+
+
+def test_each_basis_conditioned_and_inverted_once(monkeypatch, tmp_path, capsys):
+    """cond and inv calls through cli.main, on the input kinds of the cli-small-batch
+    workload: a catalog algebra with its embedded alpha, and a generic subspace."""
+    path, gen, upath = (str(tmp_path / f) for f in ("su2.json", "gen.json", "u.json"))
+    formats.save_algebra(gen, 3, "generic", generic_subspace(3, 4, 5).lambdas)
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(q @ np.diag([1.0, 1.5, 2.0])), fh)
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("cond", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    runs = [["catalog", "su2", "--m", "3", "--emit", path]]
+    for inp, flags in ((path, ["--alpha", "embedded"]), (gen, [])):
+        runs += [["analyze", inp, *flags], ["forms", inp, "--max-degree", "3", *flags],
+                 ["verify", inp, "--trials", "5", *flags],
+                 ["equiv", inp, upath, "--trials", "5", *flags]]
+    for argv in runs:
+        counts.update(cond=0, inv=0)
+        assert cli.main(argv + ["--format", "json"]) == cli.EXIT_OK, argv
+        capsys.readouterr()
+        assert counts == LINALG_CALLS[argv[0]], (argv, counts)
 
 
 def test_catalog_emit(tmp_path, capsys):
@@ -712,13 +774,13 @@ def test_verify_random_sections_draw_separate_streams(monkeypatch, capsys, clock
     firsts = {}
     trace_lemma, identity = universal.verify_trace_lemma, universal.universal_identity_residual
 
-    def spy_trace_lemma(gammas, trials, seed):
+    def spy_trace_lemma(gammas, gduals, trials, seed):
         firsts["trace_lemma"] = np.random.default_rng(seed).standard_normal(8)
-        return trace_lemma(gammas, trials=trials, seed=seed)
+        return trace_lemma(gammas, gduals, trials=trials, seed=seed)
 
-    def spy_identity(gammas, trials, rng):
+    def spy_identity(gammas, gduals, trials, rng):
         firsts["universal_identity"] = copy.deepcopy(rng).standard_normal(8)
-        return identity(gammas, trials, rng)
+        return identity(gammas, gduals, trials, rng)
 
     monkeypatch.setattr(universal, "verify_trace_lemma", spy_trace_lemma)
     monkeypatch.setattr(universal, "universal_identity_residual", spy_identity)
@@ -739,7 +801,8 @@ def test_verify_fails_on_broken_degree0_d(monkeypatch, capsys, tmp_path):
                         lambda xi: -exterior_d(xi) if xi.degree == 0 else exterior_d(xi))
     tower = calculus.build_tower(genalg.use_relations(e.subspace, e.suggested_alpha), 3)
     gammas = np.concatenate([np.eye(3, dtype=complex)[None], gell_mann_basis(3)])
-    assert not calculus.coframe_from_formula(tower, gammas)[2]["passed"]
+    assert not calculus.coframe_from_formula(tower, gammas,
+                                             matrix_basis_duals(gammas))[2]["passed"]
     code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded", "--trials", "3"])
     assert code == cli.EXIT_VERIFY
     sec = {s["name"]: s for s in rep["sections"]}

@@ -12,13 +12,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _pauli():
-    B = algebra.validate_subspace(2, [SX, SY, SZ])
-    return B, algebra.dual_data(B)
+    return algebra.validate_subspace(2, [SX, SY, SZ])
 
 
 def test_structure_constants_pauli():
-    B, D = _pauli()
-    F, t, rho = genalg.structure_constants(B, D)
+    B = _pauli()
+    F, t, rho = genalg.structure_constants(B)
     # sigma_1 sigma_2 = i sigma_3 and tr(sigma_a sigma_b) = 2 delta_ab.
     assert F[2, 0, 1] == pytest.approx(1j)
     assert F[2, 1, 0] == pytest.approx(-1j)
@@ -29,7 +28,7 @@ def test_structure_constants_pauli():
 
 
 def test_detect_pauli_maximal():
-    B, _ = _pauli()
+    B = _pauli()
     G = genalg.detect_structure(B)
     assert G.R == 9
     assert G.alpha.shape == (9, 9)
@@ -105,7 +104,7 @@ def test_verify_ga_report():
 
 
 def test_verify_ga_pauli_span():
-    B, _ = _pauli()
+    B = _pauli()
     rep = genalg.verify_ga(genalg.detect_structure(B))
     assert rep["span_dim"] == 4
     assert rep["span_dim_bound"] == 4
@@ -115,8 +114,7 @@ def test_t_symmetric(rng):
     lam = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
     lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
     B = algebra.validate_subspace(3, list(lam))
-    D = algebra.dual_data(B)
-    _, t, _ = genalg.structure_constants(B, D)
+    _, t, _ = genalg.structure_constants(B)
     assert np.allclose(t, t.T)
 
 
@@ -124,11 +122,10 @@ def test_rho_matches_eta_perp(rng):
     lam = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
     B = algebra.validate_subspace(3, list(lam))
-    D = algebra.dual_data(B)
-    _, _, rho = genalg.structure_constants(B, D)
+    _, _, rho = genalg.structure_constants(B)
     for b in range(B.n):
         for c in range(B.n):
-            ref = algebra.eta_perp(B, D, lam[b] @ lam[c])
+            ref = algebra.eta_perp(B, lam[b] @ lam[c])
             assert np.allclose(rho[b, c], ref, atol=1e-12)
 
 
@@ -136,10 +133,9 @@ def test_structure_constants_match_einsum(rng):
     lam = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     lam -= np.trace(lam, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3
     B = algebra.validate_subspace(3, list(lam))
-    D = algebra.dual_data(B)
-    F, t, _ = genalg.structure_constants(B, D)
+    F, t, _ = genalg.structure_constants(B)
     prod = np.einsum("bij,cjk->bcik", lam, lam)
-    assert np.max(np.abs(F - np.einsum("aij,bcij->abc", D.duals.conj(), prod))) < 1e-12
+    assert np.max(np.abs(F - np.einsum("aij,bcij->abc", B.dual.duals.conj(), prod))) < 1e-12
     assert np.max(np.abs(t - np.einsum("bcii->bc", prod))) < 1e-12
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncdiff import calculus, universal
+from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import gell_mann_basis
 from ncdiff.universal import (
     _kron_sum,
@@ -75,7 +76,8 @@ def test_du_kills_identity():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_trace_lemma(m):
-    rep = verify_trace_lemma(_full_basis(m), trials=20, seed=7)
+    gam = _full_basis(m)
+    rep = verify_trace_lemma(gam, matrix_basis_duals(gam), trials=20, seed=7)
     assert rep["passed"], rep
     assert rep["trace_identity"] < 1e-10
     assert rep["tensor_commutator"] < 1e-10
@@ -84,7 +86,8 @@ def test_trace_lemma(m):
 @pytest.mark.parametrize("m", [2, 3, 8])
 def test_universal_identity(m, rng):
     # -[theta_u, f] = du(f) for every matrix f.
-    th = theta_u(_full_basis(m))
+    gam = _full_basis(m)
+    th = theta_u(gam, matrix_basis_duals(gam))
     for _ in range(20):
         f = _rand(m, rng)
         lhs = commutator(f, th)  # f.theta - theta.f = -[theta_u, f]
@@ -112,9 +115,8 @@ def test_trace_lemma_matches_loop(m, monkeypatch):
     # Random "duals" make both residuals O(1), so the comparison is not one of rounding noise.
     rng = np.random.default_rng(11)
     fake = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
-    monkeypatch.setattr(universal, "matrix_basis_duals", lambda gam, tol: fake)
     gam = _full_basis(m)
-    rep = verify_trace_lemma(gam, trials=4, seed=5)
+    rep = verify_trace_lemma(gam, fake, trials=4, seed=5)
     res_trace, res_comm = _trace_lemma_loop(gam, fake, trials=4, seed=5)
     assert res_trace > 1.0 and res_comm > 1.0
     assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
@@ -122,14 +124,14 @@ def test_trace_lemma_matches_loop(m, monkeypatch):
     assert not rep["passed"] and rep["bound"] == 1e-10 * m
     # the same residuals from batches of one trial
     monkeypatch.setattr(calculus, "STACK_BYTES", 1)
-    rep = verify_trace_lemma(gam, trials=4, seed=5)
+    rep = verify_trace_lemma(gam, fake, trials=4, seed=5)
     assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
     assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
 
 
-def _universal_identity_loop(gam, trials, rng):
+def _universal_identity_loop(gam, gdual, trials, rng):
     """universal_identity_residual one trial at a time: f's real part, then its imaginary part."""
-    th = theta_u(gam)
+    th = theta_u(gam, gdual)
     worst = 0.0
     for _ in range(trials):
         f = rng.standard_normal(gam.shape[1:]) + 1j * rng.standard_normal(gam.shape[1:])
@@ -145,18 +147,18 @@ def test_universal_identity_matches_loop(m, fake_duals, monkeypatch):
     Random "duals" make the residual O(1), so the comparison is not one of
     rounding noise; the true duals compare at rounding level.
     """
+    gam = _full_basis(m)
+    gdual = matrix_basis_duals(gam)
     if fake_duals:
         rng = np.random.default_rng(11)
-        fake = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
-        monkeypatch.setattr(universal, "matrix_basis_duals", lambda gam, tol: fake)
-    gam = _full_basis(m)
+        gdual = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
     ref_rng = np.random.default_rng(5)
-    ref = _universal_identity_loop(gam, 7, ref_rng)
+    ref = _universal_identity_loop(gam, gdual, 7, ref_rng)
     assert (ref > 1.0) == fake_duals
     for stack_bytes in (calculus.STACK_BYTES, 1):  # 1: batches of one trial
         monkeypatch.setattr(calculus, "STACK_BYTES", stack_bytes)
         rng = np.random.default_rng(5)
-        worst = universal.universal_identity_residual(gam, 7, rng)
+        worst = universal.universal_identity_residual(gam, gdual, 7, rng)
         assert worst == pytest.approx(ref, rel=1e-12, abs=1e-14)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -173,7 +175,8 @@ def _traced_peak(call):
 def test_trace_lemma_memory_does_not_grow_with_trials():
     """The trials run in batches under a byte cap, so 20x the trials keep the peak within 25%."""
     gam = _full_basis(8)
-    _traced_peak(lambda: verify_trace_lemma(gam, trials=20))  # one-time allocations
-    few = _traced_peak(lambda: verify_trace_lemma(gam, trials=20))
-    many = _traced_peak(lambda: verify_trace_lemma(gam, trials=400))
+    gdual = matrix_basis_duals(gam)
+    _traced_peak(lambda: verify_trace_lemma(gam, gdual, trials=20))  # one-time allocations
+    few = _traced_peak(lambda: verify_trace_lemma(gam, gdual, trials=20))
+    many = _traced_peak(lambda: verify_trace_lemma(gam, gdual, trials=400))
     assert many <= 1.25 * few, (few, many)
