@@ -48,4 +48,4 @@ from .maps import (
     pullback,
     pushforward,
 )
-from .universal import commutator, du, theta_u, verify_trace_lemma
+from .universal import theta_u, verify_trace_lemma

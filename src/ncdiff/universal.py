@@ -1,6 +1,6 @@
-"""Degree-1 slice of the universal calculus over M_m(C): the universal
-differential du, the form theta_u that generates it, and the two checks that
-verify runs on them (the trace lemma and du(f) = -[theta_u, f]).
+"""Degree-1 slice of the universal calculus over M_m(C): the form theta_u that
+generates the universal differential du(f) = 1 (x) f - f (x) 1, and the
+checks that verify runs on it (the trace lemma and du(f) = -[theta_u, f]).
 
 Each takes a full basis gamma_mu of M_m(C) and its trace duals gamma^mu
 (``algebra.matrix_basis_duals``), which a caller forms once for all of them.
@@ -8,26 +8,19 @@ Each takes a full basis gamma_mu of M_m(C) and its trace duals gamma^mu
 An element X = sum_k f_k (x) g_k of A (x) A is held as one m^2 x m^2 array,
 its Kronecker matrix sum_k kron(f_k, g_k); that is faithful and never
 larger than the list of pairs.  Row (i, k) and column (j, l) of X hold the
-coefficient of e_ij (x) e_kl, so the bimodule actions are matrix products
-on a reshaped X:
+coefficient of e_ij (x) e_kl, so the bimodule actions are matrix products:
+h.X = kron(h, 1) X and X.h = X kron(1, h).
 
-    h.X = kron(h, 1) X   is   h @ X.reshape(m, m^3)
-    X.h = X kron(1, h)   is   X.reshape(m^3, m) @ h
-
-each O(m^5), with no Kronecker product formed.
+Both identities are linear in f, so they hold for every f iff they hold on
+the m^2 matrix units E_pq; ``verify_trace_lemma`` decides them there, in
+closed form, from the one table K = sum_mu gamma_mu (x) gamma^{mu dag}.
 """
 
 import numpy as np
 
-from .calculus import trial_batches
-from .errors import ShapeError
-
 __all__ = [
-    "commutator",
-    "du",
     "theta_u",
     "verify_trace_lemma",
-    "universal_identity_residual",
 ]
 
 
@@ -40,28 +33,6 @@ def _kron_sum(F, G):
     return K.swapaxes(-3, -2).reshape(lead + (m * m, m * m))
 
 
-def commutator(h, X):
-    """[h, X] = h.X - X.h in the bimodule sense, for X in Kronecker layout.
-
-    A stack of matrices h gives the stack of their commutators with X, or,
-    when X is a stack as long, with the X of the same index.
-    """
-    m = h.shape[-1]
-    lead = X.shape[:-2]
-    shape = np.broadcast_shapes(h.shape[:-2], lead) + X.shape[-2:]
-    return ((h @ X.reshape(lead + (m, -1))).reshape(shape)
-            - (X.reshape(lead + (-1, m)) @ h).reshape(shape))
-
-
-def du(f):
-    """Universal differential of a matrix, or of each of a stack: 1 (x) f - f (x) 1."""
-    f = np.asarray(f, dtype=complex)
-    if f.ndim < 2 or f.shape[-1] != f.shape[-2]:
-        raise ShapeError(f"du() needs a square matrix, got {f.shape}")
-    eye = np.eye(f.shape[-1], dtype=complex)
-    return np.kron(eye, f) - np.kron(f, eye)
-
-
 def theta_u(basis_gamma, duals):
     """theta_u = (1/m) sum_mu gamma_mu (x) gamma^{mu dag} - 1 (x) 1, gamma^mu the ``duals``."""
     gam = np.asarray(basis_gamma, dtype=complex)
@@ -69,59 +40,45 @@ def theta_u(basis_gamma, duals):
     return _kron_sum(gam / m, np.asarray(duals).conj().transpose(0, 2, 1)) - np.eye(m * m)
 
 
-def _worst_norm(stack):
-    """The largest Frobenius norm of the arrays of a stack."""
-    return float(np.linalg.norm(stack.reshape(len(stack), -1), axis=1).max())
+def verify_trace_lemma(basis_gamma, duals):
+    """Exact check of the basis-completeness identities, on the matrix units E_pq.
 
+    K = sum_mu gamma_mu (x) gamma^{mu dag} = m (theta_u + 1 (x) 1) must be the
+    swap S, S[(i, k), (j, l)] = delta_il delta_kj; R = K - S is its error.
+    Each residual is the root-sum-square of an identity's error over the
+    E_pq, and so bounds that error by residual * |f|_F for every matrix f:
 
-def verify_trace_lemma(basis_gamma, duals, trials=20, seed=0):
-    """Numerical check of the basis-completeness identities.
+    - ``trace_identity``: sum_mu gamma_mu f gamma^{mu dag} - tr(f) 1, which
+      is |R|_F.
+    - ``tensor_commutator``: f.K - K.f = f.R - R.f, since S commutes with
+      both actions.  Its square is 2m |R|_F^2 - 2 |T|_F^2, T = sum_q
+      R4[q, :, :, q] and R4 being R as (i, k, j, l).  f.X(g) - X(g).f for
+      X(g) = sum_mu gamma_mu g (x) gamma^{mu dag} = K kron(g, 1) is that
+      times kron(g, 1), so is bounded by it times |f|_F |g|_2.
+    - ``universal_identity``: f.theta_u - theta_u.f - du(f), which is
+      (f.K - K.f) / m, so ``tensor_commutator`` / m.
 
-    For random f, g: sum_mu gamma_mu f gamma^{mu dag} = tr(f) 1, and
-    f (gamma_mu g (x) gamma^{mu dag}) = (gamma_mu g (x) gamma^{mu dag}) f
-    in the Kronecker representation of A (x) A.  The trials run in stacked
-    batches; a batch keeps up to four m^2 x m^2 tables per trial: the
-    products gamma_mu g, the sum and its two products with f.  Both residuals
-    are judged against ``bound`` = 1e-10 * m.  ``seed`` is anything
-    ``numpy.random.default_rng`` takes, such as a child ``SeedSequence``.
+    ``passed`` judges the first two against ``bound`` = 1e-10 * m.  Peak
+    memory is a few m^2 x m^2 tables.
     """
-    gam = np.asarray(basis_gamma, dtype=complex)
-    gdual_dag = np.asarray(duals).conj().transpose(0, 2, 1)
-    m = gam.shape[1]
-    rng = np.random.default_rng(seed)
-    res_trace = res_comm = 0.0
-    for count in trial_batches(trials, 4 * m ** 4):
-        # per trial: re f, im f, re g, im g, in the order of one draw per matrix
-        z = rng.standard_normal((count, 4, m, m))
-        f = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
-        g = (z[:, 2] + 1j * z[:, 3]) / np.sqrt(2)
-        total = np.einsum("uij,tjk,ukl->til", gam, f, gdual_dag, optimize=True)
-        total -= np.trace(f, axis1=1, axis2=2)[:, None, None] * np.eye(m)
-        res_trace = max(res_trace, _worst_norm(total))
-        res_comm = max(res_comm, _worst_norm(commutator(f, _kron_sum(gam @ g[:, None],
-                                                                     gdual_dag))))
+    m = np.shape(basis_gamma)[-1]
+    R = theta_u(basis_gamma, duals)
+    R.flat[::m * m + 1] += 1.0
+    R *= m
+    R4 = R.reshape((m,) * 4)
+    R4 -= np.eye(m * m).reshape((m,) * 4).swapaxes(2, 3)
+    trace = float(np.linalg.norm(R))
+    # f.R - R.f is zero exactly on the tables delta_il A[k, j] (S is one), so
+    # 2m |R|^2 - 2 |T|^2 is 2m |R - P R|^2, P the projection onto them
+    # (A = T / m); taken that way, no rounding of an error along S cancels.
+    q = np.arange(m)
+    R4[q, :, :, q] -= np.trace(R4, axis1=0, axis2=3) / m
+    comm = float(np.sqrt(2 * m) * np.linalg.norm(R))
     bound = 1e-10 * m
     return {
-        "trace_identity": res_trace,
-        "tensor_commutator": res_comm,
+        "trace_identity": trace,
+        "tensor_commutator": comm,
+        "universal_identity": comm / m,
         "bound": bound,
-        "passed": bool(res_trace < bound and res_comm < bound),
+        "passed": bool(trace < bound and comm < bound),
     }
-
-
-def universal_identity_residual(basis_gamma, duals, trials, rng):
-    """Worst |f.theta_u - theta_u.f - du(f)| over ``trials`` random matrices f.
-
-    f.theta_u - theta_u.f = -[theta_u, f] is du(f).  Each trial draws the
-    real part of f, then the imaginary part, from the numpy Generator
-    ``rng``.  A batch keeps up to four m^2 x m^2 tables per trial:
-    [f, theta_u] and the three of du(f).
-    """
-    th = theta_u(basis_gamma, duals)
-    m = np.shape(basis_gamma)[-1]
-    worst = 0.0
-    for count in trial_batches(trials, 4 * m ** 4):
-        z = rng.standard_normal((count, 2, m, m))
-        f = z[:, 0] + 1j * z[:, 1]
-        worst = max(worst, _worst_norm(commutator(f, th) - du(f)))
-    return worst

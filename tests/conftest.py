@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ncdiff import algebra, calculus, catalog, detect_structure, use_relations, build_tower
+from ncdiff.errors import ShapeError
+from ncdiff.universal import theta_u
 
 
 def generic_subspace(m, n, seed):
@@ -59,6 +62,91 @@ def random_identity_residuals(tower, trials, rng, raw=False):
                 scale = max(np.linalg.norm(z) * np.linalg.norm(x), 1.0)
                 worst_leib = max(worst_leib, np.linalg.norm(res) / scale)
     return float(worst_dd), float(worst_leib)
+
+
+@st.composite
+def matrix_stacks(draw, full=None, max_log_cond=6.0):
+    """A stack of m x m matrices, m = 2..6, and its Gram condition number, 1 to 10^max_log_cond.
+
+    Either n <= m^2 - 1 traceless matrices or a full basis of m^2, drawn
+    unless ``full`` says which.  The stack is Q diag(s) V as m^2 x n columns,
+    Q orthonormal (in the traceless hyperplane unless full) and V unitary, so
+    the Gram is V^dag diag(s^2) V.
+    """
+    m = draw(st.integers(2, 6))
+    full = draw(st.booleans()) if full is None else full
+    n = m * m if full else draw(st.integers(1, m * m - 1))
+    cond = 10.0 ** draw(st.floats(0.0, max_log_cond))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.standard_normal((m * m, n)) + 1j * rng.standard_normal((m * m, n))
+    if not full:
+        e = np.eye(m).reshape(-1) / np.sqrt(m)  # vec(1) / |1|, orthogonal to the traceless
+        z -= np.outer(e, e @ z)
+    q = np.linalg.qr(z)[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    s = np.sqrt(np.geomspace(1.0, cond, n))
+    return ((q * s) @ v).T.reshape(n, m, m), s[-1] ** 2 / s[0] ** 2
+
+
+def commutator(h, X):
+    """[h, X] = h.X - X.h in the bimodule sense, for X in Kronecker layout.
+
+    h.X = kron(h, 1) X is h @ X.reshape(m, m^3), and X.h = X kron(1, h) is
+    X.reshape(m^3, m) @ h.  A stack of matrices h gives the stack of their
+    commutators with X, or, when X is a stack as long, with the X of the
+    same index.
+    """
+    m = h.shape[-1]
+    lead = X.shape[:-2]
+    shape = np.broadcast_shapes(h.shape[:-2], lead) + X.shape[-2:]
+    return ((h @ X.reshape(lead + (m, -1))).reshape(shape)
+            - (X.reshape(lead + (-1, m)) @ h).reshape(shape))
+
+
+def du(f):
+    """Universal differential of a matrix, or of each of a stack: 1 (x) f - f (x) 1."""
+    f = np.asarray(f, dtype=complex)
+    if f.ndim < 2 or f.shape[-1] != f.shape[-2]:
+        raise ShapeError(f"du() needs a square matrix, got {f.shape}")
+    eye = np.eye(f.shape[-1], dtype=complex)
+    return np.kron(eye, f) - np.kron(f, eye)
+
+
+def _complex_normal(rng, m):
+    """A standard complex normal m x m matrix: its real part, then its imaginary part."""
+    return (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+
+
+def trace_lemma_trials(gammas, duals, trials, rng):
+    """The random-trial reference for ``universal.verify_trace_lemma``, one trial at a time.
+
+    Each trial draws f, then g, and gives (|f|_F, |g|_2, the trace residual
+    |sum_mu gamma_mu f gamma^{mu dag} - tr(f) 1|, the tensor residual
+    |f.X(g) - X(g).f|) for X(g) = sum_mu gamma_mu g (x) gamma^{mu dag}.
+    """
+    m = gammas.shape[-1]
+    dual_dag = np.asarray(duals).conj().transpose(0, 2, 1)
+    out = []
+    for _ in range(trials):
+        f, g = _complex_normal(rng, m), _complex_normal(rng, m)
+        total = sum(gm @ f @ dd for gm, dd in zip(gammas, dual_dag)) - np.trace(f) * np.eye(m)
+        X = sum(np.kron(gm @ g, dd) for gm, dd in zip(gammas, dual_dag))
+        out.append((np.linalg.norm(f), np.linalg.norm(g, 2), np.linalg.norm(total),
+                    np.linalg.norm(commutator(f, X))))
+    return out
+
+
+def universal_identity_trials(gammas, duals, trials, rng):
+    """The random-trial reference for the universal identity, one trial at a time.
+
+    Each trial draws f and gives (|f|_F, |f.theta_u - theta_u.f - du(f)|).
+    """
+    th = theta_u(gammas, duals)
+    out = []
+    for _ in range(trials):
+        f = _complex_normal(rng, gammas.shape[-1])
+        out.append((np.linalg.norm(f), np.linalg.norm(commutator(f, th) - du(f))))
+    return out
 
 
 @pytest.fixture

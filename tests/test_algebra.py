@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from conftest import matrix_stacks
 
 from ncdiff import algebra, genalg
 from ncdiff.catalog import gell_mann_basis
@@ -110,31 +111,8 @@ def test_matrix_basis_duals_match_einsum():
     assert np.max(np.abs(algebra.matrix_basis_duals(gam) - ref)) < 1e-14
 
 
-@st.composite
-def _dual_cases(draw):
-    """A stack of m x m matrices, m = 2..6, and its Gram condition number, 1 to 1e6.
-
-    Either n <= m^2 - 1 traceless matrices or a full basis of m^2.  The stack
-    is Q diag(s) V as m^2 x n columns, Q orthonormal (in the traceless
-    hyperplane unless full) and V unitary, so the Gram is V^dag diag(s^2) V.
-    """
-    m = draw(st.integers(2, 6))
-    full = draw(st.booleans())
-    n = m * m if full else draw(st.integers(1, m * m - 1))
-    cond = 10.0 ** draw(st.floats(0.0, 6.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    z = rng.standard_normal((m * m, n)) + 1j * rng.standard_normal((m * m, n))
-    if not full:
-        e = np.eye(m).reshape(-1) / np.sqrt(m)  # vec(1) / |1|, orthogonal to the traceless
-        z -= np.outer(e, e @ z)
-    q = np.linalg.qr(z)[0]
-    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    s = np.sqrt(np.geomspace(1.0, cond, n))
-    return ((q * s) @ v).T.reshape(n, m, m), s[-1] ** 2 / s[0] ** 2
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_dual_cases())
+@given(matrix_stacks())
 def test_dual_data_duality_and_conditioning(case):
     """<mu^a, mu_b> = delta_ab within condition * 1e-13, and DependentBasis once the
     condition exceeds 1/tol."""

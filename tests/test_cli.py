@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import copy
 import dataclasses
 import hashlib
 import io
@@ -288,11 +287,12 @@ def _judged_sections(rep, command):
     return out
 
 
-@pytest.mark.parametrize("break_du", [False, True])
-def test_sections_report_bound(monkeypatch, capsys, tmp_path, clock_file, break_du):
-    if break_du:
-        du = universal.du
-        monkeypatch.setattr(universal, "du", lambda f: du(2 * f))
+@pytest.mark.parametrize("break_theta_u", [False, True])
+def test_sections_report_bound(monkeypatch, capsys, tmp_path, clock_file, break_theta_u):
+    """With theta_u off by 1e-3 the two universal-calculus sections fail, and nothing else."""
+    if break_theta_u:
+        theta_u = universal.theta_u
+        monkeypatch.setattr(universal, "theta_u", lambda g, d: theta_u(g, d) * (1 + 1e-3))
     upath = tmp_path / "u.json"
     u = np.random.default_rng(9).standard_normal((3, 3))
     with open(upath, "w") as fh:
@@ -301,11 +301,13 @@ def test_sections_report_bound(monkeypatch, capsys, tmp_path, clock_file, break_
     for argv in (["verify", clock_file], ["equiv", clock_file, str(upath)]):
         code, rep = _run_json(capsys, argv + ["--trials", "3"])
         judged += _judged_sections(rep, argv[0])
-        assert code == (cli.EXIT_VERIFY if break_du and argv[0] == "verify" else cli.EXIT_OK)
+        assert code == (cli.EXIT_VERIFY if break_theta_u and argv[0] == "verify"
+                        else cli.EXIT_OK)
     for status, residual, bound in judged:
         assert status == ("pass" if residual < bound else "fail")
     assert [b for *_, b in judged] == [1e-8, 1e-8, 3e-10, 1e-10] + [1e-8] * 4
-    assert [s for s, *_ in judged].count("fail") == int(break_du)
+    assert [s for s, *_ in judged] == ["pass"] * 2 + [
+        "fail" if break_theta_u else "pass"] * 2 + ["pass"] * 4
 
 
 def test_equiv_singular(tmp_path, clock_file):
@@ -591,7 +593,7 @@ def _traced_peak(argv):
 
 
 def test_verify_memory_does_not_grow_with_trials(tmp_path):
-    """Trials run in batches under a byte cap, so 20x the trials keep the peak within 25%."""
+    """verify runs no random trials, so 20x the --trials keep the peak within 25%."""
     e = universal_A0(3)
     path = str(tmp_path / "a0.json")
     formats.save_algebra(path, 3, e.subspace.label, e.subspace.lambdas)
@@ -769,26 +771,61 @@ def test_verify_max_degree_2_checks_exactly(monkeypatch, capsys, tmp_path, mode)
     assert failed == {"d_squared_zero" if mode == "auto" else "graded_leibniz"}
 
 
-def test_verify_random_sections_draw_separate_streams(monkeypatch, capsys, clock_file):
-    """trace_lemma and universal_identity each draw from their own child stream of --seed."""
-    firsts = {}
-    trace_lemma, identity = universal.verify_trace_lemma, universal.universal_identity_residual
+def test_verify_report_ignores_seed_and_trials(capsys, clock_file, tmp_path):
+    """verify draws no random numbers: its report is byte-identical whatever --seed and
+    --trials say, and names no seed; equiv, which does draw, still names its seed."""
+    outs = []
+    for flags in (["--seed", "1", "--trials", "1"], ["--seed", "7", "--trials", "400"]):
+        assert cli.main(["verify", clock_file, "--format", "json"] + flags) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    rep = json.loads(outs[0])
+    assert "seed" not in rep and "generator" not in rep
+    upath = tmp_path / "u.json"
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(np.diag([1.0, 2.0, 3.0])), fh)
+    code, rep = _run_json(capsys, ["equiv", clock_file, str(upath), "--seed", "7",
+                                   "--trials", "2"])
+    assert code == cli.EXIT_OK
+    assert rep["seed"] == 7 and rep["generator"] == "numpy.random.default_rng"
 
-    def spy_trace_lemma(gammas, gduals, trials, seed):
-        firsts["trace_lemma"] = np.random.default_rng(seed).standard_normal(8)
-        return trace_lemma(gammas, gduals, trials=trials, seed=seed)
 
-    def spy_identity(gammas, gduals, trials, rng):
-        firsts["universal_identity"] = copy.deepcopy(rng).standard_normal(8)
-        return identity(gammas, gduals, trials, rng)
+def test_verify_calls_the_traced_universal_functions(monkeypatch, capsys, clock_file):
+    """verify reaches universal.verify_trace_lemma and universal.theta_u, the two universal
+    names that perfbench's tracer reports and expects to be called."""
+    called = []
+    for name in ("verify_trace_lemma", "theta_u"):
+        def spy(*args, _real=getattr(universal, name), _name=name):
+            called.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(universal, name, spy)
+    code, _ = _run_json(capsys, ["verify", clock_file])
+    assert code == cli.EXIT_OK
+    assert called == ["verify_trace_lemma", "theta_u"]
 
-    monkeypatch.setattr(universal, "verify_trace_lemma", spy_trace_lemma)
-    monkeypatch.setattr(universal, "universal_identity_residual", spy_identity)
-    code, rep = _run_json(capsys, ["verify", clock_file, "--seed", "42"])
-    assert code == cli.EXIT_OK and rep["seed"] == 42
-    plain = np.random.default_rng(42).standard_normal(8)
-    draws = [firsts["trace_lemma"], firsts["universal_identity"], plain]
-    assert all(not np.array_equal(a, b) for i, a in enumerate(draws) for b in draws[i + 1:])
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_verify_fails_on_one_scaled_dual(monkeypatch, capsys, tmp_path, m):
+    """Negative control: one gamma dual scaled by 1 + 1e-3 fails trace_lemma and
+    universal_identity, each residual of the order of 1e-3."""
+    e = clock_shift(m)
+    path = str(tmp_path / "clock.json")
+    formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    duals = matrix_basis_duals
+
+    def scaled(gammas, tol):
+        out = duals(gammas, tol=tol)
+        out[-1] *= 1 + 1e-3
+        return out
+
+    monkeypatch.setattr(cli.algebra, "matrix_basis_duals", scaled)
+    code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded"])
+    assert code == cli.EXIT_VERIFY
+    sec = {s["name"]: s for s in rep["sections"]}
+    assert sec["trace_lemma"]["status"] == sec["universal_identity"]["status"] == "fail"
+    for value in (sec["trace_lemma"]["trace_identity"], sec["trace_lemma"]["tensor_commutator"],
+                  sec["universal_identity"]["residual"]):
+        assert 1e-4 < value < 1e-2
 
 
 def test_verify_fails_on_broken_degree0_d(monkeypatch, capsys, tmp_path):

@@ -2,17 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-
-from ncdiff import calculus, universal
-from ncdiff.algebra import matrix_basis_duals
-from ncdiff.catalog import gell_mann_basis
-from ncdiff.universal import (
-    _kron_sum,
+from conftest import (
     commutator,
     du,
-    theta_u,
-    verify_trace_lemma,
+    matrix_stacks,
+    trace_lemma_trials,
+    universal_identity_trials,
 )
+from hypothesis import given, settings, strategies as st
+
+from ncdiff.algebra import matrix_basis_duals
+from ncdiff.catalog import gell_mann_basis
+from ncdiff.universal import _kron_sum, theta_u, verify_trace_lemma
 
 
 def _full_basis(m):
@@ -77,10 +78,11 @@ def test_du_kills_identity():
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_trace_lemma(m):
     gam = _full_basis(m)
-    rep = verify_trace_lemma(gam, matrix_basis_duals(gam), trials=20, seed=7)
+    rep = verify_trace_lemma(gam, matrix_basis_duals(gam))
     assert rep["passed"], rep
-    assert rep["trace_identity"] < 1e-10
-    assert rep["tensor_commutator"] < 1e-10
+    assert rep["bound"] == 1e-10 * m
+    assert max(rep["trace_identity"], rep["tensor_commutator"]) < 1e-10
+    assert rep["universal_identity"] == rep["tensor_commutator"] / m
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])
@@ -94,73 +96,107 @@ def test_universal_identity(m, rng):
         assert np.linalg.norm(lhs - du(f)) < 1e-10
 
 
-def _trace_lemma_loop(gam, gdual, trials, seed):
-    """verify_trace_lemma's two residuals, one basis element at a time."""
-    m = gam.shape[1]
-    rng = np.random.default_rng(seed)
-    res_trace = res_comm = 0.0
-    for _ in range(trials):
-        f = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-        g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-        total = sum(gam[mu] @ f @ gdual[mu].conj().T for mu in range(m * m))
-        res_trace = max(res_trace, np.linalg.norm(total - np.trace(f) * np.eye(m)))
-        comm = sum(np.kron(f @ gam[mu] @ g, gdual[mu].conj().T)
-                   - np.kron(gam[mu] @ g, gdual[mu].conj().T @ f) for mu in range(m * m))
-        res_comm = max(res_comm, np.linalg.norm(comm))
-    return res_trace, res_comm
+def _unit_loop(m, residual):
+    """sqrt(sum over the matrix units E_pq of |residual(E_pq)|^2)."""
+    total = 0.0
+    for k in range(m * m):
+        f = np.zeros(m * m, dtype=complex)
+        f[k] = 1.0
+        total += np.linalg.norm(residual(f.reshape(m, m))) ** 2
+    return np.sqrt(total)
+
+
+def _fake_duals(m):
+    """Random "duals": every residual is O(1), so a comparison is not one of rounding noise."""
+    rng = np.random.default_rng(11)
+    return rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_trace_lemma_matches_loop(m, monkeypatch):
-    # Random "duals" make both residuals O(1), so the comparison is not one of rounding noise.
-    rng = np.random.default_rng(11)
-    fake = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
-    gam = _full_basis(m)
-    rep = verify_trace_lemma(gam, fake, trials=4, seed=5)
-    res_trace, res_comm = _trace_lemma_loop(gam, fake, trials=4, seed=5)
-    assert res_trace > 1.0 and res_comm > 1.0
-    assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
-    assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
+def test_trace_lemma_matches_loop(m):
+    """The closed forms against each identity evaluated on every matrix unit E_pq."""
+    gam, fake = _full_basis(m), _fake_duals(m)
+    K = sum(np.kron(g, d.conj().T) for g, d in zip(gam, fake))
+    eye = np.eye(m)
+    trace = _unit_loop(m, lambda f: sum(g @ f @ d.conj().T for g, d in zip(gam, fake))
+                       - np.trace(f) * eye)
+    tensor = _unit_loop(m, lambda f: np.kron(f, eye) @ K - K @ np.kron(eye, f))
+    rep = verify_trace_lemma(gam, fake)
+    assert trace > 1.0 and tensor > 1.0
+    assert rep["trace_identity"] == pytest.approx(trace, rel=1e-12)
+    assert rep["tensor_commutator"] == pytest.approx(tensor, rel=1e-12)
     assert not rep["passed"] and rep["bound"] == 1e-10 * m
-    # the same residuals from batches of one trial
-    monkeypatch.setattr(calculus, "STACK_BYTES", 1)
-    rep = verify_trace_lemma(gam, fake, trials=4, seed=5)
-    assert rep["trace_identity"] == pytest.approx(res_trace, rel=1e-12)
-    assert rep["tensor_commutator"] == pytest.approx(res_comm, rel=1e-12)
-
-
-def _universal_identity_loop(gam, gdual, trials, rng):
-    """universal_identity_residual one trial at a time: f's real part, then its imaginary part."""
-    th = theta_u(gam, gdual)
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(gam.shape[1:]) + 1j * rng.standard_normal(gam.shape[1:])
-        worst = max(worst, np.linalg.norm(commutator(f, th) - du(f)))
-    return worst
 
 
 @pytest.mark.parametrize("fake_duals", [False, True])
 @pytest.mark.parametrize("m", [2, 3])
-def test_universal_identity_matches_loop(m, fake_duals, monkeypatch):
-    """The stacked residual is the per-trial loop's, batched or not, and leaves the same stream.
+def test_universal_identity_matches_loop(m, fake_duals):
+    """``universal_identity`` is |f -> f.theta_u - theta_u.f - du(f)| summed over the E_pq.
 
-    Random "duals" make the residual O(1), so the comparison is not one of
-    rounding noise; the true duals compare at rounding level.
+    With random "duals" it is O(1); the true duals compare at rounding level.
     """
     gam = _full_basis(m)
-    gdual = matrix_basis_duals(gam)
-    if fake_duals:
-        rng = np.random.default_rng(11)
-        gdual = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
-    ref_rng = np.random.default_rng(5)
-    ref = _universal_identity_loop(gam, gdual, 7, ref_rng)
+    gdual = _fake_duals(m) if fake_duals else matrix_basis_duals(gam)
+    th = theta_u(gam, gdual)
+    ref = _unit_loop(m, lambda f: commutator(f, th) - du(f))
     assert (ref > 1.0) == fake_duals
-    for stack_bytes in (calculus.STACK_BYTES, 1):  # 1: batches of one trial
-        monkeypatch.setattr(calculus, "STACK_BYTES", stack_bytes)
-        rng = np.random.default_rng(5)
-        worst = universal.universal_identity_residual(gam, gdual, 7, rng)
-        assert worst == pytest.approx(ref, rel=1e-12, abs=1e-14)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    got = verify_trace_lemma(gam, gdual)["universal_identity"]
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def _scaled_dual(gam, mu, factor):
+    gdual = matrix_basis_duals(gam)
+    gdual[mu] *= factor
+    return gdual
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_random_trials_within_exact_bound(m):
+    """Each random trial's residual is at most the exact residual times |f|_F (and |g|_2).
+
+    Checked on the true duals, where both are rounding noise, and with the
+    last dual scaled by 1 + 1e-3, where both are of order 1e-3.
+    """
+    gam = _full_basis(m)
+    rng = np.random.default_rng(m)
+    for gdual in (matrix_basis_duals(gam), _scaled_dual(gam, m * m - 1, 1 + 1e-3)):
+        rep = verify_trace_lemma(gam, gdual)
+        slack = 1e-13
+        for nf, ng, trace, tensor in trace_lemma_trials(gam, gdual, 5, rng):
+            assert trace <= (rep["trace_identity"] + slack) * nf
+            assert tensor <= (rep["tensor_commutator"] + slack) * nf * ng
+        for nf, residual in universal_identity_trials(gam, gdual, 5, rng):
+            assert residual <= (rep["universal_identity"] + slack) * nf
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_error_along_the_swap_is_no_commutator_error(m):
+    """All duals scaled by 1 + 1e-3 make R = 1e-3 S: the trace identity is off by
+    1e-3 |S|_F = 1e-3 m, while S commutes with both actions, so the tensor and
+    universal identities hold to rounding (a difference of squares read 6.6e-10 at m = 8)."""
+    gam = _full_basis(m)
+    rep = verify_trace_lemma(gam, matrix_basis_duals(gam) * (1 + 1e-3))
+    assert rep["trace_identity"] == pytest.approx(1e-3 * m, rel=1e-9)
+    assert rep["tensor_commutator"] < 1e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(matrix_stacks(full=True, max_log_cond=4.0), st.data())
+def test_trace_lemma_exact_on_random_bases(case, data):
+    """Any full basis with Gram condition up to 1e4 passes.  One dual off by 1 + delta gives
+    trace_identity = delta |gamma_mu|_F |gamma^mu|_F, since then R is
+    delta gamma_mu (x) gamma^{mu dag}.
+    """
+    gam, _ = case
+    m = gam.shape[-1]
+    gdual = matrix_basis_duals(gam)
+    rep = verify_trace_lemma(gam, gdual)
+    assert rep["passed"], rep
+    assert rep["universal_identity"] < 1e-10
+    mu, delta = data.draw(st.integers(0, m * m - 1)), 1e-6
+    expected = delta * np.linalg.norm(gam[mu]) * np.linalg.norm(gdual[mu])
+    gdual[mu] *= 1 + delta
+    assert verify_trace_lemma(gam, gdual)["trace_identity"] == pytest.approx(expected, rel=0.01)
 
 
 def _traced_peak(call):
@@ -172,11 +208,11 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_trace_lemma_memory_does_not_grow_with_trials():
-    """The trials run in batches under a byte cap, so 20x the trials keep the peak within 25%."""
-    gam = _full_basis(8)
+def test_trace_lemma_peak_is_a_few_tables():
+    """At m = 8 the exact check holds at most six m^2 x m^2 complex tables at once."""
+    m = 8
+    gam = _full_basis(m)
     gdual = matrix_basis_duals(gam)
-    _traced_peak(lambda: verify_trace_lemma(gam, gdual, trials=20))  # one-time allocations
-    few = _traced_peak(lambda: verify_trace_lemma(gam, gdual, trials=20))
-    many = _traced_peak(lambda: verify_trace_lemma(gam, gdual, trials=400))
-    assert many <= 1.25 * few, (few, many)
+    verify_trace_lemma(gam, gdual)  # one-time allocations
+    peak = _traced_peak(lambda: verify_trace_lemma(gam, gdual))
+    assert peak <= 6 * m ** 4 * 16, peak
