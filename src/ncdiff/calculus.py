@@ -25,14 +25,14 @@ stack axis of same-degree forms; ``canonicalize``, ``wedge``, ``chi``,
 stack with the GEMMs they use for a single form, so the random trials of
 a check run as a few stacked calls (``trial_batches``, ``TrialDraws``).
 Projection is linear, so each operation builds its whole raw table first
-and projects it once.  The raw tables come from private kernels that
-write into caller-given buffers: ``_raw_d`` sums the two theta products and
-the chi insertions (``_raw_chi``) in one table, ``_raw_wedge`` is one
-pair-product GEMM, and ``_project`` projects a table in place.  The public
-operations call them with fresh buffers.  ``generator_residuals`` decides
-d o d = 0 and the graded Leibniz rule exactly, on the generators E_ij,
-theta^a and L_r (x) 1_m at degree 3 or less, in batches carved from one
-workspace.  ``trial_batches`` is the one rule that sizes a batch of stacked
+and projects it once.  The raw tables come from private kernels:
+``_raw_d`` sums the two theta products and the chi insertions
+(``_raw_chi``) in one table, ``_raw_wedge`` is one pair-product GEMM, and
+``_project`` projects a table its caller owns in place.
+``generator_residuals`` decides d o d = 0 and the graded Leibniz rule
+exactly, in closed form from d^2 = ad_C + chi^2 (``_curvature``): one
+(n, n, m, m) table C and scalar tables of n^3 entries per generator.
+``trial_batches`` is the one rule that sizes a batch of stacked random
 forms, under ``STACK_BYTES``.
 """
 
@@ -62,9 +62,9 @@ __all__ = [
     "generator_residuals",
 ]
 
-# Bytes of stacked coefficient tables that one batch of trials or generators may
-# keep, counting every table a check holds at once; one whose own tables are
-# larger runs alone.
+# Bytes of stacked coefficient tables that one batch of trials may keep,
+# counting every table a check holds at once; one whose own tables are larger
+# runs alone.
 STACK_BYTES = 1 << 20
 
 
@@ -345,22 +345,21 @@ def _raw_wedge(tower, a, p, b, q):
     return prod.reshape(prod.shape[:-4] + (n,) * (p + q) + (m, m))
 
 
-def _raw_chi(F, coeffs, p, out=None, tmp=None):
+def _raw_chi(F, coeffs, p):
     """The raw (uncanonicalized) chi table of a degree-p coefficient table or stack, p >= 1.
 
     Slot q = 1..p of ``coeffs`` (axis q - 1 after the stack axis) is
     replaced by the pair slots (b, c) weighted by (-1)^q F^a_bc: one
-    stacked GEMM of F as an (n^2 x n) matrix per slot.  The first is
-    written into the 1-d buffer ``out``, each later one into the scratch
-    buffer ``tmp`` and added; without buffers each GEMM allocates its own.
+    stacked GEMM of F as an (n^2 x n) matrix per slot, summed.  The trailing
+    (m, m) axes may have any shape, since chi acts on the slots only.
     """
     n = F.shape[0]
     s = len(_stack(coeffs, p))
     shape = coeffs.shape[:s] + (n,) * (p + 1) + coeffs.shape[-2:]
     Fm = F.reshape(n, n * n).T  # Fm[(b, c), a] = F^a_bc
-    table = _at_slot(-Fm, coeffs, s, out).reshape(shape)
+    table = _at_slot(-Fm, coeffs, s).reshape(shape)
     for q in range(2, p + 1):
-        table += _at_slot((-1) ** q * Fm, coeffs, s + q - 1, tmp).reshape(shape)
+        table += _at_slot((-1) ** q * Fm, coeffs, s + q - 1).reshape(shape)
     return table
 
 
@@ -398,13 +397,11 @@ def exterior_d(xi):
     return Form(tower, p + 1, _project(tower, p + 1, _raw_d(tower, xi.coeffs, p)))
 
 
-def _raw_d(tower, coeffs, p, out=None, tmp=None):
-    """The raw (unprojected) table of d on a degree-p table or stack, written into ``out``.
+def _raw_d(tower, coeffs, p):
+    """The raw (unprojected) table of d on a degree-p table or stack.
 
-    ``out`` and ``tmp`` are 1-d complex buffers with room for the degree-(p+1)
-    table; ``tmp`` is scratch.  Without them each GEMM allocates its own
-    result.  Projection is linear and d maps the relations' ideal into
-    itself, so any sum of raw tables may be projected once.
+    Projection is linear and d maps the relations' ideal into itself, so
+    any sum of raw tables may be projected once.
     """
     lam = tower.ga.subspace.lambdas
     n, m = tower.n, tower.m
@@ -412,11 +409,11 @@ def _raw_d(tower, coeffs, p, out=None, tmp=None):
     shape = stack + (n,) * (p + 1) + (m, m)
     a = coeffs.reshape(stack + (n ** p, m, m))
     if p == 0:  # no chi term; with one index a, lambda_a f is in table order as computed
-        table = _pair_products(lam, a, out).reshape(shape)
+        table = _pair_products(lam, a).reshape(shape)
     else:
-        table = _raw_chi(tower.ga.F, coeffs, p, out, tmp)
-        table += _pair_products(lam, a, tmp).reshape(shape)
-    table += _pair_products(a, (-1) ** (p + 1) * lam, tmp).reshape(shape)
+        table = _raw_chi(tower.ga.F, coeffs, p)
+        table += _pair_products(lam, a).reshape(shape)
+    table += _pair_products(a, (-1) ** (p + 1) * lam).reshape(shape)
     return table
 
 
@@ -541,7 +538,7 @@ def random_form(tower, degree, rng, count=None):
 
 
 def trial_batches(trials, per_trial):
-    """Sizes of the batches that split ``trials`` trials or generators, in order.
+    """Sizes of the batches that split ``trials`` trials, in order.
 
     A batch stacks as many as keep ``per_trial`` complex entries each within
     STACK_BYTES, and at least one.
@@ -575,55 +572,72 @@ class TrialDraws:
         return Form(tower, p, _project(tower, p, coeffs.reshape(shape)))
 
 
-def _generator_residual(tower, g, p, steps, bufs):
-    """|pi d g| (``steps`` 1) or |pi d(d g)| (``steps`` 2) for each form of the degree-p stack g.
+def _curvature(tower):
+    """C = theta^2 - chi(theta), the raw (n, n, m, m) table with d^2 = ad_C + chi^2 for the raw d.
 
-    The last d's raw table is built in bufs[0], with bufs[1] as scratch, and
-    projected in place; with two steps the first d is the public, projected one.
+    theta is odd and chi an odd derivation acting on the co-frame slots
+    only, so (-ad_theta + chi)^2 = ad_{theta^2} - ad_{chi(theta)} + chi^2.
+    C is also -(d theta + theta^2), minus the left side of the first
+    structure equation.
     """
-    if steps == 2:
-        g, p = exterior_d(Form(tower, p, g)).coeffs, p + 1
-    return form_norm(Form(tower, p + 1, _project(tower, p + 1, _raw_d(tower, g, p, *bufs))))
+    th = -tower.ga.subspace.lambdas
+    C = np.ascontiguousarray(_raw_wedge(tower, th, 1, th, 1))
+    C -= _raw_chi(tower.ga.F, th, 1)
+    return C
+
+
+def _canonical_norms(tower, p, rows):
+    """|pi_p x| = |W_p^dag x| for each row x of ``rows``, a (k, n^p) stack of scalar tables.
+
+    Each norm is a real dot product of a row's float view with itself, so no
+    table-sized temporary is made.
+    """
+    if tower.ranks[p] == 0:
+        return np.zeros(len(rows))
+    W = tower.basis(p)
+    flat = np.ascontiguousarray(rows if W is None else rows @ W.conj()).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def generator_residuals(tower):
-    """The d o d = 0 and graded Leibniz residuals of the calculus, decided exactly on generators.
+    """The d o d = 0 and graded Leibniz residuals of the calculus, decided exactly in closed form.
 
     The raw d is a graded derivation of T(V) (x) M_m, since the co-frame is
-    central.  So Leibniz holds on Omega iff d maps the relation ideal into
-    itself, that is iff pi_3 d(L_r (x) 1_m) = 0 for the k columns L_r of
-    L = null(P^T).  Then d o d, an even derivation, vanishes on all of Omega
-    iff it vanishes on the generators E_ij (degree 0) and theta^a (degree 1).
-    Neither check goes above degree 3, which the tower must reach.  Each
-    residual is the worst |pi d(d g)| or |pi d g| over |g|, relative to the
-    scale of d: |lambda|^2 for d o d, |lambda| for the ideal, so a small basis
-    is judged as strictly as a large one.
-    A check into a zero-rank space is zero and left out.  Each check takes
-    its generators in ``trial_batches`` batches, keeping a result and a
-    scratch table of its residual's degree per generator in one workspace.
+    central, and d^2 = ad_C + chi^2 (``_curvature``).  With c = tr(C) / m,
+    C' = C - c (x) 1 and I the relation ideal (I_3 = L (x) V + V (x) L):
+
+    - degree 0: d d f = [pi_2 C', f], so d o d = 0 on M_m iff pi_2 C' = 0;
+    - degree 1: given that, d d theta^a = u_a (x) 1 modulo I_3, with the
+      scalar u_a = c (x) e_a - e_a (x) c + chi^2(e_a);
+    - Leibniz holds on Omega iff d maps I into itself, iff pi_3 d(L_r (x) 1)
+      = 0 for the k columns L_r of L = null(P^T); the theta terms of that
+      d lie in I_3, so it is pi_3 chi(L_r) (x) 1.
+
+    Then d o d, an even derivation, vanishes on all of Omega iff it vanishes
+    on the generators E_ij and theta^a.  Every table but C is scalar, n^3
+    entries per generator.  The residuals, relative to the scale of d, are
+    (2 |pi_2 C'| + max_a |pi_3 u_a|) / |lambda|^2, a bound on |d d E_ij| and
+    |d d theta^a| / |theta^a| since |[X, E_ij]| <= 2 |X|, and, for the
+    orthonormal L_r, max_r |pi_3 chi(L_r)| / |lambda|, the worst
+    |pi_3 d(L_r (x) 1)| / |L_r (x) 1|.  The tower must reach degree 3.
     Returns (d o d residual, Leibniz residual).
     """
     if tower.max_degree < 3:
         raise DegreeError(f"generator checks need max_degree >= 3, got {tower.max_degree}")
-    n, m = tower.n, tower.m
-    one = np.eye(m, dtype=complex)
-    Lr = np.empty((0, n, n)) if tower.relations is None else tower.relations
-    # (generator stack, its degree, applications of d) for E_ij, theta^a and L_r (x) 1_m
-    checks = [(np.eye(m * m, dtype=complex).reshape(-1, m, m), 0, 2),
-              (np.eye(n)[:, :, None, None] * one, 1, 2),
-              (Lr.conj()[..., None, None] * one, 2, 1)]
-    checks = [(g, p, s, 2 * n ** (p + s) * m * m) for g, p, s in checks
-              if len(g) and tower.ranks[p + s] > 0]
-    sizes = [trial_batches(len(g), k)[0] * k for g, *_, k in checks]
-    workspace = np.empty(max(sizes, default=0), dtype=complex)
-    worst = {1: 0.0, 2: 0.0}  # by applications of d: 2 for d o d, 1 for the ideal
-    for gens, p, steps, k in checks:
-        start = 0
-        for count in trial_batches(len(gens), k):
-            g, size = gens[start:start + count], count * k // 2
-            start += count
-            bufs = workspace[:size], workspace[size:2 * size]
-            res = _generator_residual(tower, g, p, steps, bufs)
-            worst[steps] = max(worst[steps], float((res / form_norm(Form(tower, p, g))).max()))
+    n, m, F = tower.n, tower.m, tower.ga.F
+    C = _curvature(tower)
+    c = np.trace(C, axis1=-2, axis2=-1) / m
+    C -= c[..., None, None] * np.eye(m)
+    curvature = 2 * np.linalg.norm(_canonical_norms(tower, 2, C.reshape(n * n, m * m).T))
+    # u[a] = chi^2(e_a) + c (x) e_a - e_a (x) c, for every a as one (n,)*4 table
+    u = _raw_chi(F, _raw_chi(F, np.eye(n, dtype=complex)[..., None, None], 1), 2)[..., 0, 0]
+    a = np.arange(n)
+    u[a, :, :, a] += c
+    u[a, a] -= c
+    worst_u = _canonical_norms(tower, 3, u.reshape(n, -1)).max()
+    leibniz = 0.0
+    if tower.relations is not None:  # the L_r are orthonormal
+        chi_L = _raw_chi(F, tower.relations.conj()[..., None, None], 2)
+        leibniz = _canonical_norms(tower, 3, chi_L.reshape(len(chi_L), -1)).max()
     lam = np.linalg.norm(tower.ga.subspace.lambdas)
-    return float(worst[2] / lam ** 2), float(worst[1] / lam)
+    return float((curvature + worst_u) / lam ** 2), float(leibniz / lam)

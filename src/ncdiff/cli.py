@@ -168,7 +168,7 @@ def _verify_sections(G, tower, args):
                              dtheta_a=se["dtheta_a"],
                              relation_form=se["relation_form"]))
 
-    # d o d = 0 and graded Leibniz, decided exactly on generators, relative to d's scale
+    # d o d = 0 and graded Leibniz, decided exactly in closed form, relative to d's scale
     dd, leibniz = calculus.generator_residuals(tower)
     sections.append(_judged("d_squared_zero", dd, 1e-8, method="exact on generators"))
     sections.append(_judged("graded_leibniz", leibniz, 1e-8, method="exact on generators"))
@@ -196,8 +196,8 @@ def cmd_verify(args):
     G, digest = _structure(args)
     if G.R == 0:
         return _finish(args, digest, [_section("omega2_trivial", True, R=0)])
-    # the generator checks of d o d and Leibniz reach degree 3
-    tower = calculus.build_tower(G, max(args.max_degree, 3), tol=args.tol)
+    # no section reads above degree 3, whatever --max-degree says
+    tower = calculus.build_tower(G, 3, tol=args.tol)
     return _finish(args, digest, _verify_sections(G, tower, args))
 
 
@@ -295,9 +295,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
     p.add_argument("--max-degree", type=_at_least(2), default=3,
-                   help="tower top degree (default 3); d o d and Leibniz are decided exactly "
-                        "on generators at degree 3 or less, so a higher value only builds "
-                        "more of the tower")
+                   help="accepted for compatibility; verify builds the tower to degree 3, "
+                        "the highest degree any of its checks reads")
     # kept so that existing command lines still parse; every verify section is exact
     p.add_argument("--seed", type=_at_least(0), default=42,
                    help="accepted for compatibility; verify draws no random numbers")

@@ -64,6 +64,40 @@ def random_identity_residuals(tower, trials, rng, raw=False):
     return float(worst_dd), float(worst_leib)
 
 
+def generator_engine_residuals(tower):
+    """The generator reference for ``calculus.generator_residuals``: d applied to each generator.
+
+    The worst |pi d(d g)| / |g| over the E_ij (degree 0) and theta^a (degree
+    1), and the worst |pi_3 d(L_r (x) 1_m)| / |L_r (x) 1_m| over the columns
+    L_r of null(P^T), relative to |lambda|^2 and |lambda|.  Each d is the
+    projected one, and each generator stack runs in ``calculus.trial_batches``
+    batches of tables of its residual's degree.  A check into a zero-rank
+    space is zero and left out.  Returns (d o d residual, Leibniz residual).
+    """
+    n, m = tower.n, tower.m
+    one = np.eye(m, dtype=complex)
+    Lr = np.empty((0, n, n)) if tower.relations is None else tower.relations
+    # (generator stack, its degree, applications of d) for E_ij, theta^a and L_r (x) 1_m
+    checks = [(np.eye(m * m, dtype=complex).reshape(-1, m, m), 0, 2),
+              (np.eye(n)[:, :, None, None] * one, 1, 2),
+              (Lr.conj()[..., None, None] * one, 2, 1)]
+    worst = {1: 0.0, 2: 0.0}  # by applications of d: 2 for d o d, 1 for the ideal
+    for gens, p, steps in checks:
+        if not len(gens) or tower.ranks[p + steps] == 0:
+            continue
+        start = 0
+        for count in calculus.trial_batches(len(gens), 2 * n ** (p + steps) * m * m):
+            g = calculus.Form(tower, p, gens[start:start + count])
+            start += count
+            res = g
+            for _ in range(steps):
+                res = calculus.exterior_d(res)
+            ratio = calculus.form_norm(res) / calculus.form_norm(g)
+            worst[steps] = max(worst[steps], float(ratio.max()))
+    lam = np.linalg.norm(tower.ga.subspace.lambdas)
+    return worst[2] / lam ** 2, worst[1] / lam
+
+
 @st.composite
 def matrix_stacks(draw, full=None, max_log_cond=6.0):
     """A stack of m x m matrices, m = 2..6, and its Gram condition number, 1 to 10^max_log_cond.

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import generic_subspace, random_identity_residuals
+from conftest import generator_engine_residuals, generic_subspace, random_identity_residuals
 
 from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff import linalg as ncdiff_linalg
@@ -894,21 +894,12 @@ def test_trial_batches_cover_trials(monkeypatch):
     pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4"),
 ])
 def test_kernels_into_nan_workspace_match_public_operations(make, top):
-    """d written into NaN-filled buffers, and the raw wedge, projected in place, equal the public ops.
-
-    A kernel that read an entry of its buffers before writing it would carry
-    a NaN into the table.
-    """
+    """The raw d and raw wedge tables, projected in place, equal the public operations bitwise."""
     tower = build_tower(make(), top)
-    n, m = tower.n, tower.m
     rng = np.random.default_rng(3)
-
-    def nan_buffer(degree):
-        return np.full(3 * n ** degree * m * m, np.nan, dtype=complex)
-
     for p in range(top):
         xi = random_form(tower, p, rng, 3)
-        raw = calculus._raw_d(tower, xi.coeffs, p, nan_buffer(p + 1), nan_buffer(p + 1))
+        raw = calculus._raw_d(tower, xi.coeffs, p)
         assert np.array_equal(calculus._project(tower, p + 1, raw), exterior_d(xi).coeffs)
         for q in range(top - p + 1):
             zeta = random_form(tower, q, rng, 3)
@@ -917,36 +908,80 @@ def test_kernels_into_nan_workspace_match_public_operations(make, top):
             assert np.array_equal(table, wedge(xi, zeta).coeffs)
 
 
-@pytest.mark.parametrize("make, top", [
-    pytest.param(lambda: _catalog_structure("a0", 3), 3, id="a0-m3"),
-    pytest.param(lambda: _catalog_structure("ellipsoid", 4), 3, id="ellipsoid-m4"),
-    pytest.param(lambda: _generic_structure(3, 4, 0), 4, id="generic-m3-n4"),
-])
-def test_identity_tables_in_nan_workspace_match_public_operations(make, top):
-    """verify's generator tables, built in NaN-filled buffers, are the public residuals.
+# every catalog entry at m = 2..6 (ellipsoid from 3) in both alpha modes, and the generic grid
+_CLOSED_FORM_CASES = [
+    *[pytest.param(name, m, mode, id=f"{name}-m{m}-{mode}") for name in catalog.NAMES
+      for m in range(2 + (name == "ellipsoid"), 7) for mode in ("auto", "embedded")
+      if not (name == "a0" and mode == "embedded")],
+    *[pytest.param("generic", (m, n), "auto", id=f"generic-m{m}-n{n}")
+      for m, n in ((2, 2), (3, 3), (3, 4), (4, 3), (4, 5), (3, 6))],
+]
 
-    d(d g) for the E_ij and theta^a, and pi_3 d(L_r (x) 1_m) for the relation
-    columns, through ``exterior_d`` and ``canonicalize``.
+
+@pytest.mark.parametrize("name, m, mode", _CLOSED_FORM_CASES)
+def test_closed_form_bounds_generator_engine(monkeypatch, name, m, mode):
+    """The closed-form residuals bound d applied to each generator, with the same verdicts.
+
+    ``generator_engine_residuals`` applies d to the E_ij, the theta^a and the
+    L_r (x) 1.  On every input both pass at rounding level.  With chi negated,
+    still an odd derivation, the closed-form d o d bounds the engine's and
+    both fail wherever the engine's fails; Leibniz is the engine's residual.
+    a0 at m = 6 (n = 35) is left to the closed form alone: the engine's
+    degree-3 tables take seconds there.
     """
-    tower = build_tower(make(), top)
-    n, m = tower.n, tower.m
-    one = np.eye(m, dtype=complex)
-    Lr = tower.relations if tower.relations is not None else np.empty((0, n, n))
-    gens = [(np.eye(m * m, dtype=complex).reshape(-1, m, m), 0, 2),
-            (np.eye(n)[:, :, None, None] * one, 1, 2),
-            (Lr.conj()[..., None, None] * one, 2, 1)]
-    for g, p, steps in gens:
-        if not len(g):
-            continue
-        bufs = [np.full(len(g) * n ** (p + steps) * m * m, np.nan, dtype=complex)
-                for _ in range(2)]
-        got = calculus._generator_residual(tower, g, p, steps, bufs)
-        if steps == 2:
-            ref = form_norm(exterior_d(exterior_d(calculus.Form(tower, p, g))))
-        else:
-            ref = form_norm(calculus.Form(tower, 3, canonicalize(
-                tower, 3, calculus._raw_d(tower, g, p))))
-        assert np.all(np.abs(got - ref) <= 1e-13)
+    if name == "generic":
+        G = _generic_structure(*m, 0)
+    elif mode == "auto":
+        G = genalg.detect_structure(catalog.build_entry(name, m).subspace)
+    else:
+        G = _catalog_structure(name, m)
+    tower = build_tower(G, 3)
+    closed = calculus.generator_residuals(tower)
+    assert max(closed) < 1e-13
+    if tower.n > 24:
+        return
+    engine = generator_engine_residuals(tower)
+    assert max(engine) < 1e-13
+    raw_chi = calculus._raw_chi
+    monkeypatch.setattr(calculus, "_raw_chi", lambda *args: -raw_chi(*args))
+    closed, engine = calculus.generator_residuals(tower), generator_engine_residuals(tower)
+    assert engine[0] <= closed[0] * (1 + 1e-12) + 1e-14
+    assert closed[1] == pytest.approx(engine[1], rel=1e-9, abs=1e-14)
+    assert (closed[0] < 1e-8) == (engine[0] < 1e-8)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("su2", 3), id="su2-m3"),
+    pytest.param(lambda: genalg.detect_structure(catalog.su2(4).subspace), id="su2-m4-auto"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), id="clock-shift-m5"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), id="ellipsoid-m4"),
+    pytest.param(lambda: _catalog_structure("a0", 3), id="a0-m3"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+    pytest.param(lambda: _generic_structure(2, 2, 1), id="generic-m2-n2"),
+])
+def test_raw_d_squared_is_ad_curvature_plus_chi_squared(make):
+    """d(d x) = [C, x] + chi(chi(x)) for the raw d on random raw tables of degree 0 and 1.
+
+    C = theta^2 - chi(theta) = -(d theta + theta^2), the identity that the
+    closed-form d o d check rests on; chi(chi(x)) is absent at degree 0.
+    """
+    tower = build_tower(make(), 3)
+    n, m, F = tower.n, tower.m, tower.ga.F
+    th = -tower.ga.subspace.lambdas
+    C = -(calculus._raw_d(tower, th, 1) + calculus._raw_wedge(tower, th, 1, th, 1))
+    assert np.allclose(calculus._curvature(tower), C, rtol=0, atol=1e-13)
+    rng = np.random.default_rng(11)
+    scale = np.linalg.norm(tower.ga.subspace.lambdas) ** 2
+    for p in (0, 1):
+        shape = (4,) + (n,) * p + (m, m)
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        dd = calculus._raw_d(tower, calculus._raw_d(tower, x, p), p + 1)
+        # [C, x] = C x - x C, C even, with C's two slots before x's for C x, after for x C
+        ad = (calculus._raw_wedge(tower, C, 2, x, p)
+              - calculus._raw_wedge(tower, x, p, C, 2))
+        if p:
+            ad = ad + calculus._raw_chi(F, calculus._raw_chi(F, x, 1), 2)
+        assert np.abs(dd - ad).max() < 1e-13 * scale * np.abs(x).max()
 
 
 @pytest.mark.parametrize("make", [

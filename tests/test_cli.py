@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import generic_subspace, random_identity_residuals
+from conftest import generator_engine_residuals, generic_subspace, random_identity_residuals
 
 from ncdiff import calculus, cli, formats, genalg, universal
 from ncdiff.algebra import matrix_basis_duals
@@ -194,9 +194,9 @@ def test_forms_large_regime_in_a_capped_process(tmp_path, write, top, D):
 
 @pytest.mark.large
 def test_verify_large_projection_in_a_capped_process(tmp_path):
-    """verify on generic (4, 6) builds the tower to degree 4 and passes, capped.
+    """verify on generic (4, 6) at --max-degree 4 passes, capped.
 
-    D_4 = 405 is decided without forming W_4; the identity checks project onto
+    It builds the tower to degree 3 only; the identity checks project onto
     W_3 (216 x 108) at most.
     """
     path = tmp_path / "algebra.json"
@@ -212,7 +212,7 @@ def test_verify_large_projection_in_a_capped_process(tmp_path):
 
 @pytest.mark.large
 def test_verify_su3_commutator_degree8_in_a_capped_process(tmp_path):
-    """verify on su(3) with commutator relations to degree 8: exact sections, capped, exit 0."""
+    """verify on su(3) with commutator relations at --max-degree 8: exact sections, capped, exit 0."""
     path = tmp_path / "algebra.json"
     extra = _su3_commutator_file(path)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -539,12 +539,13 @@ def _entry_structure(name, m):
     ("a0", 3, 3), ("generic", 3, 4), ("su2", 4, 3),
 ])
 def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
-    """verify's batched generator checks and the random-trial loop agree: both pass below 1e-12.
+    """verify's closed-form checks, the generator engine and the random-trial loop agree.
 
-    With ``batch`` the byte cap holds that many tables of degree 3; a check
-    keeps two tables of its residual's degree per generator, so at 3 each
-    theta^a runs alone while the E_ij share batches.  Every generator is taken
-    once, and the residuals do not depend on the batching.
+    All pass below 1e-12, and the closed form bounds the generator engine's
+    residuals (``generator_engine_residuals``).  With ``batch`` the byte cap
+    holds that many tables of degree 3, so the engine takes each theta^a
+    alone at 3 while the E_ij share batches; its residuals do not depend on
+    the batching, and the closed form reads no batch size.
     """
     G = (genalg.detect_structure(generic_subspace(m, 2 * (m - 1), 0)) if name == "generic"
          else _entry_structure(name, m))
@@ -552,32 +553,21 @@ def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
         with pytest.raises(DegreeError):
             calculus.generator_residuals(calculus.build_tower(G, top))
     tower = calculus.build_tower(G, max(top, 3))
-    unbatched = calculus.generator_residuals(tower)
+    closed = calculus.generator_residuals(tower)
+    unbatched = generator_engine_residuals(tower)
     if batch:
         monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** 3 * m * m)
-    stacks = {}
-    residual = calculus._generator_residual
-
-    def spy(tower, g, p, steps, bufs):
-        stacks.setdefault((p, steps), []).append(len(g))
-        return residual(tower, g, p, steps, bufs)
-
-    monkeypatch.setattr(calculus, "_generator_residual", spy)
+    engine = generator_engine_residuals(tower)
+    assert np.allclose(engine, unbatched, rtol=0, atol=1e-16)
     args = argparse.Namespace(tol=DEFAULT_TOL, trials=7, seed=5)
     sec = {s["name"]: s for s in cli._verify_sections(G, tower, args)}
     random = random_identity_residuals(tower, args.trials, np.random.default_rng(5))
-    for key, exact, trial in zip(("d_squared_zero", "graded_leibniz"), unbatched, random):
+    for key, exact, gen, trial in zip(("d_squared_zero", "graded_leibniz"), closed, engine,
+                                      random):
         assert sec[key]["status"] == "pass" and sec[key]["method"] == "exact on generators"
         assert abs(sec[key]["residual"] - exact) < 1e-16
-        assert sec[key]["residual"] < 1e-12 and trial < 1e-12
-    # a check into a zero-rank space is left out: clock-shift(3) has D_3 = 0
-    k = len(tower.relations) if tower.relations is not None else 0
-    D3 = tower.ranks[3]
-    expected = {(0, 2): m * m, (1, 2): tower.n * (D3 > 0), (2, 1): k * (D3 > 0)}
-    assert {key: sum(sizes) for key, sizes in stacks.items()} == {
-        key: count for key, count in expected.items() if count}
-    if batch == 3 and D3:
-        assert set(stacks[1, 2]) == {1} and len(stacks[0, 2]) < m * m, stacks
+        assert max(exact, gen, trial) < 1e-12
+        assert gen <= exact + 1e-14
 
 
 def _traced_peak(argv):
@@ -604,10 +594,13 @@ def test_verify_memory_does_not_grow_with_trials(tmp_path):
 
 
 def test_verify_a0_m4_memory(tmp_path):
-    """verify on a0(m=4): the degree-3 identities share one workspace, so the peak stays low.
+    """verify on a0(m=4): the traced peak stays within 5.9 MiB.
 
-    The bound is the traced peak of the stacked verify before the workspace,
-    5.86 MiB; the top-degree tables are 864 KB each.
+    The bound is the traced peak of the stacked verify before its workspace,
+    5.86 MiB.  The closed-form d o d and Leibniz checks hold no degree-3 table
+    with an M_m factor (on a0(4) their largest table is the 810 KB stack of
+    the 15 scalar u_a), so the peak is set by ``check_structure_equations``
+    and its 864 KB degree-2 stacks.
     """
     e = universal_A0(4)
     path = str(tmp_path / "a0.json")
@@ -681,16 +674,20 @@ def _su2_file(tmp_path, m, kappa=1.0):
     return path
 
 
-def _chi_with_later_slots_flipped(F, coeffs, p, out=None, tmp=None):
+def _chi_with_later_slots_flipped(F, coeffs, p):
     """``calculus._raw_chi`` with the sign of every slot q >= 2 flipped."""
     n = F.shape[0]
     s = len(calculus._stack(coeffs, p))
     shape = coeffs.shape[:s] + (n,) * (p + 1) + coeffs.shape[-2:]
     Fm = F.reshape(n, n * n).T
-    table = _at_slot(-Fm, coeffs, s, out).reshape(shape)
+    table = _at_slot(-Fm, coeffs, s).reshape(shape)
     for q in range(2, p + 1):
-        table -= _at_slot((-1) ** q * Fm, coeffs, s + q - 1, tmp).reshape(shape)
+        table -= _at_slot((-1) ** q * Fm, coeffs, s + q - 1).reshape(shape)
     return table
+
+
+# verify's closed-form d o d residual under the flipped chi, on su2(m) auto
+_FLIPPED_CHI_CLOSED_DD = {3: 0.12598815767, 4: 0.0503952630679}
 
 
 @pytest.mark.parametrize("m, mode, caught_by, residual", [
@@ -705,8 +702,12 @@ def test_verify_fails_on_chi_with_later_slots_flipped(monkeypatch, capsys, tmp_p
                                                       caught_by, residual):
     """Negative control: chi with the sign of its slots q >= 2 flipped fails verify.
 
-    Each case records the section that catches it and its residual; the other
-    of the two generator sections stays at rounding level.
+    Each case records the section that catches it and the residual that d
+    applied to each generator reads (``generator_engine_residuals``); the
+    other of the two sections stays at rounding level.  The closed-form
+    Leibniz residual is that generator residual for any chi.  The closed-form
+    d o d rests on chi being a derivation, which this chi is not, so on the
+    auto relations it reads another value (``_FLIPPED_CHI_CLOSED_DD``).
     """
     path = _su2_file(tmp_path, m)
     monkeypatch.setattr(calculus, "_raw_chi", _chi_with_later_slots_flipped)
@@ -715,8 +716,16 @@ def test_verify_fails_on_chi_with_later_slots_flipped(monkeypatch, capsys, tmp_p
     sec = {s["name"]: s for s in rep["sections"]}
     other = ({"d_squared_zero", "graded_leibniz"} - {caught_by}).pop()
     assert sec[caught_by]["status"] == "fail"
-    assert sec[caught_by]["residual"] == pytest.approx(residual, rel=1e-6)
+    closed = _FLIPPED_CHI_CLOSED_DD[m] if mode == "auto" else residual
+    assert sec[caught_by]["residual"] == pytest.approx(closed, rel=1e-6)
     assert sec[other]["status"] == "pass" and sec[other]["residual"] < 1e-14
+    e = su2(m)
+    G = (genalg.detect_structure(e.subspace) if mode == "auto"
+         else genalg.use_relations(e.subspace, e.suggested_alpha))
+    engine = dict(zip(("d_squared_zero", "graded_leibniz"),
+                      generator_engine_residuals(calculus.build_tower(G, 3))))
+    assert engine[caught_by] == pytest.approx(residual, rel=1e-6)
+    assert engine[other] < 1e-14
 
 
 @pytest.mark.parametrize("kappa", [1e2, 3e3, 1e4, 1e-6])
@@ -769,6 +778,32 @@ def test_verify_max_degree_2_checks_exactly(monkeypatch, capsys, tmp_path, mode)
     assert code == cli.EXIT_VERIFY
     failed = {s["name"] for s in rep["sections"] if s["status"] == "fail"}
     assert failed == {"d_squared_zero" if mode == "auto" else "graded_leibniz"}
+
+
+def test_verify_builds_to_degree_3_whatever_max_degree(monkeypatch, capsys, tmp_path):
+    """verify reads nothing above degree 3, so it builds the tower to degree 3 at any --max-degree.
+
+    On su(3) with commutator relations the JSON report at --max-degree 8 is
+    byte-identical to the one at 3, and every ``build_tower`` call asks for
+    degree 3.
+    """
+    path = tmp_path / "su3.json"
+    extra = _su3_commutator_file(path)
+    tops = []
+    build_tower = calculus.build_tower
+
+    def spy(G, max_degree, tol=DEFAULT_TOL):
+        tops.append(max_degree)
+        return build_tower(G, max_degree, tol=tol)
+
+    monkeypatch.setattr(calculus, "build_tower", spy)
+    outs = []
+    for top in ("8", "3"):
+        assert cli.main(["verify", str(path), *extra, "--max-degree", top,
+                         "--format", "json"]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert tops == [3, 3]
 
 
 def test_verify_report_ignores_seed_and_trials(capsys, clock_file, tmp_path):
