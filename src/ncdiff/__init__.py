@@ -32,7 +32,6 @@ from .calculus import (
 )
 from .genalg import (
     GAStructure,
-    build_projector,
     detect_structure,
     structure_constants,
     use_relations,

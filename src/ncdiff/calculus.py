@@ -4,17 +4,20 @@ the exterior derivative d = -[theta, .] + chi, and the checks of its
 identities.
 
 Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
-the ideal generated by the quadratic relations: L = null(P^T) lifted to
-every adjacent slot pair.  Its complement, the canonical space W_p, is
-W_{p-1} (x) C^n cut down by L^perp on the newest slot pair, so the tower
-stores the factors N_p of W_p = (W_{p-1} (x) 1_n) N_p, each the null space of
-a D-sized matrix K_p: no step builds an n^p-row matrix.  Each rank decision
-first tries to prove that K_p has full rank, with a shifted Cholesky of its
-D-sized Gram (``linalg._full_rank``); then N_p comes from a QR, and the top
-degree needs nothing more.  Only a K_p that the proof does not cover takes an
-SVD.  A basis W_p (n^p x D_p) is formed only when something first projects
-onto degree p (``FormTower.basis``), so ``forms``, which reads only the ranks,
-forms none; ``epsilon_check`` reads W_p off a tower built to degree p.
+the ideal generated by the quadratic relations: the structure's stored L,
+the n^2 x k orthonormal complement null(alpha^T) = null(P^T), lifted to
+every adjacent slot pair; no n^2 x n^2 alpha, beta or P is read.  Its
+complement, the canonical space W_p, is W_{p-1} (x) C^n cut down by L^perp
+on the newest slot pair, so the tower stores the factors N_p of
+W_p = (W_{p-1} (x) 1_n) N_p, each the null space of a D-sized matrix K_p:
+no step builds an n^p-row matrix.  Each rank decision first tries to prove
+that K_p has full rank, with a shifted Cholesky of its D-sized Gram
+(``linalg._full_rank``); then N_p comes from the Householder reflectors of a
+QR (``linalg._complement``), and the top degree needs nothing more.  Only a
+K_p that the proof does not cover takes an SVD.  A basis W_p (n^p x D_p) is
+formed only when something first projects onto degree p
+(``FormTower.basis``), so ``forms``, which reads only the ranks, forms none;
+``epsilon_check`` reads W_p off a tower built to degree p.
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeError
-from .linalg import DEFAULT_TOL, _at_slot, _full_rank, _pair_products, _rank, rank_nullspace
+from .linalg import DEFAULT_TOL, _at_slot, _complement, _full_rank, _pair_products, _rank
 
 __all__ = [
     "FormTower",
@@ -73,13 +76,13 @@ class FormTower:
     """Per-degree canonical ranks and bases for one calculus, stored as factors.
 
     Degree p has the orthonormal basis W_p = (W_{p-1} (x) 1_n) N_p, with
-    W_1 = N_1 = I_n.  Where null(P^T) is nonempty, ``factors`` holds N_p,
-    (D_{p-1} n) x D_p, for p = 1..max_degree - 1, and ``relations`` holds
+    W_1 = N_1 = I_n.  Where the structure's L has columns, ``factors`` holds
+    N_p, (D_{p-1} n) x D_p, for p = 1..max_degree - 1, and ``relations`` holds
     L^dag as ``_pair_matrix`` reads it; else ``relations`` is None and every
     tensor is canonical.  ``ranks[p]`` is D_p for p = 0..max_degree.
     ``basis(p)`` forms W_p on first use, with N_max at the top degree, and
     keeps both, so ``forms``, which reads only ``ranks``, forms none.  N_max
-    comes from a complete QR when D_max says K_max has full rank, else from
+    comes from a Householder QR when D_max says K_max has full rank, else from
     an SVD (``_null_factor``).  Copies made by ``dataclasses.replace`` share
     ``factors`` and ``bases``.
     """
@@ -184,9 +187,10 @@ def _null_factor(N, Lr, n, tol=None, width=None):
     The rank of K_p is decided at ``tol``; with ``width`` (a D_p decided
     before) given instead, N_p is ``width`` columns wide.  A K_p of full rank
     d = min(shape), proved by ``_full_rank`` or given as width cols - d, has
-    N_p = the trailing cols - d columns of a complete QR of K_p^dag, none when
-    K_p is tall.  Any other K_p takes the SVD: of the R factor of a QR when
-    K_p is tall, else of K_p^dag, and N_p is its last right singular vectors.
+    N_p = the trailing cols - d columns of the complete Q of a QR of K_p^dag,
+    formed from its reflectors (``linalg._complement``), none when K_p is
+    tall.  Any other K_p takes the SVD: of the R factor of a QR when K_p is
+    tall, else of K_p^dag, and N_p is its last right singular vectors.
     """
     K = _pair_matrix(N, Lr, n)
     rows, cols = K.shape
@@ -195,8 +199,7 @@ def _null_factor(N, Lr, n, tol=None, width=None):
         if full_width == 0:
             return np.empty((cols, 0), dtype=complex)
         # conjugated in place, K.T is K^dag
-        Q, _ = np.linalg.qr(np.conjugate(K, out=K).T, mode="complete")
-        return Q[:, rows:].copy()
+        return _complement(np.conjugate(K, out=K).T)
     # V from the SVD of a tall matrix with K's right singular vectors (a wide SVD
     # gives the vectors of a near-zero singular value less accurately): R of K = QR,
     # a cols x cols triangle, or K^dag, whose left singular vectors are K's right ones
@@ -222,21 +225,11 @@ def _lift(W, N, n):
     return Wp.reshape(W.shape[0] * n, N.shape[1])
 
 
-def _relation_pairs(G, tol):
-    """``Lr[r][a, c] = conj(L[(a, c), r])`` for L = null(P^T); None when no degree has relations."""
-    n = G.subspace.n
-    # with R = n^2, P is the identity and null(P^T) = 0
-    if G.R == n * n:
-        return None
-    L = rank_nullspace(G.P.T, tol=tol).nullspace
-    return L.T.conj().reshape(-1, n, n) if L.shape[1] else None
-
-
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
     """Canonical ranks and factors up to ``max_degree``.
 
     A degree below the top forms N_p (``_null_factor``: a Cholesky and a
-    complete QR when the Cholesky proves K_p of full rank, else an SVD), since
+    Householder QR when the Cholesky proves K_p of full rank, else an SVD), since
     K_{p+1} is built on N_p.  At ``max_degree`` D_max = D_{max-1} n -
     rank(K_max) comes from the Cholesky alone when it proves full rank, else
     from singular values alone.  No W_p is formed here (``FormTower.basis``).
@@ -247,7 +240,8 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     n = G.subspace.n
     ranks = {p: n ** p for p in range(max_degree + 1)}
     factors = {}
-    Lr = _relation_pairs(G, tol) if max_degree >= 2 else None
+    # Lr[r][a, c] = conj(L[(a, c), r]) for the k columns of the stored L; None when k = 0
+    Lr = G.L.T.conj().reshape(-1, n, n) if max_degree >= 2 and G.L.shape[1] else None
     if Lr is not None:
         factors = {1: np.eye(n, dtype=complex)}
         for p in range(2, max_degree):
@@ -610,7 +604,7 @@ def generator_residuals(tower):
     - degree 1: given that, d d theta^a = u_a (x) 1 modulo I_3, with the
       scalar u_a = c (x) e_a - e_a (x) c + chi^2(e_a);
     - Leibniz holds on Omega iff d maps I into itself, iff pi_3 d(L_r (x) 1)
-      = 0 for the k columns L_r of L = null(P^T); the theta terms of that
+      = 0 for the k columns L_r of the stored L; the theta terms of that
       d lie in I_3, so it is pi_3 chi(L_r) (x) 1.
 
     Then d o d, an even derivation, vanishes on all of Omega iff it vanishes

@@ -20,6 +20,14 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
+# What lowers a command's memory, named when it runs out; the rest are sized by the algebra alone.
+MEMORY_HINTS = {
+    "forms": "try a lower --max-degree",
+    "verify": "verify builds its tower to degree 3 whatever --max-degree says; "
+              "try a smaller algebra",
+    "catalog": "try a lower --m",
+}
+
 
 def _section(name, status, **extra):
     sec = {"name": name, "status": "pass" if status else "fail"}
@@ -337,8 +345,8 @@ def main(argv=None):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:
-        print(f"error: MemoryError: {str(exc) or 'out of memory'}; try a lower --max-degree",
-              file=sys.stderr)
+        hint = MEMORY_HINTS.get(args.command, "try a smaller algebra")
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}; {hint}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -1,47 +1,72 @@
-"""Generalised-algebra structure of a subspace: relation matrix alpha, the
-Moore-Penrose right data beta, the projector P = alpha beta, and the
-structure constants of the product decomposition.
+"""Generalised-algebra structure of a subspace: the relations, stored by
+their orthonormal complement L, and the structure constants of the product
+decomposition.
+
+The relation matrix alpha, its Moore-Penrose left inverse beta and the
+projector P = alpha beta are derived from the stored data on first read.
 
 Pair indices (a, b) are numbered row-major: (a, b) -> n*a + b (0-based).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (ConditioningError, DependentRelations, InvalidRelation, ShapeError,
                      ValidationError)
-from .linalg import DEFAULT_TOL, _pair_products, _rank, rank_nullspace
+from .linalg import DEFAULT_TOL, _complement, _pair_products, _rank, rank_nullspace
 
 __all__ = [
     "GAStructure",
-    "build_projector",
     "structure_constants",
     "detect_structure",
     "use_relations",
     "verify_ga",
 ]
 
+AUTO = "auto-maximal"
+
 
 @dataclass(frozen=True)
 class GAStructure:
     """Relation data making a subspace a generalised algebra.
 
-    alpha is n^2 x R (columns are the relations), beta is the Moore-Penrose
-    left inverse of alpha, P = alpha beta the Hermitian projector onto the
-    relation span.  F, t, rho are the components of the product decomposition
+    The relations are stored by L, n^2 x k with k = n^2 - R orthonormal
+    columns spanning null(alpha^T), the complement the form tower needs.
+    ``source`` is what alpha comes from: in auto mode the ``RankResult`` of
+    the matrix of rho, whose null space alpha is; in user mode the user's
+    n^2 x R alpha itself.  alpha (columns are the relations), beta (its
+    Moore-Penrose left inverse, from a Gram solve in user mode) and
+    P = alpha beta (the projector onto the relation span, n^2 x n^2) are
+    formed on first read and kept, for the callers that read them.  F, t,
+    rho are the components of the product decomposition
     lambda_b lambda_c = F^a_bc lambda_a + (t_bc / m) 1 + rho_bc.
     """
 
     subspace: object
     R: int
-    alpha: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
+    L: np.ndarray = field(repr=False)
     F: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
-    mode: str = "auto-maximal"
+    source: object = field(repr=False)
+    mode: str = AUTO
+
+    @cached_property
+    def alpha(self):
+        return self.source.nullspace if self.mode == AUTO else self.source
+
+    @cached_property
+    def beta(self):
+        a_dag = self.alpha.conj().T
+        if self.mode == AUTO:  # orthonormal columns: the left inverse is alpha^dag
+            return a_dag.copy()
+        return np.linalg.solve(a_dag @ self.alpha, a_dag)  # (a^dag a)^-1 a^dag
+
+    @cached_property
+    def P(self):
+        return self.alpha @ self.beta
 
 
 def structure_constants(B):
@@ -62,50 +87,30 @@ def _check_conditioning(B, tol):
         raise ConditioningError(f"Gram condition number {B.dual.condition:.3e} exceeds 1/tol")
 
 
-def _relations_from_rho(rho, B, tol):
-    n, m = rho.shape[0], rho.shape[2]
-    M = rho.reshape(n * n, m * m).T  # columns indexed by the pair (a, b)
-    # Judge significance against the size of the products themselves, so a
-    # rho of pure rounding noise (products fully inside B + C.1) gives the
-    # maximal kernel rather than a noise rank.
-    scale = max(float(np.linalg.norm(B.dual.gram)), 1.0)
-    res = rank_nullspace(M / scale, tol=tol, floor=tol)
-    return res.nullspace, res.nullspace.shape[1]
-
-
-def build_projector(alpha, tol=DEFAULT_TOL):
-    """Moore-Penrose left inverse beta = (a^dag a)^-1 a^dag and P = alpha beta."""
-    alpha = np.asarray(alpha, dtype=complex)
-    nn = alpha.shape[0]
-    R = alpha.shape[1]
-    if R == 0:
-        return np.zeros((0, nn), dtype=complex), np.zeros((nn, nn), dtype=complex)
-    gram = alpha.conj().T @ alpha
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= tol * sv[0]:
-        raise DependentRelations(
-            f"alpha columns are rank deficient (Gram sv ratio {sv[-1] / sv[0]:.3e})"
-        )
-    beta = np.linalg.solve(gram, alpha.conj().T)
-    P = alpha @ beta
-    return beta, P
+def _rho_scale(B):
+    """The size of the products, which significance in the matrix of rho is judged against."""
+    return max(float(np.linalg.norm(B.dual.gram)), 1.0)
 
 
 def detect_structure(B, tol=DEFAULT_TOL):
     """Auto-detect the maximal generalised-algebra structure of B.
 
-    Its alpha has orthonormal columns (right singular vectors from
-    ``rank_nullspace``), so beta = alpha^dag and P = alpha alpha^dag with no
-    Gram solve (``build_projector`` serves user-supplied alphas).
+    One economy SVD of the m^2 x n^2 matrix of rho (``rank_nullspace``)
+    decides k = n^2 - R; L is the conjugate of its row space, which spans
+    null(alpha^T).  Significance is judged against the size of the products
+    themselves, so a rho of pure rounding noise (products fully inside
+    B + C.1) gives the maximal kernel rather than a noise rank.  alpha, the
+    null space, has orthonormal columns (right singular vectors from the
+    full SVD ``rank_nullspace`` forms on first read), so beta = alpha^dag.
     """
     _check_conditioning(B, tol)
     F, t, rho = structure_constants(B)
-    alpha, R = _relations_from_rho(rho, B, tol)
-    beta = alpha.conj().T.copy()
-    P = alpha @ beta
+    n, m = B.n, B.m
+    # columns indexed by the pair (a, b)
+    res = rank_nullspace(rho.reshape(n * n, m * m).T / _rho_scale(B), tol=tol, floor=tol)
     return GAStructure(
-        subspace=B, R=R, alpha=alpha, beta=beta, P=P,
-        F=F, t=t, rho=rho, mode="auto-maximal",
+        subspace=B, R=n * n - res.rank, L=res.rowspace.conj(),
+        F=F, t=t, rho=rho, mode=AUTO, source=res,
     )
 
 
@@ -129,39 +134,50 @@ def use_relations(B, alpha_user, tol=DEFAULT_TOL):
         residual = np.linalg.norm(alpha_user[:, r] @ rho_flat)
         if residual > tol * scale * max(np.linalg.norm(alpha_user[:, r]), 1e-300):
             raise InvalidRelation(r, residual)
-    beta, P = build_projector(alpha_user, tol=tol)
+    if alpha_user.shape[1]:
+        sv = np.linalg.svd(alpha_user.conj().T @ alpha_user, compute_uv=False)
+        if sv[-1] <= tol * sv[0]:
+            raise DependentRelations(
+                f"alpha columns are rank deficient (Gram sv ratio {sv[-1] / sv[0]:.3e})"
+            )
     return GAStructure(
-        subspace=B, R=alpha_user.shape[1], alpha=alpha_user, beta=beta,
-        P=P, F=F, t=t, rho=rho, mode="user-supplied",
+        subspace=B, R=alpha_user.shape[1], L=_complement(alpha_user.conj()),
+        F=F, t=t, rho=rho, mode="user-supplied", source=alpha_user,
     )
 
 
 def verify_ga(G, tol=DEFAULT_TOL):
     """Residual report for the defining identities of a GAStructure.
 
-    ``relation_residual`` is max_r |alpha_r^T rho|, which is linear in rho, so
-    it is judged against ``relation_bound`` = tol * max(|rho|, 1).
+    No n^2 x n^2 matrix is formed.  In auto mode alpha and L come from one
+    unitary, so ``beta_alpha_identity`` and ``P_idempotent`` both read
+    |L^dag L - 1_k|, and ``relation_residual``, max_r |alpha_r^T rho| for the
+    right singular vectors alpha_r, is the first dropped singular value of
+    the matrix of rho.  In user mode
+    ``beta_alpha_identity`` is |beta alpha - 1_R|, ``P_idempotent`` is
+    |P^2 - P| = |alpha (beta alpha - 1) beta| from R x R Grams, and
+    ``relation_residual`` is max_r |alpha_r^T rho|.  The relation residual is
+    linear in rho, so it is judged against ``relation_bound`` = tol * max(|rho|, 1).
     """
     B = G.subspace
     n, m = B.n, B.m
     checks = {}
-    # each residual is formed in its product's table, freed before the next is made
-    if G.R > 0:
-        ba = G.beta @ G.alpha
-        ba.flat[::G.R + 1] -= 1.0
-        checks["beta_alpha_identity"] = float(np.linalg.norm(ba))
-        del ba
-    else:
-        checks["beta_alpha_identity"] = 0.0
-    pp = G.P @ G.P
-    pp -= G.P
-    checks["P_idempotent"] = float(np.linalg.norm(pp))
     rho_flat = G.rho.reshape(n * n, m * m)
-    if G.R > 0:
-        rel = G.alpha.T @ rho_flat
-        checks["relation_residual"] = float(np.max(np.linalg.norm(rel, axis=1)))
+    if G.mode == AUTO:
+        LL = G.L.conj().T @ G.L
+        LL.flat[::LL.shape[0] + 1] -= 1.0
+        checks["beta_alpha_identity"] = checks["P_idempotent"] = float(np.linalg.norm(LL))
+        s, rank = G.source.singular_values, G.source.rank
+        checks["relation_residual"] = float(s[rank]) * _rho_scale(B) if rank < s.size else 0.0
     else:
-        checks["relation_residual"] = 0.0
+        X = G.beta @ G.alpha
+        X.flat[::G.R + 1] -= 1.0
+        checks["beta_alpha_identity"] = float(np.linalg.norm(X))
+        # |alpha X beta|^2 = tr(X^dag (alpha^dag alpha) X (beta beta^dag))
+        sq = np.trace(X.conj().T @ (G.alpha.conj().T @ G.alpha) @ X @ (G.beta @ G.beta.conj().T))
+        checks["P_idempotent"] = float(np.sqrt(max(sq.real, 0.0)))
+        rel = G.alpha.T @ rho_flat
+        checks["relation_residual"] = float(np.max(np.linalg.norm(rel, axis=1), initial=0.0))
 
     # dim span{products, basis, 1} <= n^2 + n + 1 - R
     prods = _pair_products(B.lambdas, B.lambdas).reshape(n * n, m * m)

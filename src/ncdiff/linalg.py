@@ -6,6 +6,7 @@ All functions are pure and operate on immutable numpy inputs.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,8 +64,39 @@ def _at_slot(M, t, q):
     """
     shape = t.shape
     lead, rest = math.prod(shape[:q]), math.prod(shape[q + 1:])
-    res = np.matmul(M, t.reshape(lead, shape[q], rest))
+    if rest == 1:  # one GEMM of the vectors as rows, not ``lead`` matrix-vector products
+        res = t.reshape(lead, shape[q]) @ M.T
+    else:
+        res = np.matmul(M, t.reshape(lead, shape[q], rest))
     return res.reshape(shape[:q] + (M.shape[0],) + shape[q + 1:])
+
+
+def _complement(A):
+    """The last M - N columns of the complete Q of a QR of the M x N matrix A, M >= N.
+
+    They are an orthonormal basis of the orthogonal complement of range(A)
+    when A has full column rank.  Formed from A's N Householder reflectors in
+    their compact form Q = 1 - V T V^dag, with T^-1 = diag(1/tau) +
+    striu(V^dag V) (Joffrain, Low, Quintana-Orti, van de Geijn and van Zee,
+    ACM TOMS 32 (2006) 169), as [0; 1] - V T V_2^dag with V_2 the last M - N
+    rows of V: three GEMMs and an N x N solve, so no M x M matrix is formed.
+    A reflector with tau = 0 is the identity and drops out.
+    """
+    M, N = A.shape
+    h, tau = np.linalg.qr(A, mode="raw")
+    # row j of h holds reflector j below its diagonal; its entry j is 1
+    V = np.tril(h.T, -1)
+    diag = np.arange(N)
+    V[diag, diag] = 1.0
+    live = tau != 0
+    if not live.all():
+        V[:, ~live] = 0.0
+        tau = np.where(live, tau, 1.0)
+    Tinv = np.triu(V.conj().T @ V, 1)
+    Tinv[diag, diag] = 1.0 / tau
+    out = V @ np.linalg.solve(Tinv, -V[N:].conj().T)
+    out[N:] += np.eye(M - N)
+    return out
 
 
 def _rank(s, tol, floor=0.0):
@@ -124,18 +156,27 @@ def _full_rank(K, tol):
 
 @dataclass(frozen=True)
 class RankResult:
-    """Numerical rank data for a complex matrix.
+    """Numerical rank data for a complex matrix, from an economy SVD.
 
-    ``nullspace`` holds an orthonormal basis of the right kernel as columns,
-    phase-fixed so the first significant component of each vector is
-    real-positive.  ``gap`` is the ratio (first dropped sv / last kept sv),
-    or None when no singular value was dropped or kept.
+    ``rowspace`` holds an orthonormal basis of the row space (the right
+    singular vectors of the kept singular values) as columns.  ``nullspace``,
+    an orthonormal basis of the right kernel as columns, is formed on first
+    read, from a full SVD of ``matrix``, and kept; it is phase-fixed so the
+    first significant component of each vector is real-positive.  ``gap`` is
+    the ratio (first dropped sv / last kept sv), or None when no singular
+    value was dropped or kept.
     """
 
     rank: int
-    nullspace: np.ndarray = field(repr=False)
+    rowspace: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
     gap: float | None = None
+
+    @cached_property
+    def nullspace(self):
+        _, _, vh = np.linalg.svd(self.matrix)
+        return _fix_phases(vh[self.rank:].conj().T)
 
 
 def _fix_phases(V):
@@ -155,24 +196,26 @@ def _fix_phases(V):
 
 
 def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
-    """Rank and orthonormal right null-space basis of M via SVD.
+    """Rank, row space and (on first read) right null space of M via SVD.
 
     The rank counts singular values above ``tol`` times the largest one.
     ``floor`` is an absolute cutoff below which singular values are never
-    counted, so that a matrix of pure rounding noise comes out rank 0.
+    counted, so that a matrix of pure rounding noise comes out rank 0.  The
+    rank and row space come from an economy SVD, so a wide M forms no square
+    matrix of its column count until the null space is read.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.size == 0:
         raise ShapeError(f"rank_nullspace() needs a nonempty 2-d matrix, got shape {M.shape}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _, s, vh = np.linalg.svd(M)
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
     rank = _rank(s, tol, floor)
-    null = _fix_phases(vh[rank:].conj().T)
     gap = None
     if 0 < rank < s.size:
         gap = float(s[rank] / s[rank - 1])
-    return RankResult(rank=rank, nullspace=null, singular_values=s, gap=gap)
+    return RankResult(rank=rank, rowspace=vh[:rank].conj().T, singular_values=s, matrix=M,
+                      gap=gap)
 
 
 def span_projector(columns, tol=DEFAULT_TOL):

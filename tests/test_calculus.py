@@ -310,15 +310,15 @@ def test_exterior_d_matches_three_projections(make):
 
 
 def test_tower_without_relations_skips_null_space(monkeypatch):
-    """With R = n^2 (a0) P is the identity: no relation null space is computed."""
+    """With R = n^2 (a0) the stored L has no columns: no relation matrix K_p is formed."""
     G = _catalog_structure("a0", 3)
     n = G.subspace.n
-    assert G.R == n * n
+    assert G.R == n * n and G.L.shape == (n * n, 0)
 
     def fail(*args, **kwargs):
-        raise AssertionError("rank_nullspace called")
+        raise AssertionError("relation matrix formed")
 
-    monkeypatch.setattr(calculus, "rank_nullspace", fail)
+    monkeypatch.setattr(calculus, "_pair_matrix", fail)
     tower = build_tower(G, 3)
     assert tower.relations is None and tower.factors == tower.bases == {}
     assert tower.ranks == {p: n ** p for p in range(4)}
@@ -466,6 +466,13 @@ def _reference_pair_matrix(W, Lr, n, p):
     return np.matmul(Wt, Lr).reshape(n ** (p - 2) * Lr.shape[0], D * n)
 
 
+def _dense_relation_pairs(G):
+    """``Lr[r][a, c] = conj(L[(a, c), r])`` for L = null(P^T) of the dense n^2 x n^2 P, or None."""
+    n = G.subspace.n
+    L = rank_nullspace(G.P.T).nullspace
+    return L.T.conj().reshape(-1, n, n) if L.shape[1] else None
+
+
 def _reference_tower(G, top, form_top=True, tol=DEFAULT_TOL):
     """Ranks and bases from the n^(p-2) k-row matrices M_p, with every W_p formed eagerly.
 
@@ -475,7 +482,7 @@ def _reference_tower(G, top, form_top=True, tol=DEFAULT_TOL):
     """
     n = G.subspace.n
     ranks, bases = {p: n ** p for p in range(top + 1)}, {}
-    Lr = calculus._relation_pairs(G, tol)
+    Lr = _dense_relation_pairs(G)
     W = np.eye(n, dtype=complex)
     for p in range(2, top + 1) if Lr is not None else ():
         M = _reference_pair_matrix(W, Lr, n, p)
@@ -493,6 +500,35 @@ def _reference_tower(G, top, form_top=True, tol=DEFAULT_TOL):
             N = V[:, rank:].reshape(W.shape[1], n, D)
             W = bases[p] = np.einsum("Bj,jct->Bct", W, N).reshape(n ** p, D)
     return ranks, bases
+
+
+def _stored_L_cases():
+    for name in catalog.NAMES:
+        for m in range(2, 6):
+            try:
+                e = catalog.build_entry(name, m)
+            except ValueError:  # m below the entry's minimum
+                continue
+            yield pytest.param(lambda e=e: genalg.detect_structure(e.subspace),
+                               id=f"{name}-m{m}-auto")
+            if e.suggested_alpha is not None:
+                yield pytest.param(lambda e=e: genalg.use_relations(e.subspace, e.suggested_alpha),
+                                   id=f"{name}-m{m}-embedded")
+    for m, n in ((3, 4), (4, 5), (5, 8)):
+        yield pytest.param(lambda m=m, n=n: _generic_structure(m, n, 0), id=f"generic-m{m}-n{n}")
+
+
+@pytest.mark.parametrize("make", list(_stored_L_cases()))
+def test_stored_L_matches_the_dense_reference(make):
+    """The stored L is orthonormal, k = n^2 - R wide, in null(P^T) of the derived P, and the
+    tower built on it ranks every degree to 4 as the reference built on rank_nullspace(P^T)."""
+    G = make()
+    n = G.subspace.n
+    L = G.L
+    assert L.shape == (n * n, n * n - G.R)
+    assert np.max(np.abs(L.conj().T @ L - np.eye(L.shape[1])), initial=0.0) < 1e-12
+    assert np.max(np.abs(G.P.T @ L), initial=0.0) < 1e-12
+    assert build_tower(G, 4).ranks == _reference_tower(G, 4, form_top=False)[0]
 
 
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(2, 6) for n in range(2, min(9, m * m))])
@@ -558,10 +594,10 @@ class _Proxy:
 def _spy_decompositions(monkeypatch):
     """Record every Cholesky, QR and SVD of the tower's rank decisions, in order.
 
-    That is every one that ``calculus`` runs, and the Cholesky of
-    ``linalg._full_rank``.
+    That is every one that ``calculus`` runs, the Cholesky of
+    ``linalg._full_rank`` and the Householder QR of ``linalg._complement``.
 
-    Entries: "chol" (succeeded), "chol-fail", "qr-complete", "qr-r", "svd" and
+    Entries: "chol" (succeeded), "chol-fail", "qr-raw", "qr-r", "svd" and
     "svd-values" (compute_uv=False).
     """
     calls = []
@@ -586,7 +622,8 @@ def _spy_decompositions(monkeypatch):
 
     monkeypatch.setattr(calculus, "np",
                         _Proxy(np, linalg=_Proxy(real, cholesky=cholesky, qr=qr, svd=svd)))
-    monkeypatch.setattr(ncdiff_linalg, "np", _Proxy(np, linalg=_Proxy(real, cholesky=cholesky)))
+    monkeypatch.setattr(ncdiff_linalg, "np",
+                        _Proxy(np, linalg=_Proxy(real, cholesky=cholesky, qr=qr)))
     return calls
 
 
@@ -608,9 +645,9 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     """build_tower decides D_max from a Cholesky alone and forms no W_p.
 
     Generic K_p have full rank, so each degree below the top takes a Cholesky
-    and the complete QR that gives N_p, and the top degree a Cholesky only.  A
-    first projection below the top forms W_p with GEMMs alone; the first at
-    the top forms N_max with one complete QR, and then W_max.  Each is formed
+    and the Householder QR whose reflectors give N_p, and the top degree a
+    Cholesky only.  A first projection below the top forms W_p with GEMMs
+    alone; the first at the top forms N_max with one such QR, and then W_max.  Each is formed
     once.  su2(4), whose K_3 is rank-deficient, takes the fallbacks at the top:
     the values-only SVD for D_3, and a QR's R factor and its SVD for N_3.
     """
@@ -619,7 +656,7 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
     tower = build_tower(G, top)
-    assert calls == ["chol", "qr-complete"] * (top - 2) + ["chol"]
+    assert calls == ["chol", "qr-raw"] * (top - 2) + ["chol"]
     assert tower.ranks[top] == (top + 1) * 2 ** top
     assert sorted(tower.factors) == list(range(1, top)) and tower.bases == {} and lifts == []
     calls.clear()
@@ -630,16 +667,16 @@ def test_top_degree_is_rank_only(monkeypatch, top):
         assert calls == [] and sorted(tower.bases) == list(range(2, top))
     raw = rng.standard_normal((n,) * top + (m, m)).astype(complex)
     once = canonicalize(tower, top, raw)
-    assert calls == ["qr-complete"] and sorted(tower.bases) == list(range(2, top + 1))
+    assert calls == ["qr-raw"] and sorted(tower.bases) == list(range(2, top + 1))
     assert lifts == [tower.ranks[p] for p in range(2, top + 1)]
     assert tower.basis(top).shape == (n ** top, tower.ranks[top])
     assert np.array_equal(canonicalize(tower, top, raw), once)
-    assert calls == ["qr-complete"] and len(lifts) == top - 1
+    assert calls == ["qr-raw"] and len(lifts) == top - 1
 
     G = _catalog_structure("su2", 4)
     calls.clear()
     tower = build_tower(G, 3)
-    assert calls == ["chol", "qr-complete", "chol-fail", "svd-values"]
+    assert calls == ["chol", "qr-raw", "chol-fail", "svd-values"]
     assert tower.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
     calls.clear()
     assert tower.basis(3).shape == (27, 1) and calls == ["qr-r", "svd"]
@@ -677,7 +714,7 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     """W_p for the chain takes one null-space factorization per degree, from the tower.
 
     epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)`` and
-    no others.  Generic K_q have full rank: a Cholesky and a complete QR each.
+    no others.  Generic K_q have full rank: a Cholesky and a Householder QR each.
     su2(4)'s rank-deficient K_3 fails its Cholesky; below the top it takes the R
     factor of a QR and its SVD, and at the top the tower's values-only SVD for
     D_3 comes first.  Its K_4, tall and of full rank, needs no QR.
@@ -685,14 +722,14 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     G = _generic_structure(3, 4, 0)
     calls = _spy_decompositions(monkeypatch)
     exists, basis, dim = epsilon_check(G, p)
-    assert calls == ["chol", "qr-complete"] * (p - 1)
+    assert calls == ["chol", "qr-raw"] * (p - 1)
     assert exists and dim == build_tower(G, p).ranks[p] == (p + 1) * 2 ** p
     assert basis.shape == ((p - 1) * G.subspace.n ** (p - 2) * G.R, dim)
     G = _catalog_structure("su2", 4)
     calls.clear()
     exists, _, dim = epsilon_check(G, p)
-    expected = (["chol", "qr-complete", "chol-fail", "svd-values", "qr-r", "svd"] if p == 3
-                else ["chol", "qr-complete", "chol-fail", "qr-r", "svd", "chol"])
+    expected = (["chol", "qr-raw", "chol-fail", "svd-values", "qr-r", "svd"] if p == 3
+                else ["chol", "qr-raw", "chol-fail", "qr-r", "svd", "chol"])
     assert calls == expected
     assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
     calls.clear()
@@ -715,7 +752,7 @@ def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
     calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
     assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
-    assert calls == ["chol", "qr-complete", "chol", "qr-complete", "chol"] and lifts == []
+    assert calls == ["chol", "qr-raw", "chol", "qr-raw", "chol"] and lifts == []
     ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
     assert ranks == {"0": 1, "1": 4, "2": 12, "3": 32, "4": 80}
 

@@ -72,10 +72,11 @@ def test_analyze_pauli(capsys, pauli_file):
 def test_analyze_and_verify_judge_relation_residual_alike(tmp_path, capsys):
     """alpha^T rho is linear in rho, so both commands judge it against tol * max(|rho|, 1).
 
-    On su2(4) scaled by kappa = 1e3 with detected relations the residual is
-    about 1.1e-9: above the bare tol, below the scaled bound.
+    On su2(4) scaled by kappa = 1e4 with detected relations the residual, the
+    first dropped singular value of rho, is about 3.6e-8: above the bare tol,
+    below the scaled bound.
     """
-    e = su2(4, kappa=1e3)
+    e = su2(4, kappa=1e4)
     path = tmp_path / "su2-kappa.json"
     formats.save_algebra(path, 4, e.subspace.label, e.subspace.lambdas)
     code, rep = _run_json(capsys, ["analyze", str(path)])
@@ -236,7 +237,25 @@ def test_memory_error_exit_2(monkeypatch, capsys, clock_file, command):
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if "error:" in line]
     assert len(lines) == 1
-    assert lines[0].startswith("error: MemoryError: Unable to allocate") and "--max-degree" in lines[0]
+    hint = cli.MEMORY_HINTS[command]
+    assert lines[0] == f"error: MemoryError: Unable to allocate 3.00 GiB; {hint}"
+
+
+@pytest.mark.parametrize("command, hint", [
+    ("forms", "try a lower --max-degree"),
+    # verify's tower stops at degree 3 whatever --max-degree says, so that flag is no remedy
+    ("verify", "whatever --max-degree says; try a smaller algebra"),
+])
+def test_memory_error_hint_names_the_commands_limit(monkeypatch, capsys, clock_file, command, hint):
+    """A MemoryError raised anywhere in a command is answered with that command's own remedy."""
+    def out_of_memory(args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, f"cmd_{command}", out_of_memory)
+    assert cli.main([command, clock_file]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: MemoryError: out of memory; ") and err.endswith(hint)
+    if command == "verify":
+        assert "try a lower --max-degree" not in err
 
 
 def test_verify_pass_and_determinism(capsys, clock_file):
@@ -611,10 +630,10 @@ def test_verify_a0_m4_memory(tmp_path):
 
 
 def _detect_with_gram_solve(B, tol=DEFAULT_TOL):
-    """detect_structure with beta and P from build_projector's Gram solve, as for a user alpha."""
+    """detect_structure's alpha judged as a user alpha: beta from the Gram solve, and
+    verify_ga's checks read beta alpha, P^2 - P and alpha^T rho."""
     G = _detect_structure(B, tol=tol)
-    beta, P = genalg.build_projector(G.alpha, tol=tol)
-    return dataclasses.replace(G, beta=beta, P=P)
+    return dataclasses.replace(G, mode="user-supplied", source=G.alpha)
 
 
 _detect_structure = genalg.detect_structure
@@ -622,10 +641,11 @@ _detect_structure = genalg.detect_structure
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_analyze_auto_projector_keeps_reports(monkeypatch, capsys, tmp_path, seed):
-    """analyze with the auto projector keeps the Gram solve's statuses, R and alpha_columns.
+    """analyze with the auto-mode checks keeps the Gram solve's statuses, R and alpha_columns.
 
-    On small catalog and generic inputs, beta = alpha^dag and P = alpha alpha^dag
-    leave every status as it was, and R and alpha_columns byte-identical.
+    On small catalog and generic inputs, the identities of L and the dropped
+    singular value of rho leave every status as the user-mode checks on the
+    derived alpha, beta and P give it, and R and alpha_columns byte-identical.
     """
     inputs = []
     for name, m in (("su2", 3), ("clock-shift", 5), ("ellipsoid", 4), ("a0", 2)):

@@ -156,9 +156,104 @@ def _auto_cases():
 
 @pytest.mark.parametrize("make", list(_auto_cases()))
 def test_auto_projector_from_orthonormal_alpha(make):
-    """Auto alpha is orthonormal: beta = alpha^dag, and P is build_projector's to 1e-13."""
+    """Auto alpha is orthonormal: beta = alpha^dag, and P is the Gram solve's to 1e-13."""
     G = genalg.detect_structure(make())
     assert np.array_equal(G.beta, G.alpha.conj().T)
-    _, P = genalg.build_projector(G.alpha)
+    a = G.alpha
+    P = a @ np.linalg.solve(a.conj().T @ a, a.conj().T)
     assert np.max(np.abs(G.P - P), initial=0.0) < 1e-13
     assert genalg.verify_ga(G)["passed"]
+
+
+@pytest.mark.large
+def test_a0_m7_structure_verify_and_tower_stay_small():
+    """detect_structure, verify_ga and build_tower(G, 3) on a0(7), n = 48: fast and small.
+
+    The relations are stored by L, here 2304 x 0, so no n^2 x n^2 alpha, beta,
+    P or full SVD is formed.  Together the three take under 0.2 s (the best of
+    three runs after a warm-up) and peak below 32 MiB traced; an array of n^4
+    entries, complex or real, would alone exceed that bound.
+    """
+    import time
+    import tracemalloc
+
+    from ncdiff import calculus
+
+    B = universal_A0(7).subspace
+    n = B.n
+    bound = 32 * 2 ** 20
+    assert 8 * n ** 4 > bound
+
+    def run():
+        G = genalg.detect_structure(B)
+        return G, genalg.verify_ga(G), calculus.build_tower(G, 3)
+
+    run()
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.2, best
+    tracemalloc.start()
+    try:
+        G, rep, tower = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak / 2 ** 20
+    assert G.R == n * n and G.L.shape == (n * n, 0) and rep["passed"]
+    assert tower.ranks == {p: n ** p for p in range(4)}
+
+
+class _NumpyLinalgSpy:
+    """Record the shape of every 2-d array that a numpy.linalg call takes or returns."""
+
+    NAMES = ("svd", "qr", "solve", "cholesky", "norm", "eigh", "inv")
+
+    def __init__(self, monkeypatch):
+        self.shapes = set()
+        for name in self.NAMES:
+            monkeypatch.setattr(np.linalg, name, self._wrap(getattr(np.linalg, name)))
+
+    def _wrap(self, fn):
+        def spy(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for a in (*args, *(out if isinstance(out, tuple) else (out,))):
+                if isinstance(a, np.ndarray) and a.ndim == 2:
+                    self.shapes.add(a.shape)
+            return out
+        return spy
+
+
+@pytest.mark.parametrize("name, m", [("clock-shift", 5), ("ellipsoid", 4)])
+def test_embedded_verify_and_forms_form_no_n2_by_n2_matrix(monkeypatch, tmp_path, capsys, name, m):
+    """With --alpha embedded, verify and forms never read P and hand numpy.linalg no
+    n^2 x n^2 matrix: L = null(alpha^T) comes from the user's n^2 x R alpha.
+
+    (In auto mode an economy SVD of the m^2 x n^2 matrix of rho has an
+    n^2 x n^2 right factor whenever m^2 >= n^2, as on these inputs; the a0(7)
+    test above pins auto mode.)  Negative control: the dense route to L, the
+    null space of P^T, hands the spy an n^2 x n^2 matrix.
+    """
+    from ncdiff import cli, formats
+    from ncdiff.linalg import rank_nullspace
+
+    e = build_entry(name, m)
+    B = e.subspace
+    nn = B.n * B.n
+    path = str(tmp_path / "algebra.json")
+    formats.save_algebra(path, m, B.label, B.lambdas, alpha=e.suggested_alpha)
+    P = genalg.use_relations(B, e.suggested_alpha).P
+
+    def no_P(self):
+        raise AssertionError("P read")
+
+    monkeypatch.setattr(genalg.GAStructure, "P", property(no_P))
+    spy = _NumpyLinalgSpy(monkeypatch)
+    for command in ("verify", "forms"):
+        assert cli.main([command, path, "--max-degree", "3", "--alpha", "embedded"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert spy.shapes and (nn, nn) not in spy.shapes
+    rank_nullspace(P.T)
+    assert (nn, nn) in spy.shapes

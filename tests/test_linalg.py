@@ -213,3 +213,54 @@ def test_full_rank_certificate_needs_its_shift():
     with pytest.raises(AssertionError):
         _check_certificate(K, _unshifted_certificate)
     assert _full_rank(_with_singular_values(np.array([1.0, 1e-2]), (5, 2), 0), DEFAULT_TOL)
+
+
+def _at_slot_general(M, t, q):
+    """``_at_slot``'s stacked GEMM for any trailing axes: a product of M with each slice."""
+    shape = t.shape
+    lead, rest = int(np.prod(shape[:q])), int(np.prod(shape[q + 1:]))
+    res = np.matmul(M, t.reshape(lead, shape[q], rest))
+    return res.reshape(shape[:q] + (M.shape[0],) + shape[q + 1:])
+
+
+@pytest.mark.parametrize("name", ["a0", "su2"])
+def test_at_slot_one_entry_trailing_axes_match_general_path(name):
+    """Trailing axes of one entry, as generator_residuals calls chi, take one GEMM: same result.
+
+    The tables are the unit vectors e_a with (1, 1) trailing axes and their
+    first and second chi, on every slot, and one with no leading axes.
+    """
+    from ncdiff.catalog import build_entry
+    from ncdiff.genalg import structure_constants
+
+    F = structure_constants(build_entry(name, 4).subspace)[0]
+    n = F.shape[0]
+    Fm = F.reshape(n, n * n).T
+    e = np.eye(n, dtype=complex)[..., None, None]
+    chi1 = calculus._raw_chi(F, e, 1)
+    tables = [(e, 1), (chi1, 1), (chi1, 2), (calculus._raw_chi(F, chi1, 2), 3),
+              (np.ones((n, 1, 1), dtype=complex), 0)]
+    for t, q in tables:
+        ref = _at_slot_general(-Fm, t, q)
+        out = calculus._at_slot(-Fm, t, q)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref), initial=0.0) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_complement_is_the_trailing_part_of_the_complete_q():
+    """``_complement`` equals the last M - N columns of numpy's complete Q, with no M x M matrix.
+
+    The first column is e_0, whose reflector has tau = 0 (the identity).
+    """
+    from ncdiff.linalg import _complement
+
+    rng = np.random.default_rng(5)
+    for M, N in ((9, 6), (4, 1), (9, 9), (5, 0), (40, 12)):
+        A = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+        if N:
+            A[:, 0] = 0.0
+            A[0, 0] = 2.0
+        Q, _ = np.linalg.qr(A, mode="complete")
+        out = _complement(A)
+        assert out.shape == (M, M - N)
+        assert np.max(np.abs(out - Q[:, N:]), initial=0.0) < 1e-13
