@@ -33,10 +33,9 @@ and projects it once.  The raw tables come from private kernels:
 (``_raw_chi``) in one table, ``_raw_wedge`` is one pair-product GEMM, and
 ``_project`` projects a table its caller owns in place.
 ``generator_residuals`` decides d o d = 0 and the graded Leibniz rule
-exactly, in closed form from d^2 = ad_C + chi^2 (``_curvature``): one
-(n, n, m, m) table C and scalar tables of n^3 entries per generator.
-``trial_batches`` is the one rule that sizes a batch of stacked random
-forms, under ``STACK_BYTES``.
+exactly, in closed form from d^2 = ad_C + chi^2 (``_curvature``), on one
+(n, n, m, m) table C and scalar tables of n^3 entries per generator;
+``check_structure_equations`` decides d theta^a on one scalar (n, n, n) table.
 """
 
 from dataclasses import dataclass, field
@@ -69,6 +68,8 @@ __all__ = [
 # counting every table a check holds at once; one whose own tables are larger
 # runs alone.
 STACK_BYTES = 1 << 20
+# Bytes one batch of generator_residuals keeps: 5 of the 15 u_a of a0(m=4) ran fastest.
+GENERATOR_BYTES = 7 << 17
 
 
 @dataclass(frozen=True)
@@ -454,37 +455,32 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
 
 
 def check_structure_equations(tower, tol=DEFAULT_TOL):
-    """Residuals of the two co-frame structure equations and the relation form."""
+    """Residuals of the two co-frame structure equations and the relation form |pi_2 rho|.
+
+    d theta + theta^2 = -(1/m) t_ab theta^a theta^b goes through the public
+    ``exterior_d`` and ``wedge``.  d theta^a + [theta, theta^a] = chi(theta^a) on
+    raw tables, so d theta^a = -[theta, theta^a] - F^a_bc theta^b theta^c iff
+    pi_2(chi(e_a) + F^a) = 0, one scalar (n, n, n) table.  ``dtheta_a``, linear
+    in F, is judged against tol |lambda|, the others against tol |lambda|^2.
+    """
     if tower.max_degree < 2:
         raise ValueError("structure equations need max_degree >= 2")
-    G = tower.ga
-    B = G.subspace
-    n, m = B.n, B.m
+    G, n, m = tower.ga, tower.n, tower.m
     th = theta(tower)
-    # d theta + theta^2 = -(1/m) t_ab theta^a theta^b
-    lhs = exterior_d(th) + wedge(th, th)
-    rhs = np.einsum("ab,ij->abij", -G.t / m, np.eye(m))
-    rhs = Form(tower, 2, canonicalize(tower, 2, rhs))
-    res1 = form_norm(lhs - rhs)
-    # d theta^a = -[theta, theta^a] - <lambda^a, lambda_b lambda_c> theta^b theta^c,
-    # for all n co-frame forms theta^a as one stack; the residual is summed one
-    # term at a time, so few stacked tables are alive at once
-    ta = Form(tower, 1, np.einsum("ab,ij->abij", np.eye(n, dtype=complex), np.eye(m)))
-    res_a = exterior_d(ta) + wedge(th, ta)
-    res_a = res_a + wedge(ta, th)
-    rhs_a = canonicalize(tower, 2, np.einsum("abc,ij->abcij", -G.F, np.eye(m)))
-    res_a = res_a - Form(tower, 2, rhs_a)
-    res2 = float(form_norm(res_a).max())
-    # eta_perp(lambda_a lambda_b) theta^a theta^b canonicalizes to zero
-    rel = Form(tower, 2, canonicalize(tower, 2, G.rho))
-    res3 = form_norm(rel)
-    scale = max(np.linalg.norm(B.lambdas) ** 2, 1.0)
-    return {
-        "dtheta_plus_theta_sq": res1,
-        "dtheta_a": res2,
-        "relation_form": res3,
-        "passed": bool(res1 < tol * scale and res2 < tol * scale and res3 < tol * scale),
+    rhs = Form(tower, 2, canonicalize(tower, 2, np.einsum("ab,ij->abij", -G.t / m, np.eye(m))))
+    chi_e = _raw_chi(G.F, np.eye(n, dtype=complex)[..., None, None], 1)[..., 0, 0] + G.F
+    lam = np.linalg.norm(G.subspace.lambdas)
+    rep = {
+        "dtheta_plus_theta_sq": form_norm(exterior_d(th) + wedge(th, th) - rhs),
+        "dtheta_a": float(np.sqrt(m) * _canonical_norms(tower, 2, chi_e.reshape(n, n * n)).max()),
+        "relation_form": form_norm(Form(tower, 2, canonicalize(tower, 2, G.rho))),
+        "bound": float(tol * lam ** 2),
+        "dtheta_a_bound": float(tol * lam),
     }
+    rep["passed"] = bool(rep["dtheta_plus_theta_sq"] < rep["bound"]
+                         and rep["relation_form"] < rep["bound"]
+                         and rep["dtheta_a"] < rep["dtheta_a_bound"])
+    return rep
 
 
 def coframe_from_formula(tower, basis_gamma, duals, tol=DEFAULT_TOL):
@@ -583,13 +579,13 @@ def _curvature(tower):
 def _canonical_norms(tower, p, rows):
     """|pi_p x| = |W_p^dag x| for each row x of ``rows``, a (k, n^p) stack of scalar tables.
 
-    Each norm is a real dot product of a row's float view with itself, so no
-    table-sized temporary is made.
+    Each norm, |W_p^T conj(x)|, is a real dot product of a row's float view
+    with itself, so W_p is not copied and the norm makes no table-sized temporary.
     """
     if tower.ranks[p] == 0:
         return np.zeros(len(rows))
     W = tower.basis(p)
-    flat = np.ascontiguousarray(rows if W is None else rows @ W.conj()).view(float)
+    flat = np.ascontiguousarray(rows if W is None else rows.conj() @ W).view(float)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
@@ -609,11 +605,12 @@ def generator_residuals(tower):
 
     Then d o d, an even derivation, vanishes on all of Omega iff it vanishes
     on the generators E_ij and theta^a.  Every table but C is scalar, n^3
-    entries per generator.  The residuals, relative to the scale of d, are
-    (2 |pi_2 C'| + max_a |pi_3 u_a|) / |lambda|^2, a bound on |d d E_ij| and
-    |d d theta^a| / |theta^a| since |[X, E_ij]| <= 2 |X|, and, for the
-    orthonormal L_r, max_r |pi_3 chi(L_r)| / |lambda|, the worst
-    |pi_3 d(L_r (x) 1)| / |L_r (x) 1|.  The tower must reach degree 3.
+    entries per generator, a batch at a time under ``GENERATOR_BYTES``.  The
+    residuals, relative to the scale of d, are (2 |pi_2 C'| + max_a |pi_3 u_a|)
+    / |lambda|^2, a bound on |d d E_ij| and |d d theta^a| / |theta^a| since
+    |[X, E_ij]| <= 2 |X|, and, for the orthonormal L_r, max_r |pi_3 chi(L_r)|
+    / |lambda|, the worst |pi_3 d(L_r (x) 1)| / |L_r (x) 1|.  The tower must
+    reach degree 3.
     Returns (d o d residual, Leibniz residual).
     """
     if tower.max_degree < 3:
@@ -623,15 +620,18 @@ def generator_residuals(tower):
     c = np.trace(C, axis1=-2, axis2=-1) / m
     C -= c[..., None, None] * np.eye(m)
     curvature = 2 * np.linalg.norm(_canonical_norms(tower, 2, C.reshape(n * n, m * m).T))
-    # u[a] = chi^2(e_a) + c (x) e_a - e_a (x) c, for every a as one (n,)*4 table
-    u = _raw_chi(F, _raw_chi(F, np.eye(n, dtype=complex)[..., None, None], 1), 2)[..., 0, 0]
-    a = np.arange(n)
-    u[a, :, :, a] += c
-    u[a, a] -= c
-    worst_u = _canonical_norms(tower, 3, u.reshape(n, -1)).max()
-    leibniz = 0.0
+    # chi of chi(e_a), then of L_r; a batch keeps a chi table, a slot GEMM and projected rows
+    X = _raw_chi(F, np.eye(n, dtype=complex)[..., None, None], 1)
     if tower.relations is not None:  # the L_r are orthonormal
-        chi_L = _raw_chi(F, tower.relations.conj()[..., None, None], 2)
-        leibniz = _canonical_norms(tower, 3, chi_L.reshape(len(chi_L), -1)).max()
+        X = np.concatenate([X, tower.relations.conj()[..., None, None]])
+    norms = np.empty(len(X))
+    size = max(1, GENERATOR_BYTES // np.dtype(complex).itemsize // (2 * n ** 3 + tower.ranks[3]))
+    for s in range(0, len(X), size):
+        t = _raw_chi(F, X[s:s + size], 2)[..., 0, 0]
+        a = np.arange(s, min(s + size, n))  # u_a = chi^2(e_a) + c (x) e_a - e_a (x) c
+        t[a - s, :, :, a] += c
+        t[a - s, a] -= c
+        norms[s:s + size] = _canonical_norms(tower, 3, t.reshape(len(t), -1))
+    worst_u, leibniz = norms[:n].max(), norms[n:].max(initial=0.0)
     lam = np.linalg.norm(tower.ga.subspace.lambdas)
     return float((curvature + worst_u) / lam ** 2), float(leibniz / lam)

@@ -171,10 +171,7 @@ def _verify_sections(G, tower, args):
                              relation_residual=rep_ga["relation_residual"],
                              relation_bound=rep_ga["relation_bound"]))
     se = calculus.check_structure_equations(tower, tol=args.tol)
-    sections.append(_section("structure_equations", se["passed"],
-                             dtheta_plus_theta_sq=se["dtheta_plus_theta_sq"],
-                             dtheta_a=se["dtheta_a"],
-                             relation_form=se["relation_form"]))
+    sections.append(_section("structure_equations", se.pop("passed"), **se))
 
     # d o d = 0 and graded Leibniz, decided exactly in closed form, relative to d's scale
     dd, leibniz = calculus.generator_residuals(tower)

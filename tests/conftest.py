@@ -98,6 +98,22 @@ def generator_engine_residuals(tower):
     return worst[2] / lam ** 2, worst[1] / lam
 
 
+def coframe_stack_residual(tower):
+    """The stacked reference for ``calculus.check_structure_equations``' ``dtheta_a``.
+
+    d theta^a + [theta, theta^a] + F^a_bc theta^b theta^c for all n co-frame
+    forms theta^a as one stack, through the public ``exterior_d``, ``wedge``
+    and ``canonicalize``: (n, n, n, m, m) tables.  Returns the worst form norm.
+    """
+    n, m = tower.n, tower.m
+    th = calculus.theta(tower)
+    ta = calculus.Form(tower, 1, np.einsum("ab,ij->abij", np.eye(n, dtype=complex), np.eye(m)))
+    res = calculus.exterior_d(ta) + calculus.wedge(th, ta)
+    res = res + calculus.wedge(ta, th)
+    rhs = calculus.canonicalize(tower, 2, np.einsum("abc,ij->abcij", -tower.ga.F, np.eye(m)))
+    return float(calculus.form_norm(res - calculus.Form(tower, 2, rhs)).max())
+
+
 @st.composite
 def matrix_stacks(draw, full=None, max_log_cond=6.0):
     """A stack of m x m matrices, m = 2..6, and its Gram condition number, 1 to 10^max_log_cond.

@@ -3,7 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import generator_engine_residuals, generic_subspace, random_identity_residuals
+from conftest import (
+    coframe_stack_residual,
+    generator_engine_residuals,
+    generic_subspace,
+    random_identity_residuals,
+)
 
 from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff import linalg as ncdiff_linalg
@@ -890,15 +895,29 @@ def test_random_form_stack_keeps_the_stream():
     assert stacked_rng.bit_generator.state == rng.bit_generator.state
 
 
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
-    pytest.param(lambda: _catalog_structure("ellipsoid", 6), id="ellipsoid-m6"),
-    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
-])
-def test_structure_equations_match_coframe_loop(make):
-    """The stacked co-frame equations against one equation per theta^a."""
+_COFRAME_LOOP_CASES = [
+    ("su2-m4", lambda: _catalog_structure("su2", 4)),
+    ("ellipsoid-m6", lambda: _catalog_structure("ellipsoid", 6)),
+    ("a0-m3", lambda: _catalog_structure("a0", 3)),
+    ("generic-m3-n4", lambda: _generic_structure(3, 4, 0)),
+]
+
+
+@pytest.mark.parametrize("make, negate_chi", [
+    pytest.param(make, negate, id=name + ("-chi-negated" if negate else ""))
+    for negate in (False, True) for name, make in _COFRAME_LOOP_CASES])
+def test_structure_equations_match_coframe_loop(monkeypatch, make, negate_chi):
+    """dtheta_a on the scalar table against one equation per theta^a and the stacked reference.
+
+    All three read the worst form norm of d theta^a + [theta, theta^a] +
+    F^a_bc theta^b theta^c: below the bound on the true calculus, and 2 F^a
+    with chi negated, which every case here fails.
+    """
     tower = build_tower(make(), 2)
     G, m = tower.ga, tower.m
+    if negate_chi:
+        raw_chi = calculus._raw_chi
+        monkeypatch.setattr(calculus, "_raw_chi", lambda *args: -raw_chi(*args))
     th = theta(tower)
     worst = 0.0
     for a in range(tower.n):
@@ -907,7 +926,85 @@ def test_structure_equations_match_coframe_loop(make):
         rhs = np.einsum("bc,ij->bcij", -G.F[a], np.eye(m))
         rhs = calculus.Form(tower, 2, canonicalize(tower, 2, rhs))
         worst = max(worst, form_norm(exterior_d(ta) - (-1 * comm + rhs)))
-    assert abs(check_structure_equations(tower)["dtheta_a"] - worst) < 1e-14
+    rep = check_structure_equations(tower)
+    scale = max(worst, 1.0)
+    assert rep["dtheta_a"] == pytest.approx(worst, rel=0, abs=1e-14 * scale)
+    assert coframe_stack_residual(tower) == pytest.approx(worst, rel=0, abs=1e-14 * scale)
+    assert rep["dtheta_a_bound"] == DEFAULT_TOL * np.linalg.norm(G.subspace.lambdas)
+    assert (worst < rep["dtheta_a_bound"]) != negate_chi
+
+
+def test_structure_equations_relative_to_lambda():
+    """Bugfix: the structure equations are judged against tol |lambda|^2, with no floor at 1.
+
+    su2(m=4) times 1e-3 with its commutator relations perturbed by 1e-6 of
+    their norm: the relations leave the kernel of rho by a relative 1e-6,
+    so relation_form and dtheta_plus_theta_sq read about 1.9e-11, a thousand
+    times tol |lambda|^2 = 1.5e-14 but below the 1e-9 that a floor at 1
+    would allow.  verify fails the section.
+    """
+    e = catalog.su2(4, kappa=1e-3)
+    alpha = e.suggested_alpha
+    alpha = alpha + 1e-6 * np.linalg.norm(alpha) * np.random.default_rng(0).standard_normal(
+        alpha.shape)
+    tower = build_tower(genalg.use_relations(e.subspace, alpha), 3)
+    rep = check_structure_equations(tower)
+    assert not rep["passed"]
+    lam2 = np.linalg.norm(e.subspace.lambdas) ** 2
+    assert rep["bound"] == pytest.approx(DEFAULT_TOL * lam2, rel=1e-15)
+    for key in ("dtheta_plus_theta_sq", "relation_form"):
+        assert 100 * rep["bound"] < rep[key] < DEFAULT_TOL
+    assert rep["dtheta_a"] < rep["dtheta_a_bound"]
+    # the unperturbed relations pass at the same scale
+    assert check_structure_equations(build_tower(
+        genalg.use_relations(e.subspace, e.suggested_alpha), 3))["passed"]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("a0", 4), id="a0-m4"),
+    pytest.param(lambda: genalg.detect_structure(catalog.su2(4).subspace), id="su2-m4-auto"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 5), id="ellipsoid-m5"),
+    pytest.param(lambda: _generic_structure(3, 4, 0), id="generic-m3-n4"),
+])
+@pytest.mark.parametrize("negate_chi", [False, True])
+def test_generator_residuals_do_not_depend_on_batches(monkeypatch, make, negate_chi):
+    """One generator per batch, the default batches and all generators at once read alike.
+
+    With chi negated the residuals are of order one, so a u_a or chi(L_r)
+    taken with another generator's offset would show.
+    """
+    tower = build_tower(make(), 3)
+    if negate_chi:
+        raw_chi = calculus._raw_chi
+        monkeypatch.setattr(calculus, "_raw_chi", lambda *args: -raw_chi(*args))
+    default = calculus.generator_residuals(tower)
+    for budget in (0, 1 << 40):
+        monkeypatch.setattr(calculus, "GENERATOR_BYTES", budget)
+        assert calculus.generator_residuals(tower) == pytest.approx(default, rel=1e-12, abs=1e-16)
+    assert (max(default) > 1e-8) == negate_chi
+
+
+@pytest.mark.large
+def test_a0_m7_structure_equations_and_generator_residuals_stay_small():
+    """check_structure_equations and generator_residuals on a0(7), n = 48, peak below 20 MiB.
+
+    No table of (n,)*3 + (m, m) or n^4 entries is formed: either would alone
+    exceed the bound (86 MB and 85 MB complex).  The u_a go in batches under
+    ``calculus.GENERATOR_BYTES``.
+    """
+    tower = build_tower(genalg.detect_structure(catalog.universal_A0(7).subspace), 3)
+    n, m = tower.n, tower.m
+    bound = 20 * 2 ** 20
+    assert 16 * min(n ** 4, n ** 3 * m * m) > bound
+    tracemalloc.start()
+    try:
+        se = check_structure_equations(tower)
+        dd, leibniz = calculus.generator_residuals(tower)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak / 2 ** 20
+    assert se["passed"] and max(dd, leibniz) < 1e-13
 
 
 def test_trial_batches_cover_trials(monkeypatch):

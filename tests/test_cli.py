@@ -20,7 +20,7 @@ from ncdiff import calculus, cli, formats, genalg, universal
 from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, su2, universal_A0
 from ncdiff.errors import DegreeError
-from ncdiff.linalg import DEFAULT_TOL, _at_slot
+from ncdiff.linalg import DEFAULT_TOL, _at_slot, _pair_products
 
 
 @pytest.fixture
@@ -613,20 +613,19 @@ def test_verify_memory_does_not_grow_with_trials(tmp_path):
 
 
 def test_verify_a0_m4_memory(tmp_path):
-    """verify on a0(m=4): the traced peak stays within 5.9 MiB.
+    """verify on a0(m=4): the traced peak stays within 1.4 MiB.
 
-    The bound is the traced peak of the stacked verify before its workspace,
-    5.86 MiB.  The closed-form d o d and Leibniz checks hold no degree-3 table
-    with an M_m factor (on a0(4) their largest table is the 810 KB stack of
-    the 15 scalar u_a), so the peak is set by ``check_structure_equations``
-    and its 864 KB degree-2 stacks.
+    The peak reads 1.13 MiB; the bound leaves a margin of 0.27 MiB, about 24%.
+    It is set by ``generator_residuals``' batches of the scalar u_a, five of
+    the 15 at a time under ``calculus.GENERATOR_BYTES``.  No verify table has
+    an (n,)*3 + (m, m) or n^4 shape: the stack of all 15 u_a alone is 810 KB.
     """
     e = universal_A0(4)
     path = str(tmp_path / "a0.json")
     formats.save_algebra(path, 4, e.subspace.label, e.subspace.lambdas)
     argv = ["verify", path, "--max-degree", "3", "--format", "json", "--trials", "20"]
     _traced_peak(argv)  # the first run in a process also makes one-time allocations
-    assert _traced_peak(argv) <= 5.9 * 2 ** 20
+    assert _traced_peak(argv) <= 1.4 * 2 ** 20
 
 
 def _detect_with_gram_solve(B, tol=DEFAULT_TOL):
@@ -899,6 +898,66 @@ def test_verify_fails_on_broken_degree0_d(monkeypatch, capsys, tmp_path):
     assert code == cli.EXIT_VERIFY
     sec = {s["name"]: s for s in rep["sections"]}
     assert sec["coframe_formula"]["status"] == "fail"
+
+
+def _raw_d_with_right_theta_flipped(raw_d):
+    """``calculus._raw_d`` with the sign of its right theta term flipped at degree p >= 1."""
+
+    def flipped(tower, coeffs, p):
+        table = raw_d(tower, coeffs, p)
+        if p >= 1:
+            lam, n, m = tower.ga.subspace.lambdas, tower.n, tower.m
+            a = coeffs.reshape(calculus._stack(coeffs, p) + (n ** p, m, m))
+            table -= 2 * _pair_products(a, (-1) ** (p + 1) * lam).reshape(table.shape)
+        return table
+
+    return flipped
+
+
+@pytest.mark.parametrize("name, m, mode, residual", [
+    ("su2", 4, "embedded", 5.5), ("a0", 3, "auto", 18.5), ("ellipsoid", 6, "embedded", 20.3),
+])
+def test_verify_fails_on_degree1_d_with_right_theta_flipped(monkeypatch, capsys, tmp_path, name,
+                                                            m, mode, residual):
+    """Negative control: d on degree >= 1 with its right theta term's sign flipped fails verify.
+
+    Only structure_equations catches it, through dtheta_plus_theta_sq, which
+    applies the public exterior_d to theta: the closed-form d o d and Leibniz
+    checks read the curvature and chi, not the degree-1 d.
+    """
+    e = build_entry(name, m)
+    path = str(tmp_path / f"{name}.json")
+    formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    argv = ["verify", path, "--alpha", mode]
+    code, rep = _run_json(capsys, argv)
+    assert code == cli.EXIT_OK
+    monkeypatch.setattr(calculus, "_raw_d", _raw_d_with_right_theta_flipped(calculus._raw_d))
+    code, rep = _run_json(capsys, argv)
+    assert code == cli.EXIT_VERIFY
+    assert {s["name"] for s in rep["sections"] if s["status"] == "fail"} == {"structure_equations"}
+    sec = {s["name"]: s for s in rep["sections"]}["structure_equations"]
+    assert sec["dtheta_plus_theta_sq"] == pytest.approx(residual, abs=0.05)
+    assert sec["dtheta_a"] < sec["dtheta_a_bound"]
+    assert sec["relation_form"] < sec["bound"]
+
+
+def test_verify_judges_structure_equations_relative_to_lambda(capsys, tmp_path):
+    """Bugfix: su2(m=4) times 1e-3, its commutator alpha perturbed by 1e-6 of its norm, fails
+    structure_equations against tol |lambda|^2 (1.5e-14), where a floor at 1 passed it."""
+    e = su2(4, kappa=1e-3)
+    alpha = e.suggested_alpha
+    alpha = alpha + 1e-6 * np.linalg.norm(alpha) * np.random.default_rng(0).standard_normal(
+        alpha.shape)
+    path = str(tmp_path / "su2.json")
+    formats.save_algebra(path, 4, e.subspace.label, e.subspace.lambdas, alpha=alpha)
+    code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded"])
+    assert code == cli.EXIT_VERIFY
+    sec = {s["name"]: s for s in rep["sections"]}["structure_equations"]
+    assert sec["status"] == "fail"
+    lam = np.linalg.norm(e.subspace.lambdas)
+    assert sec["bound"] == pytest.approx(DEFAULT_TOL * lam ** 2, rel=1e-9)
+    assert sec["dtheta_a_bound"] == pytest.approx(DEFAULT_TOL * lam, rel=1e-9)
+    assert sec["bound"] < sec["relation_form"] < DEFAULT_TOL
 
 
 def test_ncg_tol_read_per_parse(monkeypatch, capsys, clock_file):
