@@ -25,8 +25,8 @@ identically.  Evaluating a canonical form on derivations (e_b1, ..., e_bp)
 reads its coefficient at (b1, ..., bp).  A table may carry one leading
 stack axis of same-degree forms; ``canonicalize``, ``wedge``, ``chi``,
 ``exterior_d``, ``random_form`` and ``form_norm`` act on every form of a
-stack with the GEMMs they use for a single form, so the random trials of
-a check run as a few stacked calls (``trial_batches``, ``TrialDraws``).
+stack with the GEMMs they use for a single form, so a check on many
+generators runs as a few stacked calls.
 Projection is linear, so each operation builds its whole raw table first
 and projects it once.  The raw tables come from private kernels:
 ``_raw_d`` sums the two theta products and the chi insertions
@@ -59,15 +59,9 @@ __all__ = [
     "check_structure_equations",
     "coframe_from_formula",
     "random_form",
-    "trial_batches",
-    "TrialDraws",
     "generator_residuals",
 ]
 
-# Bytes of stacked coefficient tables that one batch of trials may keep,
-# counting every table a check holds at once; one whose own tables are larger
-# runs alone.
-STACK_BYTES = 1 << 20
 # Bytes one batch of generator_residuals keeps: 5 of the 15 u_a of a0(m=4) ran fastest.
 GENERATOR_BYTES = 7 << 17
 
@@ -519,47 +513,17 @@ def random_form(tower, degree, rng, count=None):
     """Canonicalized form with i.i.d. standard complex normal coefficients.
 
     A form draws the real parts of its table, then the imaginary parts.
-    With ``count``, a stack of that many forms drawn as that many calls
-    without it would draw them.  ``rng`` is a numpy Generator.
+    With ``count``, a stack of that many forms, drawn in one
+    ``rng.standard_normal((count, 2, n^p m^2))`` call, which reads the
+    numbers that many calls without it would read.  ``rng`` is a numpy
+    Generator.
     """
     _check_degree(tower, degree)
-    xi = TrialDraws(tower, [degree], rng, 1 if count is None else count).form(0)
-    return xi if count is not None else Form(tower, degree, xi.coeffs[0])
-
-
-def trial_batches(trials, per_trial):
-    """Sizes of the batches that split ``trials`` trials, in order.
-
-    A batch stacks as many as keep ``per_trial`` complex entries each within
-    STACK_BYTES, and at least one.
-    """
-    size = max(1, STACK_BYTES // np.dtype(complex).itemsize // per_trial)
-    return [min(size, trials - start) for start in range(0, trials, size)]
-
-
-class TrialDraws:
-    """The random forms of a batch of trials, drawn in one generator call.
-
-    Each of ``count`` trials draws one random form of each degree in
-    ``degrees``, in order, as ``random_form`` draws it.  A per-trial loop
-    reads those numbers from ``rng.standard_normal((count, total))`` row by
-    row, so this one call leaves the generator where the loop would.
-    ``form(k)`` stacks form k of ``degrees`` over the trials.
-    """
-
-    def __init__(self, tower, degrees, rng, count):
-        self._tower, self._degrees = tower, list(degrees)
-        sizes = [2 * tower.n ** p * tower.m ** 2 for p in self._degrees]
-        self._at = np.cumsum([0, *sizes]).tolist()
-        self._rows = rng.standard_normal((count, self._at[-1]))
-
-    def form(self, k):
-        """Form k of ``degrees`` of every trial, as a stack."""
-        tower, p = self._tower, self._degrees[k]
-        z = self._rows[:, self._at[k]:self._at[k + 1]].reshape(len(self._rows), 2, -1)
-        coeffs = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        shape = (len(self._rows),) + (tower.n,) * p + (tower.m, tower.m)
-        return Form(tower, p, _project(tower, p, coeffs.reshape(shape)))
+    stack = () if count is None else (count,)
+    z = rng.standard_normal(stack + (2, tower.n ** degree * tower.m ** 2))
+    coeffs = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+    shape = stack + (tower.n,) * degree + (tower.m, tower.m)
+    return Form(tower, degree, _project(tower, degree, coeffs.reshape(shape)))
 
 
 def _curvature(tower):

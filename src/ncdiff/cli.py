@@ -53,17 +53,13 @@ def _round(x):
     return x
 
 
-def _report(args, digest, sections, seed=None):
-    rep = {
+def _report(args, digest, sections):
+    return {
         "version": __version__,
         "input_digest": digest,
         "tolerance": args.tol,
         "sections": [_round(s) for s in sections],
     }
-    if seed is not None:
-        rep["seed"] = seed
-        rep["generator"] = "numpy.random.default_rng"
-    return rep
 
 
 def _render(rep, fmt, out=None):
@@ -71,10 +67,7 @@ def _render(rep, fmt, out=None):
     if fmt == "json":
         out.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
         return
-    out.write(f"ncdiff {rep['version']}  tol={rep['tolerance']}")
-    if "seed" in rep:
-        out.write(f"  seed={rep['seed']}")
-    out.write("\n")
+    out.write(f"ncdiff {rep['version']}  tol={rep['tolerance']}\n")
     if rep["input_digest"]:
         out.write(f"input sha256: {rep['input_digest']}\n")
     for sec in rep["sections"]:
@@ -114,9 +107,9 @@ def _structure(args):
     return genalg.detect_structure(B, tol=args.tol), digest
 
 
-def _finish(args, digest, sections, seed=None):
+def _finish(args, digest, sections):
     """Render the report on the input of ``digest``; exit code from the section statuses."""
-    _render(_report(args, digest, sections, seed=seed), args.format)
+    _render(_report(args, digest, sections), args.format)
     return EXIT_OK if all(s["status"] == "pass" for s in sections) else EXIT_VERIFY
 
 
@@ -215,11 +208,10 @@ def cmd_equiv(args):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _IOFail(f"cannot read transform file {args.transform!r}: {exc}")
     U = maps.Conjugation.from_matrix(u, tol=args.tol)
-    rep_eq = maps.check_equivalence(U, G.subspace, tower, trials=args.trials,
-                                    seed=args.seed, tol=args.tol)
+    rep_eq = maps.check_equivalence(U, G.subspace, tower, tol=args.tol)
     sections = [_judged(k, float(rep_eq[k]), maps.EQUIVALENCE_BOUND)
                 for k in ("coframe", "theta", "products", "d_commutation")]
-    return _finish(args, digest, sections, seed=args.seed)
+    return _finish(args, digest, sections)
 
 
 def cmd_catalog(args):
@@ -274,6 +266,14 @@ def _tolerance(text):
     return _positive_float(text)
 
 
+def _add_inert_trials(p):
+    """--seed and --trials, kept so that existing command lines still parse: every check is exact."""
+    p.add_argument("--seed", type=_at_least(0), default=42,
+                   help="accepted for compatibility; no check draws random numbers")
+    p.add_argument("--trials", type=_at_least(1), default=20,
+                   help="accepted for compatibility; no check runs random trials")
+
+
 def _add_common(p, need_file=True):
     if need_file:
         p.add_argument("file", help="algebra definition JSON")
@@ -302,18 +302,13 @@ def build_parser():
     p.add_argument("--max-degree", type=_at_least(2), default=3,
                    help="accepted for compatibility; verify builds the tower to degree 3, "
                         "the highest degree any of its checks reads")
-    # kept so that existing command lines still parse; every verify section is exact
-    p.add_argument("--seed", type=_at_least(0), default=42,
-                   help="accepted for compatibility; verify draws no random numbers")
-    p.add_argument("--trials", type=_at_least(1), default=20,
-                   help="accepted for compatibility; verify runs no random trials")
+    _add_inert_trials(p)
 
     p = sub.add_parser("equiv", help="check conjugation equivalence")
     _add_common(p)
     p.add_argument("transform", help="matrix JSON for the conjugating u")
     p.add_argument("--alpha", choices=("auto", "embedded"), default="auto")
-    p.add_argument("--seed", type=_at_least(0), default=42)
-    p.add_argument("--trials", type=_at_least(1), default=20)
+    _add_inert_trials(p)
 
     p = sub.add_parser("catalog", help="emit a built-in example algebra")
     _add_common(p, need_file=False)

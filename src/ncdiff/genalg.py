@@ -89,7 +89,7 @@ def _check_conditioning(B, tol):
 
 def _rho_scale(B):
     """The size of the products, which significance in the matrix of rho is judged against."""
-    return max(float(np.linalg.norm(B.dual.gram)), 1.0)
+    return float(np.linalg.norm(B.dual.gram))
 
 
 def detect_structure(B, tol=DEFAULT_TOL):

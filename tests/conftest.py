@@ -64,15 +64,16 @@ def random_identity_residuals(tower, trials, rng, raw=False):
     return float(worst_dd), float(worst_leib)
 
 
-def generator_engine_residuals(tower):
+def generator_engine_residuals(tower, batch_bytes=1 << 20):
     """The generator reference for ``calculus.generator_residuals``: d applied to each generator.
 
     The worst |pi d(d g)| / |g| over the E_ij (degree 0) and theta^a (degree
     1), and the worst |pi_3 d(L_r (x) 1_m)| / |L_r (x) 1_m| over the columns
     L_r of null(P^T), relative to |lambda|^2 and |lambda|.  Each d is the
-    projected one, and each generator stack runs in ``calculus.trial_batches``
-    batches of tables of its residual's degree.  A check into a zero-rank
-    space is zero and left out.  Returns (d o d residual, Leibniz residual).
+    projected one, and each generator stack runs in batches that keep two
+    tables of its residual's degree per generator within ``batch_bytes``, and
+    at least one generator.  A check into a zero-rank space is zero and left
+    out.  Returns (d o d residual, Leibniz residual).
     """
     n, m = tower.n, tower.m
     one = np.eye(m, dtype=complex)
@@ -85,10 +86,9 @@ def generator_engine_residuals(tower):
     for gens, p, steps in checks:
         if not len(gens) or tower.ranks[p + steps] == 0:
             continue
-        start = 0
-        for count in calculus.trial_batches(len(gens), 2 * n ** (p + steps) * m * m):
-            g = calculus.Form(tower, p, gens[start:start + count])
-            start += count
+        size = max(1, batch_bytes // (2 * 16 * n ** (p + steps) * m * m))
+        for start in range(0, len(gens), size):
+            g = calculus.Form(tower, p, gens[start:start + size])
             res = g
             for _ in range(steps):
                 res = calculus.exterior_d(res)

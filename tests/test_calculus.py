@@ -1007,21 +1007,6 @@ def test_a0_m7_structure_equations_and_generator_residuals_stay_small():
     assert se["passed"] and max(dd, leibniz) < 1e-13
 
 
-def test_trial_batches_cover_trials(monkeypatch):
-    # a0(m=4) and a0(m=3) degree-3 tables: 15^3 * 4^2 and 8^3 * 3^2 entries
-    assert calculus.trial_batches(20, 15 ** 3 * 4 ** 2) == [1] * 20
-    assert calculus.trial_batches(20, 8 ** 3 * 3 ** 2) == [14, 6]
-    monkeypatch.setattr(calculus, "STACK_BYTES", 3 * 16 * 100)
-    assert calculus.trial_batches(7, 100) == [3, 3, 1]
-    assert calculus.trial_batches(2, 1000) == [1, 1]
-    monkeypatch.setattr(calculus, "STACK_BYTES", 250 * 16)
-    assert calculus.trial_batches(7, 100) == [2, 2, 2, 1]
-    monkeypatch.setattr(calculus, "STACK_BYTES", 10 ** 6 * 16)
-    assert calculus.trial_batches(5, 100) == [5]
-    monkeypatch.setattr(calculus, "STACK_BYTES", 0)
-    assert calculus.trial_batches(3, 100) == [1, 1, 1]
-
-
 @pytest.mark.parametrize("make, top", [
     pytest.param(lambda: _catalog_structure("a0", 2), 3, id="a0-m2"),
     pytest.param(lambda: _catalog_structure("su2", 4), 3, id="su2-m4"),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import generator_engine_residuals, generic_subspace, random_identity_residuals
 
-from ncdiff import calculus, cli, formats, genalg, universal
+from ncdiff import calculus, cli, formats, genalg, maps, universal
 from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import build_entry, clock_shift, gell_mann_basis, su2, universal_A0
 from ncdiff.errors import DegreeError
@@ -557,12 +557,12 @@ def _entry_structure(name, m):
     # --max-degree 2 is checked on a degree-3 tower, as verify builds it
     ("a0", 3, 3), ("generic", 3, 4), ("su2", 4, 3),
 ])
-def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
+def test_stacked_verify_matches_trial_loop(name, m, top, batch):
     """verify's closed-form checks, the generator engine and the random-trial loop agree.
 
     All pass below 1e-12, and the closed form bounds the generator engine's
-    residuals (``generator_engine_residuals``).  With ``batch`` the byte cap
-    holds that many tables of degree 3, so the engine takes each theta^a
+    residuals (``generator_engine_residuals``).  With ``batch`` the engine's
+    byte cap holds that many tables of degree 3, so it takes each theta^a
     alone at 3 while the E_ij share batches; its residuals do not depend on
     the batching, and the closed form reads no batch size.
     """
@@ -573,10 +573,9 @@ def test_stacked_verify_matches_trial_loop(monkeypatch, name, m, top, batch):
             calculus.generator_residuals(calculus.build_tower(G, top))
     tower = calculus.build_tower(G, max(top, 3))
     closed = calculus.generator_residuals(tower)
-    unbatched = generator_engine_residuals(tower)
-    if batch:
-        monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** 3 * m * m)
-    engine = generator_engine_residuals(tower)
+    unbatched = generator_engine_residuals(tower, batch_bytes=1 << 40)
+    budget = batch * 16 * tower.n ** 3 * m * m if batch else 1 << 20
+    engine = generator_engine_residuals(tower, budget)
     assert np.allclose(engine, unbatched, rtol=0, atol=1e-16)
     args = argparse.Namespace(tol=DEFAULT_TOL, trials=7, seed=5)
     sec = {s["name"]: s for s in cli._verify_sections(G, tower, args)}
@@ -752,12 +751,11 @@ def test_verify_scale_covariant_on_scaled_su2(monkeypatch, capsys, tmp_path, kap
     """su2(m=4) times kappa passes verify, with d o d judged relative to |lambda|^2.
 
     With chi negated, d_squared_zero still fails at every kappa; at 1e-6 a floor
-    of 1 under |lambda|^2 would pass it.  Below kappa = 1 the detected relations
-    are wrong (ROADMAP item 1), so that case runs on the commutator relations.
+    of 1 under |lambda|^2 would pass it.  The relations are detected at every
+    kappa: significance in rho is judged against |Gram| with no floor at 1.
     """
     path = _su2_file(tmp_path, 4, kappa)
     argv = ["verify", path, "--max-degree", "3", "--seed", "1"]
-    argv += ["--alpha", "embedded"] if kappa < 1 else []
     code, rep = _run_json(capsys, argv)
     assert code == cli.EXIT_OK
     sec = {s["name"]: s for s in rep["sections"]}
@@ -826,22 +824,68 @@ def test_verify_builds_to_degree_3_whatever_max_degree(monkeypatch, capsys, tmp_
 
 
 def test_verify_report_ignores_seed_and_trials(capsys, clock_file, tmp_path):
-    """verify draws no random numbers: its report is byte-identical whatever --seed and
-    --trials say, and names no seed; equiv, which does draw, still names its seed."""
-    outs = []
-    for flags in (["--seed", "1", "--trials", "1"], ["--seed", "7", "--trials", "400"]):
-        assert cli.main(["verify", clock_file, "--format", "json"] + flags) == cli.EXIT_OK
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    rep = json.loads(outs[0])
-    assert "seed" not in rep and "generator" not in rep
+    """verify and equiv draw no random numbers: each report is byte-identical whatever
+    --seed and --trials say, and names no seed or generator."""
     upath = tmp_path / "u.json"
     with open(upath, "w") as fh:
-        json.dump(formats.matrix_to_json(np.diag([1.0, 2.0, 3.0])), fh)
-    code, rep = _run_json(capsys, ["equiv", clock_file, str(upath), "--seed", "7",
-                                   "--trials", "2"])
-    assert code == cli.EXIT_OK
-    assert rep["seed"] == 7 and rep["generator"] == "numpy.random.default_rng"
+        json.dump(formats.matrix_to_json(np.diag([1.0, 2.0, 3.0]) + 0.3), fh)
+    for argv in (["verify", clock_file], ["equiv", clock_file, str(upath)]):
+        outs = []
+        for flags in (["--seed", "1", "--trials", "1"], ["--seed", "7", "--trials", "400"]):
+            assert cli.main(argv + ["--format", "json"] + flags) == cli.EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        rep = json.loads(outs[0])
+        assert "seed" not in rep and "generator" not in rep
+        assert cli.main(argv + ["--seed", "7"]) == cli.EXIT_OK
+        assert "seed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kappa", [1e8, 1e-6])
+@pytest.mark.parametrize("mode", ["auto", "embedded"])
+def test_equiv_scale_covariant_on_scaled_su2(capsys, tmp_path, kappa, mode):
+    """Bugfix: equiv judges theta relative to |lambda| and d relative to |g| |lambda|.
+
+    su2(m=3) times kappa with its commutator alpha, u = diag(1, 2, 3) + 0.3.
+    With theta absolute, kappa = 1e8 failed theta at 2.6e-8 in both modes.
+    At 1e-6 auto mode detects R = 4, as at kappa = 1.
+    """
+    path = _su2_file(tmp_path, 3, kappa)
+    upath = tmp_path / "u.json"
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(np.diag([1.0, 2.0, 3.0]) + 0.3), fh)
+    code, rep = _run_json(capsys, ["equiv", str(path), str(upath), "--alpha", mode])
+    assert code == cli.EXIT_OK, rep
+    for sec in rep["sections"]:
+        assert sec["residual"] < 1e-14, sec
+    code, rep = _run_json(capsys, ["analyze", str(path), "--alpha", mode])
+    assert code == cli.EXIT_OK and rep["sections"][2]["R"] == (4 if mode == "auto" else 3)
+
+
+def test_equiv_negative_controls_exit_3(monkeypatch, capsys, clock_file, tmp_path):
+    """u where u^-1 belongs fails products and d_commutation (and, since U^star then maps
+    theta'^a to u^2 theta^a, coframe and theta); F negated in the conjugated structure
+    fails d_commutation alone."""
+    path = _su2_file(tmp_path, 3)
+    upath = tmp_path / "u.json"
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(np.diag([2.0, -2.0, -2.0])), fh)
+    argv = ["equiv", str(path), str(upath), "--alpha", "embedded"]
+    assert _run_json(capsys, argv)[0] == cli.EXIT_OK
+
+    def failing():
+        code, rep = _run_json(capsys, argv)
+        assert code == cli.EXIT_VERIFY
+        return {s["name"] for s in rep["sections"] if s["status"] == "fail"}
+
+    with monkeypatch.context() as mp:
+        mp.setattr(maps.Conjugation, "from_matrix",
+                   classmethod(lambda cls, u, tol=None: cls(u=u, u_inv=u)))
+        assert failing() == {"coframe", "theta", "products", "d_commutation"}
+    use_relations = genalg.use_relations
+    monkeypatch.setattr(maps, "use_relations", lambda *a, **k: dataclasses.replace(
+        use_relations(*a, **k), F=-use_relations(*a, **k).F))
+    assert failing() == {"d_commutation"}
 
 
 def test_verify_calls_the_traced_universal_functions(monkeypatch, capsys, clock_file):

@@ -257,3 +257,14 @@ def test_embedded_verify_and_forms_form_no_n2_by_n2_matrix(monkeypatch, tmp_path
     assert spy.shapes and (nn, nn) not in spy.shapes
     rank_nullspace(P.T)
     assert (nn, nn) in spy.shapes
+
+
+@pytest.mark.parametrize("kappa", [1e-8, 1e-6, 1e-3, 1e3, 1e8])
+def test_detected_relations_do_not_depend_on_scale(kappa):
+    """Bugfix: su2(m=4) times kappa detects R = 4, as at kappa = 1.
+
+    Significance in the matrix of rho is judged against |Gram|, which scales as
+    kappa^2; with a floor at 1 under it, kappa = 1e-6 gave R = 9.
+    """
+    G = genalg.detect_structure(su2(4, kappa=kappa).subspace)
+    assert G.R == genalg.detect_structure(su2(4).subspace).R == 4

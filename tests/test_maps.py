@@ -5,7 +5,7 @@ import pytest
 
 from ncdiff import algebra, calculus, genalg, maps
 from ncdiff.calculus import Form, coframe, exterior_d, form_norm, random_form
-from ncdiff.catalog import clock_shift, su2, universal_A0
+from ncdiff.catalog import clock_shift, fuzzy_ellipsoid, su2, universal_A0
 from ncdiff.errors import ConfigError, ShapeError, SingularTransform
 from ncdiff.maps import (
     Conjugation,
@@ -79,14 +79,14 @@ def test_pullback_every_slot():
 
 def test_check_equivalence_identity(pauli_tower, pauli_structure):
     U = Conjugation.from_matrix(np.eye(2))
-    rep = check_equivalence(U, pauli_structure.subspace, pauli_tower,
-                            trials=3, seed=1)
+    rep = check_equivalence(U, pauli_structure.subspace, pauli_tower)
     assert rep["passed"], rep
 
 
 @pytest.mark.parametrize("maker,m", [(universal_A0, 2), (clock_shift, 3),
                                      (su2, 2)])
 def test_check_equivalence_random_invertible(maker, m):
+    """A random invertible u passes every section, and the random trials agree."""
     e = maker(m)
     if e.suggested_alpha is not None and maker is su2:
         G = genalg.use_relations(e.subspace, e.suggested_alpha)
@@ -96,10 +96,13 @@ def test_check_equivalence_random_invertible(maker, m):
     rng = np.random.default_rng(11)
     u = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     U = Conjugation.from_matrix(u)
-    rep = check_equivalence(U, e.subspace, tower, trials=5, seed=3)
+    rep = check_equivalence(U, e.subspace, tower)
     assert rep["passed"], rep
     for key in ("coframe", "theta", "products", "d_commutation"):
         assert rep[key] < 1e-8
+    trials = _equivalence_trials_reference(U, tower, _conjugated_tower(U, tower), 5,
+                                           np.random.default_rng(3))
+    assert max(trials) < maps.EQUIVALENCE_BOUND
 
 
 def test_ustar_matches_einsum(clock3_tower, rng):
@@ -171,50 +174,85 @@ def test_lie_derivative_linearity(pauli_tower, rng):
     assert form_norm(lhs - rhs) < 1e-12
 
 
+def _conjugated_tower(U, tower):
+    """The conjugated calculus as ``check_equivalence`` builds it, through ``maps.use_relations``."""
+    Gp = maps.use_relations(conjugate_subspace(U, tower.ga.subspace), tower.ga.alpha, tol=1e-7)
+    return dataclasses.replace(tower, ga=Gp)
+
+
 def _equivalence_trials_reference(U, tower, tower_p, trials, rng):
-    """The per-trial products and d-commutation loop of check_equivalence, one trial at a time."""
-    scale = max(np.linalg.norm(tower.ga.subspace.lambdas), 1.0)
+    """The random-trial reference for check_equivalence's products and d_commutation.
+
+    Each trial draws two 1-forms of the conjugated calculus for the product
+    check, then one form of each degree below max_degree for d.  The
+    product defect is relative to |xi| |zeta|, the d defect to |om| |lambda|.
+    Returns the worst of each.
+    """
+    lam = np.linalg.norm(tower.ga.subspace.lambdas)
     res_prod = res_d = 0.0
     for _ in range(trials):
         xi = random_form(tower_p, 1, rng)
         zeta = random_form(tower_p, 1, rng)
         lhs = maps._ustar(U, tower, calculus.wedge(xi, zeta))
         rhs = calculus.wedge(maps._ustar(U, tower, xi), maps._ustar(U, tower, zeta))
-        denom = max(form_norm(lhs), form_norm(rhs), 1.0)
-        res_prod = max(res_prod, form_norm(lhs - rhs) / denom)
+        res_prod = max(res_prod, form_norm(lhs - rhs) / (form_norm(xi) * form_norm(zeta)))
         for deg in range(tower.max_degree):
             om = random_form(tower_p, deg, rng)
             lhs = maps._ustar(U, tower, exterior_d(om))
             rhs = exterior_d(maps._ustar(U, tower, om))
-            res_d = max(res_d, form_norm(lhs - rhs) / max(form_norm(om) * scale ** 2, 1.0))
+            res_d = max(res_d, form_norm(lhs - rhs) / (form_norm(om) * lam))
     return res_prod, res_d
 
 
-@pytest.mark.parametrize("batch", [None, 2])
-@pytest.mark.parametrize("maker, m, top", [(su2, 3, 2), (clock_shift, 3, 3)])
-def test_stacked_equivalence_matches_trial_loop(monkeypatch, maker, m, top, batch):
-    """Stacked equivalence trials read the per-trial generator stream and find its residuals.
-
-    With ``batch`` the byte cap holds two trials, so five trials run as 2 + 2 + 1.
-    """
+def _control_tower(maker, m):
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
          else genalg.detect_structure(e.subspace))
-    tower = calculus.build_tower(G, top)
-    if batch:
-        monkeypatch.setattr(calculus, "STACK_BYTES", batch * 16 * tower.n ** top * m * m)
+    return e, calculus.build_tower(G, 2)
+
+
+@pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3), (universal_A0, 2)])
+def test_equivalence_fails_with_u_for_its_inverse(maker, m):
+    """Negative control: U^star with u where u^-1 belongs, u^2 = 4 J^2 = 4 != 1, fails products
+    and d_commutation, on generators and in random trials alike.
+
+    u = 2 J with J = diag(1, -1, ...) keeps u lambda u = 4 J lambda J^-1 traceless and
+    the transported relations valid.  U^star maps theta'^a to u^2 theta^a, so
+    coframe and theta fail as well.
+    """
+    e, tower = _control_tower(maker, m)
+    u = 2 * np.diag([1.0] + [-1.0] * (m - 1)).astype(complex)
+    U = Conjugation(u=u, u_inv=u)
+    rep = check_equivalence(U, e.subspace, tower)
+    assert not rep["passed"]
+    for key in ("coframe", "theta", "products", "d_commutation"):
+        assert rep[key] > 1.0, (key, rep[key])
+    trials = _equivalence_trials_reference(U, tower, _conjugated_tower(U, tower), 5,
+                                           np.random.default_rng(3))
+    assert min(trials) > maps.EQUIVALENCE_BOUND, trials
+
+
+# clock-shift is left out: its F is zero
+@pytest.mark.parametrize("maker, m", [(su2, 3), (fuzzy_ellipsoid, 4), (universal_A0, 2)])
+def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, m):
+    """Negative control: the conjugated structure with F negated fails d_commutation alone.
+
+    d on degree 0 reads no F, so only the theta'^a generators see it: they are
+    needed.  The random trials fail d alone as well.
+    """
+    e, tower = _control_tower(maker, m)
+    real = genalg.use_relations
+    monkeypatch.setattr(maps, "use_relations",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), F=-real(*a, **k).F))
     U = Conjugation.from_matrix(np.random.default_rng(4).standard_normal((m, m)) + 2 * np.eye(m))
-    made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: made.append(default_rng(seed)) or made[-1])
-    rep = check_equivalence(U, e.subspace, tower, trials=5, seed=8)
-    Gp = genalg.use_relations(conjugate_subspace(U, e.subspace), G.alpha, tol=1e-7)
-    ref_rng = default_rng(8)
-    ref = _equivalence_trials_reference(U, tower, dataclasses.replace(tower, ga=Gp), 5, ref_rng)
-    assert made[0].bit_generator.state == ref_rng.bit_generator.state
-    assert abs(rep["products"] - ref[0]) < 1e-14
-    assert abs(rep["d_commutation"] - ref[1]) < 1e-14
+    rep = check_equivalence(U, e.subspace, tower)
+    assert not rep["passed"]
+    assert rep["d_commutation"] > 0.1
+    for key in ("coframe", "theta", "products"):
+        assert rep[key] < 1e-14, (key, rep[key])
+    prod, d = _equivalence_trials_reference(U, tower, _conjugated_tower(U, tower), 5,
+                                            np.random.default_rng(3))
+    assert prod < maps.EQUIVALENCE_BOUND < d
 
 
 @pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3)])
@@ -237,9 +275,9 @@ def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
         real = getattr(calculus, step)
         monkeypatch.setattr(calculus, step,
                             lambda *a, real=real, step=step, **k: made.append(step) or real(*a, **k))
-    rep = check_equivalence(U, e.subspace, deferred, trials=5, seed=2)
+    rep = check_equivalence(U, e.subspace, deferred)
     assert made == ["_null_factor", "_lift"] and 2 in deferred.bases
-    assert rep == check_equivalence(U, e.subspace, formed, trials=5, seed=2)
+    assert rep == check_equivalence(U, e.subspace, formed)
 
 
 @pytest.mark.parametrize("maker, m", [(su2, 3), (su2, 4), (universal_A0, 2)])

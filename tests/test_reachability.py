@@ -23,7 +23,7 @@ ALLOWED = {
     # named by perfbench's tracer (REPORTED, EXPECTED_CALLS), which tests/test_bench_names.py pins
     "calculus.chi": "traced by perfbench; the public chi beside exterior_d's private kernel",
     "calculus.epsilon_check": "traced by perfbench; the epsilon chain solved from the tower's W_p",
-    "calculus.random_form": "traced by perfbench; one seeded random form, as TrialDraws draws it",
+    "calculus.random_form": "traced by perfbench; random forms from the generator a caller passes",
     "linalg.span_projector": "traced by perfbench; the dense projector the tower tests compare to",
     # the paper's structure-preserving maps (ROADMAP item 7 wires them into verify)
     "maps.LinearMap": "a linear map between subspaces, which pushforward and pullback act by",
@@ -129,3 +129,42 @@ def test_unreached_definition_is_flagged():
     sources["cli"] = sources["cli"].replace(
         "def cmd_forms(args):\n", "def cmd_forms(args):\n    calculus.synthetic_orphan()\n")
     assert "calculus.synthetic_orphan" not in unreached(sources)
+
+
+def random_number_uses(sources):
+    """'module:line' of every node that names ``numpy.random`` or ``default_rng``.
+
+    An import of ``numpy.random`` or of a name from it, an attribute ``random``
+    of ``np``/``numpy``, and any name or attribute ``default_rng`` count.
+    """
+    found = set()
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.startswith("numpy.random") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names))
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == "default_rng" or node.attr == "random" and isinstance(
+                    node.value, ast.Name) and node.value.id in ("np", "numpy")
+            else:
+                hit = isinstance(node, ast.Name) and node.id == "default_rng"
+            if hit:
+                found.add(f"{mod}:{node.lineno}")
+    return found
+
+
+def test_package_draws_only_from_a_passed_generator():
+    """No module of the package makes or names a random generator: every check is exact,
+    and ``random_form`` draws from the generator its caller passes."""
+    assert random_number_uses(package_sources()) == set()
+
+
+def test_random_number_use_is_flagged():
+    """Negative control: each way of reaching numpy's random module is flagged."""
+    for line in ("rng = np.random.default_rng(0)", "from numpy.random import default_rng",
+                 "import numpy.random", "from numpy import random", "x = numpy.random.rand()"):
+        sources = package_sources()
+        sources["maps"] += f"\n\ndef synthetic():\n    {line}\n"
+        assert {u.split(":")[0] for u in random_number_uses(sources)} == {"maps"}, line
