@@ -13,9 +13,11 @@ of ``BENCHMARK.json`` for ``--seed`` and runs each command through
 paths and digests in their reports agree.  For each command one line says
 whether the two reports are byte-identical and, if not, which compared
 fields differ (exit code, section statuses, ``R``, ``D_p``, the epsilon
-fields ``exists`` and ``solution_dim``, any other non-numeric field) and the
+fields ``exists`` and ``solution_dim``, or output that is not JSON), which
+other non-numeric fields differ (listed as ``other: <path>``) and the
 largest change of any other number, such as a residual.  The exit status is
-1 when a compared field differs on some command, else 0.
+1 when a compared field differs on some command, else 0: a difference in
+another field is listed but is not a failure.
 """
 
 import argparse
@@ -99,10 +101,12 @@ def diff_results(parent, change):
     """How two results of one command differ.
 
     Returns ``identical`` (same exit code and byte-identical output), the
-    sorted names of the compared fields that differ, and the largest change
-    of any other number with its path (0.0 and None when none changed).
+    sorted names of the compared fields that differ, the sorted paths of the
+    other non-numeric fields that differ, and the largest change of any
+    other number with its path (0.0 and None when none changed).
     """
     differ = set() if parent["exit"] == change["exit"] else {"exit"}
+    other = set()
     largest, where = 0.0, None
     a, b = _fields(parent["stdout"]), _fields(change["stdout"])
     if a is None or b is None:
@@ -110,16 +114,20 @@ def diff_results(parent, change):
             differ.add("output")
     else:
         for path in a.keys() | b.keys():
-            (kind, x), (_, y) = a.get(path, (None, None)), b.get(path, (None, None))
+            (kind, x), (kind_b, y) = a.get(path, (None, None)), b.get(path, (None, None))
+            kind = kind or kind_b
             if x == y:
                 continue
             if kind is None and _is_number(x) and _is_number(y):
                 if abs(x - y) > largest:
                     largest, where = abs(x - y), path
+            elif kind is None:
+                other.add(path)
             else:
-                differ.add(kind or f"other: {path}")
+                differ.add(kind)
     identical = parent["exit"] == change["exit"] and parent["stdout"] == change["stdout"]
-    return {"identical": identical, "differ": sorted(differ), "largest": largest, "where": where}
+    return {"identical": identical, "differ": sorted(differ), "other": sorted(other),
+            "largest": largest, "where": where}
 
 
 def main(argv=None):
@@ -146,6 +154,7 @@ def main(argv=None):
             line += "identical"
         else:
             line += "differs in " + (", ".join(diff["differ"]) or "no compared field")
+            line += "".join(f", other: {path}" for path in diff["other"])
             if diff["where"]:
                 line += f"; largest change {diff['largest']:.3g} at {diff['where']}"
         failed += bool(diff["differ"])

@@ -5,8 +5,8 @@ identities.
 
 Omega^p is the space of p-fold co-frame tensors modulo the degree-p part of
 the ideal generated by the quadratic relations: the structure's stored L,
-the n^2 x k orthonormal complement null(alpha^T) = null(P^T), lifted to
-every adjacent slot pair; no n^2 x n^2 alpha, beta or P is read.  Its
+the n^2 x k orthonormal complement null(alpha^T), lifted to every
+adjacent slot pair; no n^2 x n^2 matrix is formed.  Its
 complement, the canonical space W_p, is W_{p-1} (x) C^n cut down by L^perp
 on the newest slot pair, so the tower stores the factors N_p of
 W_p = (W_{p-1} (x) 1_n) N_p, each the null space of a D-sized matrix K_p:
@@ -425,7 +425,7 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     the solutions are the X in every lifted range(alpha): conj(W_p), the
     canonical space of dimension D_p (X is every tensor at a degree without
     relations).  W_p is ``build_tower(G, p, tol).basis(p)``, so D_p is decided
-    by the code that decides it for ``forms``.  Each eps_t = (1 (x) beta (x) 1) X.
+    by the code that decides it for ``forms``.  Each eps_t = (1 (x) alpha^dag (x) 1) X.
     Returns (exists, basis, dim) where ``exists`` means a nonzero solution
     exists at tolerance; basis columns use the unknown layout x[t, A, r]
     with A in n^(p-2) row-major.
@@ -442,7 +442,7 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     if dim == 0:
         return False, None, 0
     Xr = X.reshape((n,) * p + (dim,))
-    beta = G.beta.reshape(R, n, n)
+    beta = G.alpha.conj().T.reshape(R, n, n)  # alpha's left inverse
     eps = [np.moveaxis(np.tensordot(beta, Xr, axes=([1, 2], [t, t + 1])), 0, -2)
            .reshape(n ** (p - 2) * R, dim) for t in range(p - 1)]
     return True, np.vstack(eps), dim
@@ -487,7 +487,9 @@ def coframe_from_formula(tower, basis_gamma, duals, tol=DEFAULT_TOL):
     nu is one GEMM: the rows (a, i) and columns (nu, j) of (gamma_nu X_a)[i, j],
     for X_a = lambda^{a dag} and X_n = 1/m, against the rows (nu, j) and
     columns (b, l) of d(gamma^{nu dag})_b[j, l].  Returns the rebuilt forms and
-    a residual report against the co-frame of the tower.
+    a residual report against the co-frame of the tower: each |theta^a rebuilt
+    - theta^a|, which does not scale with B, and |theta rebuilt - theta| /
+    |lambda|, all judged against 10 tol.
     """
     B = tower.ga.subspace
     n, m = B.n, B.m
@@ -503,9 +505,8 @@ def coframe_from_formula(tower, basis_gamma, duals, tol=DEFAULT_TOL):
     rebuilt = [Form(tower, 1, c) for c in coeffs[:n]]
     acc = Form(tower, 1, coeffs[n])
     report = {f"theta_{a}": form_norm(rebuilt[a] - coframe(tower, a)) for a in range(n)}
-    report["theta"] = form_norm(acc - theta(tower))
-    scale = max(np.linalg.norm(B.lambdas), 1.0)
-    report["passed"] = bool(max(report.values()) < tol * scale * 10)
+    report["theta"] = float(form_norm(acc - theta(tower)) / np.linalg.norm(B.lambdas))
+    report["passed"] = bool(max(report.values()) < 10 * tol)
     return rebuilt, acc, report
 
 

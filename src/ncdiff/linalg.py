@@ -1,12 +1,11 @@
 """Dense complex linear algebra: trace inner product, Gram matrices, and
-rank/null-space and span projectors with an explicit tolerance policy.
+rank/row-space decisions and span projectors with an explicit tolerance policy.
 
 All functions are pure and operate on immutable numpy inputs.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -159,10 +158,7 @@ class RankResult:
     """Numerical rank data for a complex matrix, from an economy SVD.
 
     ``rowspace`` holds an orthonormal basis of the row space (the right
-    singular vectors of the kept singular values) as columns.  ``nullspace``,
-    an orthonormal basis of the right kernel as columns, is formed on first
-    read, from a full SVD of ``matrix``, and kept; it is phase-fixed so the
-    first significant component of each vector is real-positive.  ``gap`` is
+    singular vectors of the kept singular values) as columns.  ``gap`` is
     the ratio (first dropped sv / last kept sv), or None when no singular
     value was dropped or kept.
     """
@@ -170,39 +166,17 @@ class RankResult:
     rank: int
     rowspace: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
     gap: float | None = None
-
-    @cached_property
-    def nullspace(self):
-        _, _, vh = np.linalg.svd(self.matrix)
-        return _fix_phases(vh[self.rank:].conj().T)
-
-
-def _fix_phases(V):
-    """Make the first entry of each column of V above 1e-12 x the column max real-positive.
-
-    A column without such an entry is left as it is.
-    """
-    a = np.abs(V)
-    significant = a > 1e-12 * np.maximum(a.max(axis=0), 1e-300)
-    cols = np.arange(V.shape[1])
-    first = significant.argmax(axis=0)
-    pivot = V[first, cols]
-    phase = np.ones(V.shape[1], dtype=complex)
-    has = significant[first, cols]
-    phase[has] = np.abs(pivot[has]) / pivot[has]
-    return V * phase
 
 
 def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
-    """Rank, row space and (on first read) right null space of M via SVD.
+    """Rank and row space of M from an economy SVD.
 
     The rank counts singular values above ``tol`` times the largest one.
     ``floor`` is an absolute cutoff below which singular values are never
-    counted, so that a matrix of pure rounding noise comes out rank 0.  The
-    rank and row space come from an economy SVD, so a wide M forms no square
-    matrix of its column count until the null space is read.
+    counted, so that a matrix of pure rounding noise comes out rank 0.  A
+    wide M forms no square matrix of its column count; the right null space
+    is the orthogonal complement of ``rowspace`` (``_complement``).
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.size == 0:
@@ -214,8 +188,7 @@ def rank_nullspace(M, tol=DEFAULT_TOL, floor=0.0):
     gap = None
     if 0 < rank < s.size:
         gap = float(s[rank] / s[rank - 1])
-    return RankResult(rank=rank, rowspace=vh[:rank].conj().T, singular_values=s, matrix=M,
-                      gap=gap)
+    return RankResult(rank=rank, rowspace=vh[:rank].conj().T, singular_values=s, gap=gap)
 
 
 def span_projector(columns, tol=DEFAULT_TOL):

@@ -15,6 +15,23 @@ def generic_subspace(m, n, seed):
     return algebra.validate_subspace(m, list(lam))
 
 
+def dense_nullspace(M, rank=None, tol=1e-9):
+    """Orthonormal right null space of M from a full SVD, the dense reference for L and alpha.
+
+    ``rank`` defaults to the count of singular values above tol s_max.
+    """
+    _, s, vh = np.linalg.svd(M)
+    if rank is None:
+        rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+    return vh[rank:].conj().T
+
+
+def dense_projector(alpha):
+    """P = alpha (alpha^dag alpha)^-1 alpha^dag, the n^2 x n^2 projector onto alpha's span."""
+    a_dag = alpha.conj().T
+    return alpha @ np.linalg.solve(a_dag @ alpha, a_dag)
+
+
 def random_identity_residuals(tower, trials, rng, raw=False):
     """Worst d o d = 0 and graded Leibniz residuals over ``trials`` seeded random trials.
 

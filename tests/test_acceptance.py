@@ -7,6 +7,7 @@ test_oracle.py.
 
 import numpy as np
 import pytest
+from conftest import dense_projector
 
 from ncdiff import algebra, calculus, genalg, maps, universal
 from ncdiff.calculus import (
@@ -80,7 +81,7 @@ def test_criterion_2_universal_a0():
         n = m * m - 1
         G = genalg.detect_structure(universal_A0(m).subspace)
         tower = build_tower(G, 3)
-        p_err = np.linalg.norm(G.P - np.eye(n * n))
+        p_err = np.linalg.norm(dense_projector(G.alpha) - np.eye(n * n))
         ok &= G.R == n * n
         ok &= [tower.ranks[p] for p in (1, 2, 3)] == [n, n * n, n ** 3]
         ok &= p_err < 1e-10

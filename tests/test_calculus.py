@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 from conftest import (
     coframe_stack_residual,
+    dense_nullspace,
+    dense_projector,
     generator_engine_residuals,
     generic_subspace,
     random_identity_residuals,
@@ -31,7 +34,7 @@ from ncdiff.calculus import (
 from ncdiff.algebra import matrix_basis_duals
 from ncdiff.catalog import clock_shift, gell_mann_basis
 from ncdiff.errors import DegreeError
-from ncdiff.linalg import DEFAULT_TOL, gram, rank_nullspace, span_projector
+from ncdiff.linalg import DEFAULT_TOL, _complement, gram, span_projector
 from ncdiff.maps import lie_derivative
 
 Q3 = np.exp(2j * np.pi / 3)
@@ -241,6 +244,31 @@ def test_coframe_from_formula(pauli_tower, clock3_tower):
         assert form_norm(th - theta(tower)) < 1e-10
 
 
+@pytest.mark.parametrize("alpha", ["auto", "embedded"])
+def test_coframe_from_formula_does_not_scale_its_bound(monkeypatch, alpha):
+    """Bugfix: the rebuilt theta^a, which do not scale with B, are judged against 10 tol.
+
+    On su2(m=4) times 1e8 a reference co-frame scaled by 1 + 1e-6 makes the
+    theta^a residuals 2e-6 and leaves theta (relative to |lambda|) at 0; a
+    bound of 10 tol max(|lambda|, 1) = 3.87 passed them.
+    """
+    e = catalog.su2(4, kappa=1e8)
+    G = (genalg.detect_structure(e.subspace) if alpha == "auto"
+         else genalg.use_relations(e.subspace, e.suggested_alpha))
+    tower = build_tower(G, 2)
+    gam = np.concatenate([np.eye(4, dtype=complex)[None], gell_mann_basis(4)])
+    duals = matrix_basis_duals(gam)
+    rep = coframe_from_formula(tower, gam, duals)[2]
+    assert rep.pop("passed") and max(rep.values()) < 1e-15
+    real = calculus.coframe
+    monkeypatch.setattr(calculus, "coframe",
+                        lambda tower, a: Form(tower, 1, real(tower, a).coeffs * (1 + 1e-6)))
+    rep = coframe_from_formula(tower, gam, duals)[2]
+    assert not rep["passed"] and rep["theta"] < 1e-15
+    for a in range(3):
+        assert rep[f"theta_{a}"] == pytest.approx(2e-6, rel=1e-6)
+
+
 def _coframe_loop(tower, gam):
     """coframe_from_formula's rebuilt forms, one basis element nu at a time."""
     n, m = tower.n, tower.m
@@ -352,7 +380,7 @@ def _lift_to_slots(Q, p, q):
 
 def _relation_span(G, p):
     """Degree-p relation span: null(P^T) lifted to every adjacent slot pair."""
-    left_null = rank_nullspace(G.P.T).nullspace
+    left_null = _dense_L(G)
     return np.hstack([_lift_to_slots(left_null, p, q) for q in range(1, p)])
 
 
@@ -471,10 +499,15 @@ def _reference_pair_matrix(W, Lr, n, p):
     return np.matmul(Wt, Lr).reshape(n ** (p - 2) * Lr.shape[0], D * n)
 
 
+def _dense_L(G):
+    """L = null(P^T) from a full SVD of the dense n^2 x n^2 P = alpha alpha^dag."""
+    return dense_nullspace(dense_projector(G.alpha).T)
+
+
 def _dense_relation_pairs(G):
     """``Lr[r][a, c] = conj(L[(a, c), r])`` for L = null(P^T) of the dense n^2 x n^2 P, or None."""
     n = G.subspace.n
-    L = rank_nullspace(G.P.T).nullspace
+    L = _dense_L(G)
     return L.T.conj().reshape(-1, n, n) if L.shape[1] else None
 
 
@@ -526,13 +559,13 @@ def _stored_L_cases():
 @pytest.mark.parametrize("make", list(_stored_L_cases()))
 def test_stored_L_matches_the_dense_reference(make):
     """The stored L is orthonormal, k = n^2 - R wide, in null(P^T) of the derived P, and the
-    tower built on it ranks every degree to 4 as the reference built on rank_nullspace(P^T)."""
+    tower built on it ranks every degree to 4 as the reference built on null(P^T) from a full SVD."""
     G = make()
     n = G.subspace.n
     L = G.L
     assert L.shape == (n * n, n * n - G.R)
     assert np.max(np.abs(L.conj().T @ L - np.eye(L.shape[1])), initial=0.0) < 1e-12
-    assert np.max(np.abs(G.P.T @ L), initial=0.0) < 1e-12
+    assert np.max(np.abs(dense_projector(G.alpha).T @ L), initial=0.0) < 1e-12
     assert build_tower(G, 4).ranks == _reference_tower(G, 4, form_top=False)[0]
 
 
@@ -718,7 +751,8 @@ def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
 def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     """W_p for the chain takes one null-space factorization per degree, from the tower.
 
-    epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)`` and
+    epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)``, then
+    the one Householder QR that derives alpha from L (``GAStructure.alpha``), and
     no others.  Generic K_q have full rank: a Cholesky and a Householder QR each.
     su2(4)'s rank-deficient K_3 fails its Cholesky; below the top it takes the R
     factor of a QR and its SVD, and at the top the tower's values-only SVD for
@@ -727,7 +761,7 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     G = _generic_structure(3, 4, 0)
     calls = _spy_decompositions(monkeypatch)
     exists, basis, dim = epsilon_check(G, p)
-    assert calls == ["chol", "qr-raw"] * (p - 1)
+    assert calls == ["chol", "qr-raw"] * (p - 1) + ["qr-raw"]
     assert exists and dim == build_tower(G, p).ranks[p] == (p + 1) * 2 ** p
     assert basis.shape == ((p - 1) * G.subspace.n ** (p - 2) * G.R, dim)
     G = _catalog_structure("su2", 4)
@@ -735,7 +769,7 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     exists, _, dim = epsilon_check(G, p)
     expected = (["chol", "qr-raw", "chol-fail", "svd-values", "qr-r", "svd"] if p == 3
                 else ["chol", "qr-raw", "chol-fail", "qr-r", "svd", "chol"])
-    assert calls == expected
+    assert calls == expected + (["qr-raw"] if exists else [])
     assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
     calls.clear()
     build_tower(G, p).basis(p)
@@ -947,7 +981,9 @@ def test_structure_equations_relative_to_lambda():
     alpha = e.suggested_alpha
     alpha = alpha + 1e-6 * np.linalg.norm(alpha) * np.random.default_rng(0).standard_normal(
         alpha.shape)
-    tower = build_tower(genalg.use_relations(e.subspace, alpha), 3)
+    # use_relations refuses these relations; build the structure past its check
+    G = genalg.use_relations(e.subspace, e.suggested_alpha)
+    tower = build_tower(dataclasses.replace(G, L=_complement(alpha.conj())), 3)
     rep = check_structure_equations(tower)
     assert not rep["passed"]
     lam2 = np.linalg.norm(e.subspace.lambdas) ** 2

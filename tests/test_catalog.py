@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_projector
 
 from ncdiff import build_tower, detect_structure, use_relations
 from ncdiff.catalog import (
@@ -46,7 +47,7 @@ def test_universal_a0(m):
     n = m * m - 1
     G = detect_structure(e.subspace)
     assert G.R == n * n
-    assert np.allclose(G.P, np.eye(n * n), atol=1e-10)
+    assert np.allclose(dense_projector(G.alpha), np.eye(n * n), atol=1e-10)
     tower = build_tower(G, 3)
     assert [tower.ranks[p] for p in range(4)] == [1, n, n * n, n ** 3]
 

@@ -70,11 +70,11 @@ def test_analyze_pauli(capsys, pauli_file):
 
 
 def test_analyze_and_verify_judge_relation_residual_alike(tmp_path, capsys):
-    """alpha^T rho is linear in rho, so both commands judge it against tol * max(|rho|, 1).
+    """|pi_2 rho| is quadratic in lambda, so both commands judge it against tol |lambda|^2.
 
-    On su2(4) scaled by kappa = 1e4 with detected relations the residual, the
-    first dropped singular value of rho, is about 3.6e-8: above the bare tol,
-    below the scaled bound.
+    On su2(4) scaled by kappa = 1e4 with detected relations the residual,
+    rounding in a rho of size 1e8, is about 3e-7: above the bare tol, below
+    the scaled bound 1.5.
     """
     e = su2(4, kappa=1e4)
     path = tmp_path / "su2-kappa.json"
@@ -87,6 +87,79 @@ def test_analyze_and_verify_judge_relation_residual_alike(tmp_path, capsys):
     ga = {s["name"]: s for s in rep["sections"]}["generalised_algebra"]
     assert ga["status"] == "pass"
     assert (ga["relation_residual"], ga["relation_bound"]) == (sec["residual"], sec["bound"])
+
+
+def _relations_report(capsys, path, alpha=None):
+    """Exit codes, statuses, R, the projector alpha alpha^dag and relation_residual of
+    analyze and verify on ``path``, with its own alpha or, if given, ``alpha``."""
+    argv = [path] + (["--alpha", "embedded"] if alpha is not None else [])
+    out = {}
+    for command in ("analyze", "verify"):
+        code, rep = _run_json(capsys, [command] + argv)
+        sec = {s["name"]: s for s in rep["sections"]}
+        out[command] = (code, [(s["name"], s["status"]) for s in rep["sections"]])
+        if command == "analyze":
+            cols = np.array(sec["relations"]["alpha_columns"])
+            a = (cols[..., 0] + 1j * cols[..., 1]).T
+            out["R"], out["P"] = sec["relations"]["R"], a @ a.conj().T
+            out["analyze_residual"] = sec["relation_residual"]["residual"]
+        else:
+            out["verify_residual"] = sec["generalised_algebra"]["relation_residual"]
+    return out
+
+
+@pytest.mark.parametrize("name, m", [("su2", 3), ("ellipsoid", 4)])
+def test_relations_report_depends_only_on_their_span(capsys, tmp_path, name, m):
+    """analyze and verify report the same on an embedded alpha and on alpha A, A invertible.
+
+    A is a seeded unitary with one column scaled by 1e3 (cond A = 1e3).  Exit
+    codes, statuses, R and alpha alpha^dag (from alpha_columns, an orthonormal
+    basis of the span) agree, and relation_residual = |pi_2 rho| agrees to
+    1e-14 |lambda|^2: max_r |alpha_r^T rho| would grow with the scaled column.
+    """
+    e = build_entry(name, m)
+    alpha = e.suggested_alpha
+    rng = np.random.default_rng(7)
+    R = alpha.shape[1]
+    A = np.linalg.qr(rng.standard_normal((R, R)) + 1j * rng.standard_normal((R, R)))[0]
+    A[:, 0] *= 1e3
+    assert np.linalg.cond(A) <= 1e3 * (1 + 1e-12)
+    reports = []
+    for a in (alpha, alpha @ A):
+        path = str(tmp_path / f"{name}-{len(reports)}.json")
+        formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=a)
+        reports.append(_relations_report(capsys, path, alpha=a))
+    first, second = reports
+    assert first["analyze"] == second["analyze"] and first["verify"] == second["verify"]
+    assert first["analyze"][0] == first["verify"][0] == cli.EXIT_OK
+    assert first["R"] == second["R"] == R
+    assert np.max(np.abs(first["P"] - second["P"])) < 1e-10
+    lam2 = np.linalg.norm(e.subspace.lambdas) ** 2
+    for key in ("analyze_residual", "verify_residual"):
+        assert abs(first[key] - second[key]) < 1e-14 * lam2
+
+
+# The catalog inputs of the benchmark workloads; a0 has no suggested alpha.
+WORKLOAD_CATALOG = [("a0", 2), ("a0", 3), ("a0", 4), ("su2", 3), ("su2", 4), ("clock-shift", 5),
+                    ("clock-shift", 8), ("ellipsoid", 4), ("ellipsoid", 6)]
+
+
+@pytest.mark.parametrize("name, m", WORKLOAD_CATALOG)
+def test_verify_relation_residual_is_the_towers_relation_form(capsys, tmp_path, name, m):
+    """generalised_algebra.relation_residual and structure_equations.relation_form are both
+    |pi_2 rho|, one from alpha and one from the tower: they agree to 1e-15 |lambda|^2 in both
+    alpha modes, and so do their bounds."""
+    e = build_entry(name, m)
+    path = str(tmp_path / f"{name}.json")
+    formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
+    lam2 = np.linalg.norm(e.subspace.lambdas) ** 2
+    for mode in ("auto", "embedded") if e.suggested_alpha is not None else ("auto",):
+        code, rep = _run_json(capsys, ["verify", path, "--alpha", mode])
+        assert code == cli.EXIT_OK
+        sec = {s["name"]: s for s in rep["sections"]}
+        ga, se = sec["generalised_algebra"], sec["structure_equations"]
+        assert abs(ga["relation_residual"] - se["relation_form"]) <= 1e-15 * lam2, mode
+        assert ga["relation_bound"] == se["bound"]
 
 
 def test_analyze_traceless_violation(tmp_path, capsys):
@@ -627,46 +700,6 @@ def test_verify_a0_m4_memory(tmp_path):
     assert _traced_peak(argv) <= 1.4 * 2 ** 20
 
 
-def _detect_with_gram_solve(B, tol=DEFAULT_TOL):
-    """detect_structure's alpha judged as a user alpha: beta from the Gram solve, and
-    verify_ga's checks read beta alpha, P^2 - P and alpha^T rho."""
-    G = _detect_structure(B, tol=tol)
-    return dataclasses.replace(G, mode="user-supplied", source=G.alpha)
-
-
-_detect_structure = genalg.detect_structure
-
-
-@pytest.mark.parametrize("seed", [1, 3])
-def test_analyze_auto_projector_keeps_reports(monkeypatch, capsys, tmp_path, seed):
-    """analyze with the auto-mode checks keeps the Gram solve's statuses, R and alpha_columns.
-
-    On small catalog and generic inputs, the identities of L and the dropped
-    singular value of rho leave every status as the user-mode checks on the
-    derived alpha, beta and P give it, and R and alpha_columns byte-identical.
-    """
-    inputs = []
-    for name, m in (("su2", 3), ("clock-shift", 5), ("ellipsoid", 4), ("a0", 2)):
-        e = build_entry(name, m)
-        path = str(tmp_path / f"{name}.json")
-        formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
-        inputs.append([path] + (["--alpha", "embedded"] if e.suggested_alpha is not None else []))
-    for m, n in ((3, 3), (3, 4), (2, 2), (4, 3)):
-        path = str(tmp_path / f"generic-{m}-{n}.json")
-        formats.save_algebra(path, m, "generic", generic_subspace(m, n, seed).lambdas)
-        inputs.append([path])
-
-    def summary(argv):
-        code, rep = _run_json(capsys, ["analyze", *argv])
-        rel = next(s for s in rep["sections"] if s["name"] == "relations")
-        return code, [(s["name"], s["status"]) for s in rep["sections"]], json.dumps(
-            [rel["R"], rel["alpha_columns"]])
-
-    auto = [summary(argv) for argv in inputs]
-    monkeypatch.setattr(genalg, "detect_structure", _detect_with_gram_solve)
-    assert [summary(argv) for argv in inputs] == auto
-
-
 def test_verify_fails_on_broken_chi(monkeypatch, capsys, tmp_path):
     """Negative control: d with the chi term's sign flipped breaks d o d = 0 (su2 has F != 0)."""
     e = build_entry("su2", 3)
@@ -986,22 +1019,18 @@ def test_verify_fails_on_degree1_d_with_right_theta_flipped(monkeypatch, capsys,
 
 
 def test_verify_judges_structure_equations_relative_to_lambda(capsys, tmp_path):
-    """Bugfix: su2(m=4) times 1e-3, its commutator alpha perturbed by 1e-6 of its norm, fails
-    structure_equations against tol |lambda|^2 (1.5e-14), where a floor at 1 passed it."""
+    """Bugfix: su2(m=4) times 1e-3, its commutator alpha perturbed by 1e-6 of its norm, is
+    refused with InvalidRelation (exit 2): each column is judged against tol |Gram| |alpha_r|,
+    where a floor at 1 under the size of rho let it through to verify."""
     e = su2(4, kappa=1e-3)
     alpha = e.suggested_alpha
     alpha = alpha + 1e-6 * np.linalg.norm(alpha) * np.random.default_rng(0).standard_normal(
         alpha.shape)
     path = str(tmp_path / "su2.json")
     formats.save_algebra(path, 4, e.subspace.label, e.subspace.lambdas, alpha=alpha)
-    code, rep = _run_json(capsys, ["verify", path, "--alpha", "embedded"])
-    assert code == cli.EXIT_VERIFY
-    sec = {s["name"]: s for s in rep["sections"]}["structure_equations"]
-    assert sec["status"] == "fail"
-    lam = np.linalg.norm(e.subspace.lambdas)
-    assert sec["bound"] == pytest.approx(DEFAULT_TOL * lam ** 2, rel=1e-9)
-    assert sec["dtheta_a_bound"] == pytest.approx(DEFAULT_TOL * lam, rel=1e-9)
-    assert sec["bound"] < sec["relation_form"] < DEFAULT_TOL
+    assert cli.main(["verify", path, "--alpha", "embedded"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidRelation: relation column") and "Traceback" not in err
 
 
 def test_ncg_tol_read_per_parse(monkeypatch, capsys, clock_file):

@@ -34,7 +34,8 @@ def _diff(change):
 
 
 def test_identical_results():
-    assert _diff(_result()) == {"identical": True, "differ": [], "largest": 0.0, "where": None}
+    assert _diff(_result()) == {"identical": True, "differ": [], "other": [], "largest": 0.0,
+                                "where": None}
 
 
 def test_residual_change_is_measured_not_compared():
@@ -57,9 +58,14 @@ def test_compared_fields_are_named():
     # the catalog's expected ranks are compared by the names of their keys
     assert _diff(_result({(3, "expected"): {"R": 4, "D": {"2": 5}}}))["differ"] == ["R"]
     assert _diff(_result({(3, "expected"): {"R": 5, "D": {"2": 4}}}))["differ"] == ["D_p"]
-    # a field only one side reports is a difference, not a number change
+    # a field only one side reports is listed as another difference, not compared
     diff = _diff(_result({(4, "note"): "x"}))
-    assert diff["differ"] == ["other: trace_lemma.note"] and diff["largest"] == 0.0
+    assert diff["differ"] == [] and diff["other"] == ["trace_lemma.note"]
+    assert diff["largest"] == 0.0 and not diff["identical"]
+    diff = _diff(_result({(4, "note"): "x", (2, "R"): 4}))
+    assert diff["differ"] == ["R"] and diff["other"] == ["trace_lemma.note"]
+    # a compared field only the change reports is compared
+    assert _diff(_result({(4, "R"): 4}))["differ"] == ["R"]
 
 
 def test_output_that_is_not_json():
@@ -67,3 +73,24 @@ def test_output_that_is_not_json():
     assert compare_reports.diff_results(error, dict(error))["identical"]
     diff = compare_reports.diff_results(error, _result())
     assert diff["differ"] == ["exit", "output"]
+
+
+def test_exit_status_counts_only_compared_fields(monkeypatch, capsys):
+    """main exits 1 only when a compared field differs; another field is listed, not counted."""
+    sides = {}
+    monkeypatch.setattr(compare_reports, "export", lambda rev, tree: None)
+    monkeypatch.setattr(compare_reports, "run_side",
+                        lambda tree, seed, workdir, names: sides[tree.name])
+
+    def run(change):
+        sides.update(parent=[dict(_result(), workload="w", key="k")],
+                     change=[dict(change, workload="w", key="k")])
+        code = compare_reports.main(["--seed", "1"])
+        return code, capsys.readouterr().out
+
+    code, out = run(_result({(4, "note"): "x", (4, "trace_identity"): 2e-15}))
+    assert code == 0
+    assert "w: k: differs in no compared field, other: trace_lemma.note;" in out
+    assert "0 with a compared field changed" in out
+    code, out = run(_result({(4, "note"): "x", (0, "status"): "fail"}))
+    assert code == 1 and "differs in statuses, other: trace_lemma.note" in out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import generic_subspace
+from conftest import dense_nullspace, dense_projector, generic_subspace
 
 from ncdiff import algebra, genalg
 from ncdiff.catalog import NAMES, build_entry, clock_shift, gell_mann_basis, su2, universal_A0
@@ -51,14 +51,15 @@ def test_detect_clock_shift_kernel():
 def test_build_projector_pauli_identity():
     e = universal_A0(2)
     G = genalg.detect_structure(e.subspace)
-    assert np.allclose(G.P, np.eye(9), atol=1e-10)
-    assert np.allclose(G.beta @ G.alpha, np.eye(9), atol=1e-10)
+    assert G.L.shape == (9, 0)
+    assert np.allclose(dense_projector(G.alpha), np.eye(9), atol=1e-10)
+    assert np.allclose(G.alpha.conj().T @ G.alpha, np.eye(9), atol=1e-10)
 
 
 def test_build_projector_clock_entries():
     G = genalg.detect_structure(clock_shift(3).subspace)
     q = np.exp(2j * np.pi / 3)
-    P = G.P
+    P = dense_projector(G.alpha)
     assert P[1, 1] == pytest.approx(0.5)
     assert P[2, 2] == pytest.approx(0.5)
     assert P[1, 2] == pytest.approx(-np.conj(q) / 2)
@@ -156,12 +157,17 @@ def _auto_cases():
 
 @pytest.mark.parametrize("make", list(_auto_cases()))
 def test_auto_projector_from_orthonormal_alpha(make):
-    """Auto alpha is orthonormal: beta = alpha^dag, and P is the Gram solve's to 1e-13."""
+    """alpha has orthonormal columns spanning null(L^T), and P = alpha alpha^dag is, to 1e-13,
+    the projector onto the null space of the matrix of rho that a full SVD gives."""
     G = genalg.detect_structure(make())
-    assert np.array_equal(G.beta, G.alpha.conj().T)
+    B = G.subspace
+    n, m = B.n, B.m
     a = G.alpha
-    P = a @ np.linalg.solve(a.conj().T @ a, a.conj().T)
-    assert np.max(np.abs(G.P - P), initial=0.0) < 1e-13
+    assert a.shape == (n * n, G.R)
+    assert np.max(np.abs(a.conj().T @ a - np.eye(G.R)), initial=0.0) < 1e-13
+    assert np.max(np.abs(G.L.T @ a), initial=0.0) < 1e-13
+    ref = dense_nullspace(G.rho.reshape(n * n, m * m).T, rank=n * n - G.R)
+    assert np.max(np.abs(a @ a.conj().T - ref @ ref.conj().T), initial=0.0) < 1e-13
     assert genalg.verify_ga(G)["passed"]
 
 
@@ -228,8 +234,8 @@ class _NumpyLinalgSpy:
 
 @pytest.mark.parametrize("name, m", [("clock-shift", 5), ("ellipsoid", 4)])
 def test_embedded_verify_and_forms_form_no_n2_by_n2_matrix(monkeypatch, tmp_path, capsys, name, m):
-    """With --alpha embedded, verify and forms never read P and hand numpy.linalg no
-    n^2 x n^2 matrix: L = null(alpha^T) comes from the user's n^2 x R alpha.
+    """With --alpha embedded, verify and forms hand numpy.linalg no n^2 x n^2 matrix:
+    L = null(alpha^T) comes from the user's n^2 x R alpha.
 
     (In auto mode an economy SVD of the m^2 x n^2 matrix of rho has an
     n^2 x n^2 right factor whenever m^2 >= n^2, as on these inputs; the a0(7)
@@ -237,25 +243,19 @@ def test_embedded_verify_and_forms_form_no_n2_by_n2_matrix(monkeypatch, tmp_path
     null space of P^T, hands the spy an n^2 x n^2 matrix.
     """
     from ncdiff import cli, formats
-    from ncdiff.linalg import rank_nullspace
 
     e = build_entry(name, m)
     B = e.subspace
     nn = B.n * B.n
     path = str(tmp_path / "algebra.json")
     formats.save_algebra(path, m, B.label, B.lambdas, alpha=e.suggested_alpha)
-    P = genalg.use_relations(B, e.suggested_alpha).P
-
-    def no_P(self):
-        raise AssertionError("P read")
-
-    monkeypatch.setattr(genalg.GAStructure, "P", property(no_P))
+    P = dense_projector(e.suggested_alpha)
     spy = _NumpyLinalgSpy(monkeypatch)
     for command in ("verify", "forms"):
         assert cli.main([command, path, "--max-degree", "3", "--alpha", "embedded"]) == cli.EXIT_OK
     capsys.readouterr()
     assert spy.shapes and (nn, nn) not in spy.shapes
-    rank_nullspace(P.T)
+    dense_nullspace(P.T)
     assert (nn, nn) in spy.shapes
 
 
@@ -268,3 +268,21 @@ def test_detected_relations_do_not_depend_on_scale(kappa):
     """
     G = genalg.detect_structure(su2(4, kappa=kappa).subspace)
     assert G.R == genalg.detect_structure(su2(4).subspace).R == 4
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3])
+def test_use_relations_judges_columns_relative_to_gram(kappa):
+    """Bugfix: a user relation off the kernel of rho by a relative 1e-6 is refused at every scale.
+
+    su2(m=4) times kappa, its commutator alpha plus 1e-6 |alpha| times
+    seeded normals: each column is judged against tol |Gram| |alpha_r|, which
+    scales as rho does.  With a floor at 1 under the size of rho, kappa = 1e-3
+    accepted it.  The unperturbed alpha is accepted at the same scale.
+    """
+    e = su2(4, kappa=kappa)
+    alpha = e.suggested_alpha
+    noisy = alpha + 1e-6 * np.linalg.norm(alpha) * np.random.default_rng(0).standard_normal(
+        alpha.shape)
+    with pytest.raises(InvalidRelation):
+        genalg.use_relations(e.subspace, noisy)
+    assert genalg.use_relations(e.subspace, alpha).R == alpha.shape[1]

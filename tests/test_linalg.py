@@ -6,7 +6,6 @@ from ncdiff import calculus
 from ncdiff.errors import ShapeError
 from ncdiff.linalg import (
     DEFAULT_TOL,
-    _fix_phases,
     _full_rank,
     _rank,
     gram,
@@ -47,49 +46,16 @@ def test_rank_nullspace_basic():
     M = np.array([[1.0, 1.0], [2.0, 2.0]])
     res = rank_nullspace(M)
     assert res.rank == 1
-    assert res.nullspace.shape == (2, 1)
-    assert np.allclose(M @ res.nullspace, 0.0)
+    assert res.rowspace.shape == (2, 1)
+    assert np.allclose(res.rowspace.conj().T @ res.rowspace, 1.0)
+    # the row space spans M's rows: M projected onto it is M
+    assert np.allclose(M @ res.rowspace @ res.rowspace.conj().T, M)
 
 
 def test_rank_full():
     res = rank_nullspace(np.eye(4))
     assert res.rank == 4
-    assert res.nullspace.shape == (4, 0)
-
-
-def test_rank_deterministic_phase():
-    # The null-space basis must come back with a fixed sign convention.
-    M = np.array([[1.0, 1j]])
-    res = rank_nullspace(M)
-    v = res.nullspace[:, 0]
-    lead = v[np.argmax(np.abs(v) > 1e-12)]
-    assert lead.imag == pytest.approx(0.0, abs=1e-12)
-    assert lead.real > 0
-
-
-def _fix_phase_loop(V):
-    """Per-column reference for the phase convention of rank_nullspace."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        v = V[:, j]
-        idx = np.flatnonzero(np.abs(v) > 1e-12 * max(np.max(np.abs(v)), 1e-300))
-        if idx.size:
-            V[:, j] = v * (abs(v[idx[0]]) / v[idx[0]])
-    return V
-
-
-def test_fix_phases_matches_loop():
-    rng = np.random.default_rng(2)
-    V = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    V[:2, 1] = [1e-14j, -3e-13]  # below 1e-12 x the column max: the pivot is row 2
-    V[:, 3] = 0.0  # no significant entry: left as it is
-    V[0, 4] = 1e-11 - 1e-11j  # small but significant: it is the pivot
-    fixed = _fix_phases(V)
-    assert np.array_equal(fixed, _fix_phase_loop(V))
-    assert fixed[2, 1].real > 0 and abs(fixed[2, 1].imag) < 1e-15
-    assert fixed[0, 4].real > 0 and abs(fixed[0, 4].imag) < 1e-26
-    assert np.array_equal(fixed[:, 3], V[:, 3])
-    assert _fix_phases(np.zeros((3, 0), dtype=complex)).shape == (3, 0)
+    assert res.rowspace.shape == (4, 4)
 
 
 def test_rank_reports_gap():
