@@ -10,11 +10,12 @@ adjacent slot pair; no n^2 x n^2 matrix is formed.  Its
 complement, the canonical space W_p, is W_{p-1} (x) C^n cut down by L^perp
 on the newest slot pair, so the tower stores the factors N_p of
 W_p = (W_{p-1} (x) 1_n) N_p, each the null space of a D-sized matrix K_p:
-no step builds an n^p-row matrix.  Each rank decision first tries to prove
-that K_p has full rank, with a shifted Cholesky of its D-sized Gram
-(``linalg._full_rank``); then N_p comes from the Householder reflectors of a
-QR (``linalg._complement``), and the top degree needs nothing more.  Only a
-K_p that the proof does not cover takes an SVD.  A basis W_p (n^p x D_p) is
+no step builds an n^p-row matrix.  N_2 is the relation span, conj(alpha).
+Each later rank decision first tries to prove that K_p has full rank, with a
+shifted Cholesky of its D-sized Gram (``linalg._full_rank``); then N_p comes
+from the Householder reflectors of a QR (``linalg._complement``), and the top
+degree needs nothing more.  Only a K_p that the proof does not cover takes an
+SVD.  A basis W_p (n^p x D_p) is
 formed only when something first projects onto degree p
 (``FormTower.basis``), so ``forms``, which reads only the ranks, forms none;
 ``epsilon_check`` reads W_p off a tower built to degree p.
@@ -72,14 +73,14 @@ class FormTower:
 
     Degree p has the orthonormal basis W_p = (W_{p-1} (x) 1_n) N_p, with
     W_1 = N_1 = I_n.  Where the structure's L has columns, ``factors`` holds
-    N_p, (D_{p-1} n) x D_p, for p = 1..max_degree - 1, and ``relations`` holds
-    L^dag as ``_pair_matrix`` reads it; else ``relations`` is None and every
-    tensor is canonical.  ``ranks[p]`` is D_p for p = 0..max_degree.
-    ``basis(p)`` forms W_p on first use, with N_max at the top degree, and
-    keeps both, so ``forms``, which reads only ``ranks``, forms none.  N_max
-    comes from a Householder QR when D_max says K_max has full rank, else from
-    an SVD (``_null_factor``).  Copies made by ``dataclasses.replace`` share
-    ``factors`` and ``bases``.
+    N_p, (D_{p-1} n) x D_p, for p = 1..max_degree - 1 and N_2 = conj(alpha),
+    and ``relations`` holds L^dag as ``_pair_matrix`` reads it; else
+    ``relations`` is None and every tensor is canonical.  ``ranks[p]`` is D_p
+    for p = 0..max_degree.  ``basis(p)`` forms W_p on first use, with N_max at
+    the top degree, and keeps both, so ``forms``, which reads only ``ranks``,
+    forms none.  N_max comes from a Householder QR when D_max says K_max has
+    full rank, else from an SVD (``_null_factor``).  Copies made by
+    ``dataclasses.replace`` share ``factors`` and ``bases``.
     """
 
     ga: object
@@ -223,9 +224,10 @@ def _lift(W, N, n):
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
     """Canonical ranks and factors up to ``max_degree``.
 
-    A degree below the top forms N_p (``_null_factor``: a Cholesky and a
+    K_2 = L^dag has orthonormal rows, so N_2 = conj(alpha) and D_2 = R need no
+    decision.  A degree from 3 below the top forms N_p (``_null_factor``: a Cholesky and a
     Householder QR when the Cholesky proves K_p of full rank, else an SVD), since
-    K_{p+1} is built on N_p.  At ``max_degree`` D_max = D_{max-1} n -
+    K_{p+1} is built on N_p.  At a top above 2, D_max = D_{max-1} n -
     rank(K_max) comes from the Cholesky alone when it proves full rank, else
     from singular values alone.  No W_p is formed here (``FormTower.basis``).
     D_p is the width of N_p, or n^p at a degree without relations.
@@ -238,10 +240,11 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     # Lr[r][a, c] = conj(L[(a, c), r]) for the k columns of the stored L; None when k = 0
     Lr = G.L.T.conj().reshape(-1, n, n) if max_degree >= 2 and G.L.shape[1] else None
     if Lr is not None:
-        factors = {1: np.eye(n, dtype=complex)}
-        for p in range(2, max_degree):
+        factors = {1: np.eye(n, dtype=complex), 2: G.alpha.conj()}
+        for p in range(3, max_degree):
             factors[p] = _null_factor(factors[p - 1], Lr, n, tol)
         ranks.update((p, N.shape[1]) for p, N in factors.items())
+    if Lr is not None and max_degree > 2:
         N = factors[max_degree - 1]
         rows, cols = N.shape[0] // n * Lr.shape[0], N.shape[1] * n
         # K_max goes in as a temporary, which _full_rank frees before its Cholesky
@@ -449,13 +452,13 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
 
 
 def check_structure_equations(tower, tol=DEFAULT_TOL):
-    """Residuals of the two co-frame structure equations and the relation form |pi_2 rho|.
+    """Residuals of the two co-frame structure equations.
 
     d theta + theta^2 = -(1/m) t_ab theta^a theta^b goes through the public
     ``exterior_d`` and ``wedge``.  d theta^a + [theta, theta^a] = chi(theta^a) on
     raw tables, so d theta^a = -[theta, theta^a] - F^a_bc theta^b theta^c iff
     pi_2(chi(e_a) + F^a) = 0, one scalar (n, n, n) table.  ``dtheta_a``, linear
-    in F, is judged against tol |lambda|, the others against tol |lambda|^2.
+    in F, is judged against tol |lambda|, the other against tol |lambda|^2.
     """
     if tower.max_degree < 2:
         raise ValueError("structure equations need max_degree >= 2")
@@ -467,12 +470,10 @@ def check_structure_equations(tower, tol=DEFAULT_TOL):
     rep = {
         "dtheta_plus_theta_sq": form_norm(exterior_d(th) + wedge(th, th) - rhs),
         "dtheta_a": float(np.sqrt(m) * _canonical_norms(tower, 2, chi_e.reshape(n, n * n)).max()),
-        "relation_form": form_norm(Form(tower, 2, canonicalize(tower, 2, G.rho))),
         "bound": float(tol * lam ** 2),
         "dtheta_a_bound": float(tol * lam),
     }
     rep["passed"] = bool(rep["dtheta_plus_theta_sq"] < rep["bound"]
-                         and rep["relation_form"] < rep["bound"]
                          and rep["dtheta_a"] < rep["dtheta_a_bound"])
     return rep
 

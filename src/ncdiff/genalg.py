@@ -132,13 +132,13 @@ def use_relations(B, alpha_user, tol=DEFAULT_TOL):
 def verify_ga(G, tol=DEFAULT_TOL):
     """Residual report for the defining identities of a GAStructure.
 
-    No n^2 x n^2 matrix is formed.  ``beta_alpha_identity`` and
-    ``P_idempotent`` both read |L^dag L - 1_k|: alpha is the orthonormal
-    complement of L, so its left inverse is alpha^dag and P = alpha alpha^dag.
-    ``relation_residual`` is |pi_2 rho| = |alpha^T rho| (|rho| when k = 0,
-    where alpha is the identity and is not formed), the quantity
-    ``calculus.check_structure_equations`` reports as ``relation_form``;
-    quadratic in lambda, it is judged against ``relation_bound`` = tol |lambda|^2.
+    No n^2 x n^2 matrix is formed.  ``beta_alpha_identity`` is
+    |L^dag L - 1_k|: alpha is the orthonormal complement of L, so this one
+    number shows both that alpha^dag is its left inverse and that
+    P = alpha alpha^dag is idempotent.  ``relation_residual`` is the relation
+    form |pi_2 rho| = |alpha^T rho| (|rho| when k = 0, where alpha is the
+    identity and is not formed); quadratic in lambda, it is judged against
+    ``relation_bound`` = tol |lambda|^2.
     """
     B = G.subspace
     n, m = B.n, B.m
@@ -146,15 +146,13 @@ def verify_ga(G, tol=DEFAULT_TOL):
     LL.flat[::LL.shape[0] + 1] -= 1.0
     rho_flat = G.rho.reshape(n * n, m * m)
     checks = {"beta_alpha_identity": float(np.linalg.norm(LL))}
-    checks["P_idempotent"] = checks["beta_alpha_identity"]
     checks["relation_residual"] = float(np.linalg.norm(
         G.alpha.T @ rho_flat if G.L.shape[1] else rho_flat))
 
     # dim span{products, basis, 1} <= n^2 + n + 1 - R
     prods = _pair_products(B.lambdas, B.lambdas).reshape(n * n, m * m)
     stack = np.vstack([prods, B.lambdas.reshape(n, m * m), np.eye(m).reshape(1, m * m)])
-    s = np.linalg.svd(stack.T / max(np.linalg.norm(stack), 1.0), compute_uv=False)
-    span_dim = _rank(s, tol)
+    span_dim = _rank(np.linalg.svd(stack.T, compute_uv=False), tol)
     bound = n * n + n + 1 - G.R
     checks["span_dim"] = span_dim
     checks["span_dim_bound"] = bound

@@ -8,7 +8,7 @@ import numpy as np
 from .algebra import Subspace, validate_subspace
 from .calculus import Form, canonicalize, exterior_d, form_norm, theta
 from .errors import ConfigError, DegreeError, ShapeError, SingularTransform, ValidationError
-from .genalg import use_relations
+from .genalg import _check_conditioning, structure_constants
 from .linalg import DEFAULT_TOL, _at_slot, gram
 
 __all__ = [
@@ -113,11 +113,11 @@ def _ustar(U, tower, xi):
 def check_equivalence(U, B, tower, tol=DEFAULT_TOL):
     """Verify that conjugation by u is a d-homomorphism of calculi, exactly, on generators.
 
-    Builds the conjugated subspace with the transported relation matrix.  The
-    transported relations give the same P, hence the same canonical spaces,
-    so the conjugated calculus is a copy of the tower that shares its bases,
-    the top degree's included: each basis is formed once, for both.  U^star
-    acts on the matrix indices only, so it commutes with every W_p W_p^dag:
+    The conjugated structure keeps B's L, as conjugation is multiplicative and
+    fixes 1, so the conjugated calculus is a copy of the tower that shares its
+    bases, the top degree's included: each basis is formed once, for both.
+    U^star acts on the matrix indices only, so it commutes with every
+    W_p W_p^dag:
 
     - ``coframe`` and ``theta``: U^star theta'^a - theta^a, worst over a, and
       |U^star theta' - theta| / |lambda|;
@@ -139,8 +139,9 @@ def check_equivalence(U, B, tower, tol=DEFAULT_TOL):
     if U.u.shape != (B.m, B.m):
         raise ShapeError(f"conjugating matrix has shape {U.u.shape}, expected ({B.m}, {B.m})")
     Bp = conjugate_subspace(U, B, tol=tol)
-    Gp = use_relations(Bp, G.alpha, tol=max(tol, 1e-7))
-    tower_p = replace(tower, ga=Gp)
+    _check_conditioning(Bp, max(tol, 1e-7))
+    F, t, rho = structure_constants(Bp)
+    tower_p = replace(tower, ga=replace(G, subspace=Bp, F=F, t=t, rho=rho))
     m, n = B.m, B.n
     lam = np.linalg.norm(B.lambdas)
 

@@ -7,6 +7,11 @@ from ncdiff.errors import ShapeError
 from ncdiff.universal import theta_u
 
 
+# The catalog inputs of the benchmark workloads; a0 has no suggested alpha.
+WORKLOAD_CATALOG = [("a0", 2), ("a0", 3), ("a0", 4), ("su2", 3), ("su2", 4), ("clock-shift", 5),
+                    ("clock-shift", 8), ("ellipsoid", 4), ("ellipsoid", 6)]
+
+
 def generic_subspace(m, n, seed):
     """A generic subspace: n seeded complex Gaussian m x m matrices, made traceless."""
     rng = np.random.default_rng(seed)

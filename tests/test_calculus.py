@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    WORKLOAD_CATALOG,
     coframe_stack_residual,
     dense_nullspace,
     dense_projector,
@@ -12,6 +13,7 @@ from conftest import (
     generic_subspace,
     random_identity_residuals,
 )
+from hypothesis import given, settings, strategies as st
 
 from ncdiff import calculus, catalog, cli, formats, genalg
 from ncdiff import linalg as ncdiff_linalg
@@ -164,7 +166,7 @@ def test_structure_equations(pauli_tower, clock3_tower, su2_m3_tower):
         assert rep["passed"], rep
         assert rep["dtheta_plus_theta_sq"] < 1e-10
         assert rep["dtheta_a"] < 1e-10
-        assert rep["relation_form"] < 1e-10
+        assert genalg.verify_ga(tower.ga)["relation_residual"] < 1e-10
 
 
 def _catalog_structure(name, m):
@@ -176,6 +178,31 @@ def _catalog_structure(name, m):
 
 def _generic_structure(m, n, seed):
     return genalg.detect_structure(generic_subspace(m, n, seed))
+
+
+def _workload_structures():
+    """Every workload catalog input in each alpha mode it has, and generic (3, 4) and (4, 5)."""
+    for name, m in WORKLOAD_CATALOG:
+        e = catalog.build_entry(name, m)
+        yield pytest.param(lambda e=e: genalg.detect_structure(e.subspace), id=f"{name}-m{m}-auto")
+        if e.suggested_alpha is not None:
+            yield pytest.param(lambda e=e: genalg.use_relations(e.subspace, e.suggested_alpha),
+                               id=f"{name}-m{m}-embedded")
+    for m, n in ((3, 4), (4, 5)):
+        yield pytest.param(lambda m=m, n=n: _generic_structure(m, n, 0), id=f"generic-m{m}-n{n}")
+
+
+@pytest.mark.parametrize("make", _workload_structures())
+def test_tower_degree2_basis_is_alpha(make):
+    """W_2 is the structure's conj(alpha), the same array, and D_2 = R: degree 2 takes no
+    decision of its own.  Without relations (a0) neither W_2 nor alpha is formed."""
+    G = make()
+    tower = build_tower(G, 3)
+    assert tower.ranks[2] == G.R
+    if G.L.shape[1] == 0:
+        assert tower.basis(2) is None and "alpha" not in G.__dict__
+    else:
+        assert np.array_equal(tower.basis(2), G.alpha.conj())
 
 
 def _chain_equations(G, p):
@@ -682,10 +709,12 @@ def _spy_lift(monkeypatch):
 def test_top_degree_is_rank_only(monkeypatch, top):
     """build_tower decides D_max from a Cholesky alone and forms no W_p.
 
-    Generic K_p have full rank, so each degree below the top takes a Cholesky
-    and the Householder QR whose reflectors give N_p, and the top degree a
-    Cholesky only.  A first projection below the top forms W_p with GEMMs
-    alone; the first at the top forms N_max with one such QR, and then W_max.  Each is formed
+    N_2 is the structure's conj(alpha), from the one Householder QR that derives
+    alpha from L, with no decision.  Generic K_p have full rank, so each degree
+    from 3 below the top takes a Cholesky and the Householder QR whose
+    reflectors give N_p, and a top degree above 2 a Cholesky only.  A first
+    projection below the top forms W_p with GEMMs alone; the first at a top
+    above 2 forms N_max with one such QR, and then W_max.  Each is formed
     once.  su2(4), whose K_3 is rank-deficient, takes the fallbacks at the top:
     the values-only SVD for D_3, and a QR's R factor and its SVD for N_3.
     """
@@ -694,9 +723,10 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
     tower = build_tower(G, top)
-    assert calls == ["chol", "qr-raw"] * (top - 2) + ["chol"]
+    assert calls == ["qr-raw"] + ["chol", "qr-raw"] * (top - 3) + ["chol"] * (top > 2)
     assert tower.ranks[top] == (top + 1) * 2 ** top
-    assert sorted(tower.factors) == list(range(1, top)) and tower.bases == {} and lifts == []
+    assert sorted(tower.factors) == list(range(1, max(top, 3)))
+    assert tower.bases == {} and lifts == []
     calls.clear()
     rng = np.random.default_rng(0)
     if top > 2:
@@ -705,16 +735,17 @@ def test_top_degree_is_rank_only(monkeypatch, top):
         assert calls == [] and sorted(tower.bases) == list(range(2, top))
     raw = rng.standard_normal((n,) * top + (m, m)).astype(complex)
     once = canonicalize(tower, top, raw)
-    assert calls == ["qr-raw"] and sorted(tower.bases) == list(range(2, top + 1))
+    top_qr = ["qr-raw"] * (top > 2)
+    assert calls == top_qr and sorted(tower.bases) == list(range(2, top + 1))
     assert lifts == [tower.ranks[p] for p in range(2, top + 1)]
     assert tower.basis(top).shape == (n ** top, tower.ranks[top])
     assert np.array_equal(canonicalize(tower, top, raw), once)
-    assert calls == ["qr-raw"] and len(lifts) == top - 1
+    assert calls == top_qr and len(lifts) == top - 1
 
     G = _catalog_structure("su2", 4)
     calls.clear()
     tower = build_tower(G, 3)
-    assert calls == ["chol", "qr-raw", "chol-fail", "svd-values"]
+    assert calls == ["qr-raw", "chol-fail", "svd-values"]
     assert tower.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
     calls.clear()
     assert tower.basis(3).shape == (27, 1) and calls == ["qr-r", "svd"]
@@ -751,25 +782,27 @@ def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
 def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     """W_p for the chain takes one null-space factorization per degree, from the tower.
 
-    epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)``, then
-    the one Householder QR that derives alpha from L (``GAStructure.alpha``), and
-    no others.  Generic K_q have full rank: a Cholesky and a Householder QR each.
-    su2(4)'s rank-deficient K_3 fails its Cholesky; below the top it takes the R
-    factor of a QR and its SVD, and at the top the tower's values-only SVD for
-    D_3 comes first.  Its K_4, tall and of full rank, needs no QR.
+    epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)`` and
+    no others: the one Householder QR that derives alpha from L
+    (``GAStructure.alpha``, kept on G) gives both the tower's N_2 and the
+    chain's left inverse.  Generic K_q, q >= 3, have full rank: a Cholesky and a
+    Householder QR each.  su2(4)'s rank-deficient K_3 fails its Cholesky; below
+    the top it takes the R factor of a QR and its SVD, and at the top the
+    tower's values-only SVD for D_3 comes first.  Its K_4, tall and of full
+    rank, needs no QR.
     """
     G = _generic_structure(3, 4, 0)
     calls = _spy_decompositions(monkeypatch)
     exists, basis, dim = epsilon_check(G, p)
-    assert calls == ["chol", "qr-raw"] * (p - 1) + ["qr-raw"]
+    assert calls == ["qr-raw"] + ["chol", "qr-raw"] * (p - 2)
     assert exists and dim == build_tower(G, p).ranks[p] == (p + 1) * 2 ** p
     assert basis.shape == ((p - 1) * G.subspace.n ** (p - 2) * G.R, dim)
     G = _catalog_structure("su2", 4)
     calls.clear()
     exists, _, dim = epsilon_check(G, p)
-    expected = (["chol", "qr-raw", "chol-fail", "svd-values", "qr-r", "svd"] if p == 3
-                else ["chol", "qr-raw", "chol-fail", "qr-r", "svd", "chol"])
-    assert calls == expected + (["qr-raw"] if exists else [])
+    expected = (["chol-fail", "svd-values", "qr-r", "svd"] if p == 3
+                else ["chol-fail", "qr-r", "svd", "chol"])
+    assert calls == ["qr-raw"] + expected
     assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
     calls.clear()
     build_tower(G, p).basis(p)
@@ -783,7 +816,8 @@ def test_degree_one_tower_has_no_bases(monkeypatch):
 
 
 def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
-    """``forms`` reads every D_p off a Cholesky, takes N_p below the top from a QR, forms no W_p."""
+    """``forms`` reads D_2 = R off alpha's QR and every later D_p off a Cholesky, takes N_p
+    below the top from a QR, and forms no W_p."""
     G = _generic_structure(3, 4, 0)
     B = G.subspace
     path = tmp_path / "generic.json"
@@ -791,7 +825,7 @@ def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
     calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
     assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
-    assert calls == ["chol", "qr-raw", "chol", "qr-raw", "chol"] and lifts == []
+    assert calls == ["qr-raw", "chol", "qr-raw", "chol"] and lifts == []
     ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
     assert ranks == {"0": 1, "1": 4, "2": 12, "3": 32, "4": 80}
 
@@ -862,16 +896,27 @@ def _rank_invariants(m, lambdas):
     pytest.param(3, generic_subspace(3, 4, 0).lambdas, id="generic-m3-n4"),
     pytest.param(4, generic_subspace(4, 5, 1).lambdas, id="generic-m4-n5"),
 ])
-def test_ranks_invariant_under_presentation(m, lambdas, seed):
-    """R and D_p do not depend on the basis of B or on a unitary frame of C^m."""
-    rng = np.random.default_rng(seed)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(frame=st.integers(0, 2 ** 32 - 1), log_kappa=st.floats(-8.0, 8.0),
+       log_cond=st.floats(0.0, 3.0))
+def test_ranks_invariant_under_presentation(m, lambdas, seed, frame, log_kappa, log_cond):
+    """R and D_p do not depend on the scale of B, its basis or a unitary frame of C^m.
+
+    Drawn: an overall scale kappa in [1e-8, 1e8], a basis change A with
+    cond A in [1, 1e3] (singular values spread evenly between unitary
+    frames), both combined, and a unitary conjugation; ``seed`` and the drawn
+    ``frame`` seed the unitaries.
+    """
+    rng = np.random.default_rng([seed, frame])
     n = lambdas.shape[0]
-    # cond(A) = 10: singular values spread evenly over [1, 10]
-    A = _random_unitary(rng, n) @ np.diag(np.linspace(1.0, 10.0, n)) @ _random_unitary(rng, n)
+    kappa = 10.0 ** log_kappa
+    A = (_random_unitary(rng, n) @ np.diag(np.linspace(1.0, 10.0 ** log_cond, n))
+         @ _random_unitary(rng, n))
     u = _random_unitary(rng, m)
     expected = _rank_invariants(m, lambdas)
-    assert _rank_invariants(m, np.einsum("ab,bij->aij", A, lambdas)) == expected
-    assert _rank_invariants(m, u @ lambdas @ u.conj().T) == expected
+    based = np.einsum("ab,bij->aij", A, lambdas)
+    for presented in (kappa * lambdas, based, kappa * based, u @ lambdas @ u.conj().T):
+        assert _rank_invariants(m, presented) == expected
 
 
 def _stacked(tower, forms):
@@ -973,9 +1018,10 @@ def test_structure_equations_relative_to_lambda():
 
     su2(m=4) times 1e-3 with its commutator relations perturbed by 1e-6 of
     their norm: the relations leave the kernel of rho by a relative 1e-6,
-    so relation_form and dtheta_plus_theta_sq read about 1.9e-11, a thousand
-    times tol |lambda|^2 = 1.5e-14 but below the 1e-9 that a floor at 1
-    would allow.  verify fails the section.
+    so the relation form (``verify_ga``'s relation_residual) and
+    dtheta_plus_theta_sq read about 1.9e-11, a thousand times tol |lambda|^2
+    = 1.5e-14 but below the 1e-9 that a floor at 1 would allow.  verify fails
+    both sections.
     """
     e = catalog.su2(4, kappa=1e-3)
     alpha = e.suggested_alpha
@@ -985,11 +1031,12 @@ def test_structure_equations_relative_to_lambda():
     G = genalg.use_relations(e.subspace, e.suggested_alpha)
     tower = build_tower(dataclasses.replace(G, L=_complement(alpha.conj())), 3)
     rep = check_structure_equations(tower)
-    assert not rep["passed"]
+    ga = genalg.verify_ga(tower.ga)
+    assert not rep["passed"] and not ga["passed"]
     lam2 = np.linalg.norm(e.subspace.lambdas) ** 2
-    assert rep["bound"] == pytest.approx(DEFAULT_TOL * lam2, rel=1e-15)
-    for key in ("dtheta_plus_theta_sq", "relation_form"):
-        assert 100 * rep["bound"] < rep[key] < DEFAULT_TOL
+    assert rep["bound"] == ga["relation_bound"] == pytest.approx(DEFAULT_TOL * lam2, rel=1e-15)
+    for value in (rep["dtheta_plus_theta_sq"], ga["relation_residual"]):
+        assert 100 * rep["bound"] < value < DEFAULT_TOL
     assert rep["dtheta_a"] < rep["dtheta_a_bound"]
     # the unperturbed relations pass at the same scale
     assert check_structure_equations(build_tower(

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import generator_engine_residuals, generic_subspace, random_identity_residuals
+from conftest import (WORKLOAD_CATALOG, generator_engine_residuals, generic_subspace,
+                      random_identity_residuals)
 
 from ncdiff import calculus, cli, formats, genalg, maps, universal
 from ncdiff.algebra import matrix_basis_duals
@@ -67,6 +67,71 @@ def test_analyze_pauli(capsys, pauli_file):
     assert code == 0
     sec = {s["name"]: s for s in rep["sections"]}
     assert sec["relations"]["R"] == 9
+
+
+@pytest.mark.parametrize("mode, R", [("embedded", 3), ("auto", 4)])
+def test_analyze_omits_alpha_above_the_cap(monkeypatch, capsys, tmp_path, mode, R):
+    """analyze prints alpha's n^2 R entries up to ``ALPHA_ENTRIES_SHOWN``; one above it, the
+    relations section gives their count and k in their place, and nothing else changes."""
+    path = _su2_file(tmp_path, 3)
+    argv = ["analyze", path, "--alpha", mode]
+    entries = 9 * R
+    reports = {}
+    for cap in (entries, entries - 1):
+        monkeypatch.setattr(cli, "ALPHA_ENTRIES_SHOWN", cap)
+        code, reports[cap] = _run_json(capsys, argv)
+        assert code == cli.EXIT_OK
+    shown, omitted = (reports[c]["sections"][2] for c in (entries, entries - 1))
+    assert np.array(shown.pop("alpha_columns")).shape == (R, 9, 2)
+    assert omitted.pop("alpha_columns_omitted") == entries and omitted.pop("k") == 9 - R
+    assert shown == omitted and shown["R"] == R
+    assert reports[entries]["sections"][3:] == reports[entries - 1]["sections"][3:]
+
+
+def _in_process_peak(capsys, argv):
+    """Exit code, JSON report and peak traced bytes of one in-process CLI command."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, json.loads(capsys.readouterr().out), peak
+
+
+@pytest.mark.large
+def test_analyze_a0_m8_in_process(monkeypatch, capsys, tmp_path):
+    """analyze on a0(8), n = 63, exits 0 under 64 MiB traced: its 3969^2 alpha entries are
+    counted, not formed (the full report ran out of memory under a 3 GiB cap)."""
+    e = universal_A0(8)
+    path = str(tmp_path / "a0.json")
+    formats.save_algebra(path, 8, e.subspace.label, e.subspace.lambdas)
+    structures = []
+    verify_ga = genalg.verify_ga
+    monkeypatch.setattr(cli.genalg, "verify_ga",
+                        lambda G, tol: structures.append(G) or verify_ga(G, tol=tol))
+    code, rep, peak = _in_process_peak(capsys, ["analyze", path])
+    assert code == cli.EXIT_OK, rep
+    assert peak < 64 * 2 ** 20, peak / 2 ** 20
+    sec = {s["name"]: s for s in rep["sections"]}["relations"]
+    assert sec["R"] == 63 ** 2 and sec["k"] == 0 and "alpha_columns" not in sec
+    assert sec["alpha_columns_omitted"] == 63 ** 4 > cli.ALPHA_ENTRIES_SHOWN
+    assert "alpha" not in structures[0].__dict__
+
+
+@pytest.mark.large
+def test_equiv_a0_m6_in_process(capsys, tmp_path):
+    """equiv on a0(6), n = 35, exits 0 under 100 MiB traced: the conjugated structure reuses L,
+    with no n^2 x R alpha to re-validate (142 MiB when it did)."""
+    e = universal_A0(6)
+    path, upath = str(tmp_path / "a0.json"), tmp_path / "u.json"
+    formats.save_algebra(path, 6, e.subspace.label, e.subspace.lambdas)
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(
+            np.random.default_rng(0).standard_normal((6, 6)) + 2 * np.eye(6)), fh)
+    code, rep, peak = _in_process_peak(capsys, ["equiv", path, str(upath)])
+    assert code == cli.EXIT_OK, rep
+    assert peak < 100 * 2 ** 20, peak / 2 ** 20
 
 
 def test_analyze_and_verify_judge_relation_residual_alike(tmp_path, capsys):
@@ -139,16 +204,11 @@ def test_relations_report_depends_only_on_their_span(capsys, tmp_path, name, m):
         assert abs(first[key] - second[key]) < 1e-14 * lam2
 
 
-# The catalog inputs of the benchmark workloads; a0 has no suggested alpha.
-WORKLOAD_CATALOG = [("a0", 2), ("a0", 3), ("a0", 4), ("su2", 3), ("su2", 4), ("clock-shift", 5),
-                    ("clock-shift", 8), ("ellipsoid", 4), ("ellipsoid", 6)]
-
-
 @pytest.mark.parametrize("name, m", WORKLOAD_CATALOG)
 def test_verify_relation_residual_is_the_towers_relation_form(capsys, tmp_path, name, m):
-    """generalised_algebra.relation_residual and structure_equations.relation_form are both
-    |pi_2 rho|, one from alpha and one from the tower: they agree to 1e-15 |lambda|^2 in both
-    alpha modes, and so do their bounds."""
+    """generalised_algebra.relation_residual, |alpha^T rho|, is the relation form |pi_2 rho| that
+    the tower's projection gives: they agree to 1e-15 |lambda|^2 in both alpha modes, and its
+    bound is structure_equations' bound, tol |lambda|^2."""
     e = build_entry(name, m)
     path = str(tmp_path / f"{name}.json")
     formats.save_algebra(path, m, e.subspace.label, e.subspace.lambdas, alpha=e.suggested_alpha)
@@ -158,7 +218,11 @@ def test_verify_relation_residual_is_the_towers_relation_form(capsys, tmp_path, 
         assert code == cli.EXIT_OK
         sec = {s["name"]: s for s in rep["sections"]}
         ga, se = sec["generalised_algebra"], sec["structure_equations"]
-        assert abs(ga["relation_residual"] - se["relation_form"]) <= 1e-15 * lam2, mode
+        G = (genalg.use_relations(e.subspace, e.suggested_alpha) if mode == "embedded"
+             else genalg.detect_structure(e.subspace))
+        tower = calculus.build_tower(G, 2)
+        form = calculus.form_norm(calculus.Form(tower, 2, calculus.canonicalize(tower, 2, G.rho)))
+        assert abs(ga["relation_residual"] - form) <= 1e-15 * lam2, mode
         assert ga["relation_bound"] == se["bound"]
 
 
@@ -915,9 +979,13 @@ def test_equiv_negative_controls_exit_3(monkeypatch, capsys, clock_file, tmp_pat
         mp.setattr(maps.Conjugation, "from_matrix",
                    classmethod(lambda cls, u, tol=None: cls(u=u, u_inv=u)))
         assert failing() == {"coframe", "theta", "products", "d_commutation"}
-    use_relations = genalg.use_relations
-    monkeypatch.setattr(maps, "use_relations", lambda *a, **k: dataclasses.replace(
-        use_relations(*a, **k), F=-use_relations(*a, **k).F))
+    structure_constants = genalg.structure_constants
+
+    def negated_f(B):
+        F, t, rho = structure_constants(B)
+        return -F, t, rho
+
+    monkeypatch.setattr(maps, "structure_constants", negated_f)
     assert failing() == {"d_commutation"}
 
 
@@ -1015,7 +1083,6 @@ def test_verify_fails_on_degree1_d_with_right_theta_flipped(monkeypatch, capsys,
     sec = {s["name"]: s for s in rep["sections"]}["structure_equations"]
     assert sec["dtheta_plus_theta_sq"] == pytest.approx(residual, abs=0.05)
     assert sec["dtheta_a"] < sec["dtheta_a_bound"]
-    assert sec["relation_form"] < sec["bound"]
 
 
 def test_verify_judges_structure_equations_relative_to_lambda(capsys, tmp_path):

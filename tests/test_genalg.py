@@ -97,7 +97,6 @@ def test_verify_ga_report():
     rep = genalg.verify_ga(G)
     assert rep["passed"]
     assert rep["beta_alpha_identity"] < 1e-12
-    assert rep["P_idempotent"] < 1e-12
     assert rep["relation_residual"] < 1e-12
     # Clock-shift saturates the dimension bound n^2 + n + 1 - R = 6.
     assert rep["span_dim"] == 6

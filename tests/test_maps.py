@@ -175,9 +175,12 @@ def test_lie_derivative_linearity(pauli_tower, rng):
 
 
 def _conjugated_tower(U, tower):
-    """The conjugated calculus as ``check_equivalence`` builds it, through ``maps.use_relations``."""
-    Gp = maps.use_relations(conjugate_subspace(U, tower.ga.subspace), tower.ga.alpha, tol=1e-7)
-    return dataclasses.replace(tower, ga=Gp)
+    """The conjugated calculus as ``check_equivalence`` builds it: B's relations, and the
+    structure constants of the conjugated subspace through ``maps.structure_constants``."""
+    Bp = conjugate_subspace(U, tower.ga.subspace)
+    F, t, rho = maps.structure_constants(Bp)
+    return dataclasses.replace(tower, ga=dataclasses.replace(tower.ga, subspace=Bp,
+                                                             F=F, t=t, rho=rho))
 
 
 def _equivalence_trials_reference(U, tower, tower_p, trials, rng):
@@ -241,9 +244,9 @@ def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, 
     needed.  The random trials fail d alone as well.
     """
     e, tower = _control_tower(maker, m)
-    real = genalg.use_relations
-    monkeypatch.setattr(maps, "use_relations",
-                        lambda *a, **k: dataclasses.replace(real(*a, **k), F=-real(*a, **k).F))
+    real = genalg.structure_constants
+    monkeypatch.setattr(maps, "structure_constants",
+                        lambda B: (-real(B)[0],) + real(B)[1:])
     U = Conjugation.from_matrix(np.random.default_rng(4).standard_normal((m, m)) + 2 * np.eye(m))
     rep = check_equivalence(U, e.subspace, tower)
     assert not rep["passed"]
@@ -259,8 +262,10 @@ def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, 
 def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
     """A degree-2 tower whose W_2 is not formed yet gives the residuals of one whose W_2 is.
 
-    The conjugated calculus is a ``dataclasses.replace`` copy of the tower: it
-    shares the factors and bases, so N_2 and W_2 are formed once for both.
+    N_2 is the structure's conj(alpha), kept by ``build_tower``.  The
+    conjugated calculus is a ``dataclasses.replace`` copy of the tower: it
+    shares the factors and bases, so W_2 is lifted once for both, and no
+    factor is formed again.
     """
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
@@ -269,15 +274,56 @@ def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
     formed = calculus.build_tower(G, 2)
     assert formed.basis(2) is not None
     deferred = calculus.build_tower(G, 2)
-    assert deferred.bases == {} and 2 not in deferred.factors
+    assert deferred.bases == {} and 2 in deferred.factors
     made = []
     for step in ("_null_factor", "_lift"):
         real = getattr(calculus, step)
         monkeypatch.setattr(calculus, step,
                             lambda *a, real=real, step=step, **k: made.append(step) or real(*a, **k))
     rep = check_equivalence(U, e.subspace, deferred)
-    assert made == ["_null_factor", "_lift"] and 2 in deferred.bases
+    assert made == ["_lift"] and 2 in deferred.bases
     assert rep == check_equivalence(U, e.subspace, formed)
+
+
+def _unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("cond", [2.0, 1e2])
+@pytest.mark.parametrize("maker, m", [(su2, 3), (su2, 4), (clock_shift, 3), (fuzzy_ellipsoid, 4)])
+def test_equivalence_transports_the_relation_span(monkeypatch, maker, m, cond):
+    """check_equivalence's conjugated structure keeps B's L, and that is the span that
+    re-deriving the relations of the conjugated subspace from B's alpha gives.
+
+    alpha^bc lambda_b lambda_c lies in B + C.1 iff its conjugate by u lies in
+    B' + C.1, so the two orthogonal projectors onto L agree to 1e-12 at cond u = 2
+    and 1e2.
+    """
+    e = maker(m)
+    G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
+         else genalg.detect_structure(e.subspace))
+    tower = calculus.build_tower(G, 2)
+    rng = np.random.default_rng(7)
+    U = Conjugation.from_matrix(
+        _unitary(rng, m) @ np.diag(np.geomspace(1.0, cond, m)) @ _unitary(rng, m))
+    seen = []
+    monkeypatch.setattr(maps, "exterior_d", lambda xi: seen.append(xi.tower.ga) or exterior_d(xi))
+    assert check_equivalence(U, e.subspace, tower)["passed"]
+    Gp = seen[0]
+    assert Gp.subspace is not G.subspace and Gp.L is G.L and Gp.R == G.R
+    ref = genalg.use_relations(Gp.subspace, G.alpha, tol=1e-7).L
+    assert np.abs(Gp.L @ Gp.L.conj().T - ref @ ref.conj().T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_equivalence_forms_no_alpha_without_relations(m):
+    """On a0, where L has no columns, equiv forms no n^2 x n^2 alpha: the tower has no
+    relations to read it for, and the conjugated structure reuses L."""
+    G = genalg.detect_structure(universal_A0(m).subspace)
+    U = Conjugation.from_matrix(np.random.default_rng(8).standard_normal((m, m)) + 2 * np.eye(m))
+    assert check_equivalence(U, G.subspace, calculus.build_tower(G, 2))["passed"]
+    assert G.L.shape[1] == 0 and "alpha" not in G.__dict__
 
 
 @pytest.mark.parametrize("maker, m", [(su2, 3), (su2, 4), (universal_A0, 2)])
