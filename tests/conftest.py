@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ncdiff import algebra, calculus, catalog, detect_structure, use_relations, build_tower
+from ncdiff import algebra, calculus, catalog, detect_structure, maps, use_relations, build_tower
 from ncdiff.errors import ShapeError
 from ncdiff.universal import theta_u
 
@@ -134,6 +136,48 @@ def coframe_stack_residual(tower):
     res = res + calculus.wedge(ta, th)
     rhs = calculus.canonicalize(tower, 2, np.einsum("abc,ij->abcij", -tower.ga.F, np.eye(m)))
     return float(calculus.form_norm(res - calculus.Form(tower, 2, rhs)).max())
+
+
+def ustar(U, tower, xi):
+    """U^star: a form over the conjugated calculus, expressed in ``tower``, B's.
+
+    With matched bases the index structure is unchanged and coefficients map
+    by f -> u^-1 f u, on the matrix indices only: it commutes with W_p W_p^dag,
+    so a form canonical in a tower sharing ``tower``'s bases needs no projection.
+    """
+    return calculus.Form(tower, xi.degree, U.u_inv @ xi.coeffs @ U.u)
+
+
+def conjugated_tower(U, tower):
+    """The calculus of the conjugated subspace as a copy of ``tower``: B's relations, so B's
+    bases, and the structure constants of ``maps.conjugate_subspace`` through
+    ``maps.structure_constants``, which the tests patch to plant defects."""
+    Bp = maps.conjugate_subspace(U, tower.ga.subspace)
+    F, t, rho = maps.structure_constants(Bp)
+    return dataclasses.replace(tower, ga=dataclasses.replace(tower.ga, subspace=Bp,
+                                                             F=F, t=t, rho=rho))
+
+
+def equivalence_generator_reference(U, tower):
+    """The stacked reference for ``maps.check_equivalence``' ``d_commutation``.
+
+    D = U^star d' (U^star)^-1 - d on B's generators g, the E_ij and the
+    theta^a, each lifted to the conjugated calculus by (U^star)^-1: f -> u f u^-1,
+    through one stacked ``exterior_d`` per calculus and degree: (n, n, n, m, m)
+    tables.  Returns the worst |D(g)| / (|g| |lambda|).
+    """
+    n, m = tower.n, tower.m
+    tower_p = conjugated_tower(U, tower)
+    lam = np.linalg.norm(tower.ga.subspace.lambdas)
+    units = np.eye(m * m, dtype=complex).reshape(-1, m, m)
+    coframes = np.eye(n)[:, :, None, None] * np.eye(m, dtype=complex)
+    worst = 0.0
+    for p, g in ((0, units), (1, coframes)):
+        g = calculus.Form(tower, p, g)
+        lifted = calculus.Form(tower_p, p, U.apply(g.coeffs))
+        defect = ustar(U, tower, calculus.exterior_d(lifted)) - calculus.exterior_d(g)
+        worst = max(worst, float((calculus.form_norm(defect) / (calculus.form_norm(g) * lam)).max()))
+    return worst
 
 
 @st.composite

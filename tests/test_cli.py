@@ -120,18 +120,23 @@ def test_analyze_a0_m8_in_process(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.large
-def test_equiv_a0_m6_in_process(capsys, tmp_path):
-    """equiv on a0(6), n = 35, exits 0 under 100 MiB traced: the conjugated structure reuses L,
-    with no n^2 x R alpha to re-validate (142 MiB when it did)."""
-    e = universal_A0(6)
+@pytest.mark.parametrize("command", ["verify", "forms", "analyze", "equiv"])
+def test_a0_m7_command_in_process(capsys, tmp_path, command):
+    """Each command on a0(7), n = 48, exits 0 under 32 MiB traced, below one float64 array of
+    n^4 entries (40.5 MiB): no whole path forms one.  equiv reads delta and pi_2(F' - F),
+    with no (n, n, n, m, m) table (262 MiB when it stacked exterior_d on the generators)."""
+    e = universal_A0(7)
     path, upath = str(tmp_path / "a0.json"), tmp_path / "u.json"
-    formats.save_algebra(path, 6, e.subspace.label, e.subspace.lambdas)
-    with open(upath, "w") as fh:
-        json.dump(formats.matrix_to_json(
-            np.random.default_rng(0).standard_normal((6, 6)) + 2 * np.eye(6)), fh)
-    code, rep, peak = _in_process_peak(capsys, ["equiv", path, str(upath)])
+    formats.save_algebra(path, 7, e.subspace.label, e.subspace.lambdas)
+    argv = [command, path]
+    if command == "equiv":
+        with open(upath, "w") as fh:
+            json.dump(formats.matrix_to_json(
+                np.random.default_rng(0).standard_normal((7, 7)) + 2 * np.eye(7)), fh)
+        argv.append(str(upath))
+    code, rep, peak = _in_process_peak(capsys, argv)
     assert code == cli.EXIT_OK, rep
-    assert peak < 100 * 2 ** 20, peak / 2 ** 20
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 def test_analyze_and_verify_judge_relation_residual_alike(tmp_path, capsys):
@@ -362,6 +367,25 @@ def test_verify_su3_commutator_degree8_in_a_capped_process(tmp_path):
     assert all(s["status"] == "pass" for s in sec.values())
     for name in ("d_squared_zero", "graded_leibniz"):
         assert sec[name]["method"] == "exact on generators"
+
+
+@pytest.mark.large
+def test_equiv_a0_m10_in_a_capped_process(tmp_path):
+    """equiv on a0(10), n = 99, passes all four sections, capped (it ran out of memory
+    allocating a (99, 990, 990) table when d_commutation stacked exterior_d)."""
+    e = universal_A0(10)
+    path, upath = tmp_path / "a0.json", tmp_path / "u.json"
+    formats.save_algebra(path, 10, e.subspace.label, e.subspace.lambdas)
+    with open(upath, "w") as fh:
+        json.dump(formats.matrix_to_json(
+            np.random.default_rng(0).standard_normal((10, 10)) + 2 * np.eye(10)), fh)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["equiv", str(path), str(upath), "--format", "json"]
+    run = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    sec = {s["name"]: s["status"] for s in json.loads(run.stdout)["sections"]}
+    assert sec == dict.fromkeys(("coframe", "theta", "products", "d_commutation"), "pass")
 
 
 @pytest.mark.parametrize("command", ["forms", "verify"])

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import conjugated_tower, equivalence_generator_reference, ustar
 
 from ncdiff import algebra, calculus, genalg, maps
 from ncdiff.calculus import Form, coframe, exterior_d, form_norm, random_form
@@ -86,7 +87,8 @@ def test_check_equivalence_identity(pauli_tower, pauli_structure):
 @pytest.mark.parametrize("maker,m", [(universal_A0, 2), (clock_shift, 3),
                                      (su2, 2)])
 def test_check_equivalence_random_invertible(maker, m):
-    """A random invertible u passes every section, and the random trials agree."""
+    """A random invertible u passes every section; the stacked generators and the random
+    trials agree."""
     e = maker(m)
     if e.suggested_alpha is not None and maker is su2:
         G = genalg.use_relations(e.subspace, e.suggested_alpha)
@@ -100,7 +102,8 @@ def test_check_equivalence_random_invertible(maker, m):
     assert rep["passed"], rep
     for key in ("coframe", "theta", "products", "d_commutation"):
         assert rep[key] < 1e-8
-    trials = _equivalence_trials_reference(U, tower, _conjugated_tower(U, tower), 5,
+    assert equivalence_generator_reference(U, tower) < maps.EQUIVALENCE_BOUND
+    trials = _equivalence_trials_reference(U, tower, conjugated_tower(U, tower), 5,
                                            np.random.default_rng(3))
     assert max(trials) < maps.EQUIVALENCE_BOUND
 
@@ -112,7 +115,7 @@ def test_ustar_matches_einsum(clock3_tower, rng):
         xi = random_form(clock3_tower, p, rng)
         raw = np.einsum("ij,...jk,kl->...il", U.u_inv, xi.coeffs, U.u)
         ref = calculus.canonicalize(clock3_tower, p, raw)
-        assert np.max(np.abs(maps._ustar(U, clock3_tower, xi).coeffs - ref)) < 1e-12
+        assert np.max(np.abs(ustar(U, clock3_tower, xi).coeffs - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("maker, m", [(su2, 4), (clock_shift, 5), (universal_A0, 2)])
@@ -131,7 +134,7 @@ def test_ustar_keeps_conjugated_forms_canonical(maker, m):
     Gp = genalg.use_relations(conjugate_subspace(U, e.subspace), G.alpha, tol=1e-7)
     tower_p = dataclasses.replace(tower, ga=Gp)
     for p in (2, 3):
-        out = maps._ustar(U, tower, random_form(tower_p, p, rng)).coeffs
+        out = ustar(U, tower, random_form(tower_p, p, rng)).coeffs
         drift = np.linalg.norm(calculus.canonicalize(tower, p, out) - out)
         assert drift <= 1e-14 * np.linalg.norm(out), (p, drift)
 
@@ -174,15 +177,6 @@ def test_lie_derivative_linearity(pauli_tower, rng):
     assert form_norm(lhs - rhs) < 1e-12
 
 
-def _conjugated_tower(U, tower):
-    """The conjugated calculus as ``check_equivalence`` builds it: B's relations, and the
-    structure constants of the conjugated subspace through ``maps.structure_constants``."""
-    Bp = conjugate_subspace(U, tower.ga.subspace)
-    F, t, rho = maps.structure_constants(Bp)
-    return dataclasses.replace(tower, ga=dataclasses.replace(tower.ga, subspace=Bp,
-                                                             F=F, t=t, rho=rho))
-
-
 def _equivalence_trials_reference(U, tower, tower_p, trials, rng):
     """The random-trial reference for check_equivalence's products and d_commutation.
 
@@ -196,13 +190,13 @@ def _equivalence_trials_reference(U, tower, tower_p, trials, rng):
     for _ in range(trials):
         xi = random_form(tower_p, 1, rng)
         zeta = random_form(tower_p, 1, rng)
-        lhs = maps._ustar(U, tower, calculus.wedge(xi, zeta))
-        rhs = calculus.wedge(maps._ustar(U, tower, xi), maps._ustar(U, tower, zeta))
+        lhs = ustar(U, tower, calculus.wedge(xi, zeta))
+        rhs = calculus.wedge(ustar(U, tower, xi), ustar(U, tower, zeta))
         res_prod = max(res_prod, form_norm(lhs - rhs) / (form_norm(xi) * form_norm(zeta)))
         for deg in range(tower.max_degree):
             om = random_form(tower_p, deg, rng)
-            lhs = maps._ustar(U, tower, exterior_d(om))
-            rhs = exterior_d(maps._ustar(U, tower, om))
+            lhs = ustar(U, tower, exterior_d(om))
+            rhs = exterior_d(ustar(U, tower, om))
             res_d = max(res_d, form_norm(lhs - rhs) / (form_norm(om) * lam))
     return res_prod, res_d
 
@@ -217,7 +211,7 @@ def _control_tower(maker, m):
 @pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3), (universal_A0, 2)])
 def test_equivalence_fails_with_u_for_its_inverse(maker, m):
     """Negative control: U^star with u where u^-1 belongs, u^2 = 4 J^2 = 4 != 1, fails products
-    and d_commutation, on generators and in random trials alike.
+    and d_commutation, in closed form, on the stacked generators and in random trials alike.
 
     u = 2 J with J = diag(1, -1, ...) keeps u lambda u = 4 J lambda J^-1 traceless and
     the transported relations valid.  U^star maps theta'^a to u^2 theta^a, so
@@ -230,7 +224,8 @@ def test_equivalence_fails_with_u_for_its_inverse(maker, m):
     assert not rep["passed"]
     for key in ("coframe", "theta", "products", "d_commutation"):
         assert rep[key] > 1.0, (key, rep[key])
-    trials = _equivalence_trials_reference(U, tower, _conjugated_tower(U, tower), 5,
+    assert equivalence_generator_reference(U, tower) > 1.0
+    trials = _equivalence_trials_reference(U, tower, conjugated_tower(U, tower), 5,
                                            np.random.default_rng(3))
     assert min(trials) > maps.EQUIVALENCE_BOUND, trials
 
@@ -240,8 +235,9 @@ def test_equivalence_fails_with_u_for_its_inverse(maker, m):
 def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, m):
     """Negative control: the conjugated structure with F negated fails d_commutation alone.
 
-    d on degree 0 reads no F, so only the theta'^a generators see it: they are
-    needed.  The random trials fail d alone as well.
+    d on degree 0 reads no F, so only the theta^a generators see it, through
+    pi_2(F' - F): they are needed.  The stacked generators and the random
+    trials fail d alone as well.
     """
     e, tower = _control_tower(maker, m)
     real = genalg.structure_constants
@@ -253,7 +249,8 @@ def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, 
     assert rep["d_commutation"] > 0.1
     for key in ("coframe", "theta", "products"):
         assert rep[key] < 1e-14, (key, rep[key])
-    prod, d = _equivalence_trials_reference(U, tower, _conjugated_tower(U, tower), 5,
+    assert equivalence_generator_reference(U, tower) > 0.1
+    prod, d = _equivalence_trials_reference(U, tower, conjugated_tower(U, tower), 5,
                                             np.random.default_rng(3))
     assert prod < maps.EQUIVALENCE_BOUND < d
 
@@ -263,9 +260,8 @@ def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
     """A degree-2 tower whose W_2 is not formed yet gives the residuals of one whose W_2 is.
 
     N_2 is the structure's conj(alpha), kept by ``build_tower``.  The
-    conjugated calculus is a ``dataclasses.replace`` copy of the tower: it
-    shares the factors and bases, so W_2 is lifted once for both, and no
-    factor is formed again.
+    conjugated calculus shares B's bases, so ``check_equivalence`` projects
+    F' - F with B's own W_2: it is lifted once, and no factor is formed again.
     """
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
@@ -290,30 +286,82 @@ def _unitary(rng, k):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _conditioned(rng, m, cond):
+    """An m x m matrix of condition number ``cond``, between two random unitary frames."""
+    return _unitary(rng, m) @ np.diag(np.geomspace(1.0, cond, m)) @ _unitary(rng, m)
+
+
 @pytest.mark.parametrize("cond", [2.0, 1e2])
 @pytest.mark.parametrize("maker, m", [(su2, 3), (su2, 4), (clock_shift, 3), (fuzzy_ellipsoid, 4)])
-def test_equivalence_transports_the_relation_span(monkeypatch, maker, m, cond):
-    """check_equivalence's conjugated structure keeps B's L, and that is the span that
-    re-deriving the relations of the conjugated subspace from B's alpha gives.
+def test_equivalence_transports_the_relation_span(maker, m, cond):
+    """The conjugated calculus keeps B's L, and that is the span that re-deriving the
+    relations of the conjugated subspace from B's alpha gives.
 
     alpha^bc lambda_b lambda_c lies in B + C.1 iff its conjugate by u lies in
     B' + C.1, so the two orthogonal projectors onto L agree to 1e-12 at cond u = 2
-    and 1e2.
+    and 1e2, and ``check_equivalence``, which reads B's W_2 for pi_2(F' - F), passes.
     """
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
          else genalg.detect_structure(e.subspace))
     tower = calculus.build_tower(G, 2)
-    rng = np.random.default_rng(7)
-    U = Conjugation.from_matrix(
-        _unitary(rng, m) @ np.diag(np.geomspace(1.0, cond, m)) @ _unitary(rng, m))
-    seen = []
-    monkeypatch.setattr(maps, "exterior_d", lambda xi: seen.append(xi.tower.ga) or exterior_d(xi))
+    U = Conjugation.from_matrix(_conditioned(np.random.default_rng(7), m, cond))
     assert check_equivalence(U, e.subspace, tower)["passed"]
-    Gp = seen[0]
-    assert Gp.subspace is not G.subspace and Gp.L is G.L and Gp.R == G.R
-    ref = genalg.use_relations(Gp.subspace, G.alpha, tol=1e-7).L
-    assert np.abs(Gp.L @ Gp.L.conj().T - ref @ ref.conj().T).max() <= 1e-12
+    Gp = genalg.use_relations(conjugate_subspace(U, e.subspace), G.alpha, tol=1e-7)
+    assert Gp.R == G.R
+    assert np.abs(G.L @ G.L.conj().T - Gp.L @ Gp.L.conj().T).max() <= 1e-12
+
+
+def _planted(maker, m, defect):
+    """A patch of ``maps`` that plants a defect of 1e-6 |lambda| in lambda' or in F'.
+
+    The same seeded defect each call, so ``check_equivalence`` and the
+    reference see one conjugated calculus.
+    """
+    rng = np.random.default_rng(9)
+    n, lam = maker(m).subspace.n, np.linalg.norm(maker(m).subspace.lambdas)
+    if defect == "lambda":
+        X = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        X -= np.trace(X, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
+        real = maps.conjugate_subspace
+        return "conjugate_subspace", lambda U, B, tol=1e-9: algebra.validate_subspace(
+            B.m, list(real(U, B, tol=tol).lambdas + 1e-6 * lam * X / np.linalg.norm(X)), tol=tol)
+    X = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    real = genalg.structure_constants
+    return "structure_constants", lambda B: (
+        (real(B)[0] + 1e-6 * lam * X / np.linalg.norm(X),) + real(B)[1:])
+
+
+@pytest.mark.parametrize("defect", ["lambda", "F"])
+@pytest.mark.parametrize("cond", [2.0, 1e2])
+@pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3), (fuzzy_ellipsoid, 4)])
+def test_equivalence_closed_form_bounds_the_generator_reference(monkeypatch, maker, m, cond,
+                                                               defect):
+    """``d_commutation`` bounds D = U^star d' (U^star)^-1 - d on B's generators, and is
+    within 3x of it, with a defect of 1e-6 |lambda| planted in lambda' or in F'.
+
+    The reference applies ``exterior_d`` to the stacked generators of both
+    calculi (``conftest.equivalence_generator_reference``).
+    """
+    e, tower = _control_tower(maker, m)
+    monkeypatch.setattr(maps, *_planted(maker, m, defect))
+    U = Conjugation.from_matrix(_conditioned(np.random.default_rng(7), m, cond))
+    closed = check_equivalence(U, e.subspace, tower)["d_commutation"]
+    reference = equivalence_generator_reference(U, tower)
+    assert 1e-8 < reference <= closed <= 3 * reference, (reference, closed)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+def test_equivalence_ignores_the_scale_of_u(c):
+    """c u passes on su2(3) with finite residuals below 1e-14 for c from 1e-300 to 1e300,
+    c times the identity among them: ``from_matrix`` keeps u at spectral norm 1, so no
+    column norm of u^-1 over- or underflows."""
+    e, tower = _control_tower(su2, 3)
+    for u in (np.eye(3), np.random.default_rng(4).standard_normal((3, 3)) + 2 * np.eye(3)):
+        rep = check_equivalence(Conjugation.from_matrix(c * u), e.subspace, tower)
+        assert rep["passed"], rep
+        for key in ("coframe", "theta", "products", "d_commutation"):
+            assert np.isfinite(rep[key]) and rep[key] < 1e-14, (key, rep[key])
 
 
 @pytest.mark.parametrize("m", [2, 3])

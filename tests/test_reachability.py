@@ -1,5 +1,5 @@
 """Every public top-level function and class of the package is reached from the CLI, or kept
-for a stated reason.
+for a stated reason, and every private one is reached from the CLI or from such a reason.
 
 The call graph is read from the source with the standard library's ``ast``, by
 name.  A definition reaches each top-level definition it names: bare, as one of
@@ -92,17 +92,31 @@ def call_graph(sources):
     return edges, roots
 
 
-def unreached(sources):
-    """The public top-level definitions that no root reaches, as 'module.name'."""
-    edges, roots = call_graph(sources)
+def _reached(edges, roots):
+    """Every definition that some key of ``roots`` reaches, the roots included."""
     seen, todo = set(), list(roots)
     while todo:
         key = todo.pop()
         if key not in seen:
             seen.add(key)
             todo.extend(edges.get(key, ()))
+    return seen
+
+
+def unreached(sources):
+    """The public top-level definitions that no root reaches, as 'module.name'."""
+    edges, roots = call_graph(sources)
+    seen = _reached(edges, roots)
     return {f"{mod}.{name}" for mod, name in edges
             if (mod, name) not in seen and not name.startswith("_")}
+
+
+def orphans(sources):
+    """The private top-level definitions that no root and no ALLOWED name reaches."""
+    edges, roots = call_graph(sources)
+    seen = _reached(edges, roots | {tuple(q.split(".")) for q in ALLOWED})
+    return {f"{mod}.{name}" for mod, name in edges
+            if (mod, name) not in seen and name.startswith("_")}
 
 
 def test_every_public_definition_is_reached_or_allowed():
@@ -129,6 +143,22 @@ def test_unreached_definition_is_flagged():
     sources["cli"] = sources["cli"].replace(
         "def cmd_forms(args):\n", "def cmd_forms(args):\n    calculus.synthetic_orphan()\n")
     assert "calculus.synthetic_orphan" not in unreached(sources)
+
+
+def test_every_private_definition_is_reached():
+    """A private helper that no CLI path and no ALLOWED name calls is dead code."""
+    assert orphans(package_sources()) == set()
+
+
+def test_orphaned_private_definition_is_flagged():
+    """Negative control: a private helper that nothing calls is flagged until an ALLOWED name
+    calls it."""
+    sources = package_sources()
+    sources["maps"] += "\n\ndef _synthetic_orphan():\n    return 0\n"
+    assert orphans(sources) == {"maps._synthetic_orphan"}
+    sources["maps"] = sources["maps"].replace(
+        "def pushforward(phi, b):\n", "def pushforward(phi, b):\n    _synthetic_orphan()\n")
+    assert orphans(sources) == set()
 
 
 def random_number_uses(sources):
