@@ -8,6 +8,7 @@ from ncdiff import algebra, calculus, genalg, maps
 from ncdiff.calculus import Form, coframe, exterior_d, form_norm, random_form
 from ncdiff.catalog import clock_shift, fuzzy_ellipsoid, su2, universal_A0
 from ncdiff.errors import ConfigError, ShapeError, SingularTransform
+from ncdiff.linalg import DEFAULT_TOL
 from ncdiff.maps import (
     Conjugation,
     LinearMap,
@@ -312,19 +313,19 @@ def test_equivalence_transports_the_relation_span(maker, m, cond):
     assert np.abs(G.L @ G.L.conj().T - Gp.L @ Gp.L.conj().T).max() <= 1e-12
 
 
-def _planted(maker, m, defect):
+def _planted(B, defect):
     """A patch of ``maps`` that plants a defect of 1e-6 |lambda| in lambda' or in F'.
 
     The same seeded defect each call, so ``check_equivalence`` and the
     reference see one conjugated calculus.
     """
     rng = np.random.default_rng(9)
-    n, lam = maker(m).subspace.n, np.linalg.norm(maker(m).subspace.lambdas)
+    n, m, lam = B.n, B.m, np.linalg.norm(B.lambdas)
     if defect == "lambda":
         X = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
         X -= np.trace(X, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
         real = maps.conjugate_subspace
-        return "conjugate_subspace", lambda U, B, tol=1e-9: algebra.validate_subspace(
+        return "conjugate_subspace", lambda U, B, tol=DEFAULT_TOL: algebra.validate_subspace(
             B.m, list(real(U, B, tol=tol).lambdas + 1e-6 * lam * X / np.linalg.norm(X)), tol=tol)
     X = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     real = genalg.structure_constants
@@ -344,7 +345,7 @@ def test_equivalence_closed_form_bounds_the_generator_reference(monkeypatch, mak
     calculi (``conftest.equivalence_generator_reference``).
     """
     e, tower = _control_tower(maker, m)
-    monkeypatch.setattr(maps, *_planted(maker, m, defect))
+    monkeypatch.setattr(maps, *_planted(e.subspace, defect))
     U = Conjugation.from_matrix(_conditioned(np.random.default_rng(7), m, cond))
     closed = check_equivalence(U, e.subspace, tower)["d_commutation"]
     reference = equivalence_generator_reference(U, tower)
