@@ -14,7 +14,13 @@ export; even pairs run the parent first and odd pairs the change first.  The
 last stdout line of each run is its result.  For every end-to-end metric of
 ``BENCHMARK.json`` the output holds each pair's values, the median and
 quartiles of each side, and how many pairs the change won (strictly better
-in the metric's direction).  Each revision is recorded by its commit id and
+in the metric's direction).  Each metric also states three verdicts:
+``claim_met`` (the change won at least 9 of 10 pairs and its median gain
+exceeds the parent's interquartile range), ``worse_than_bound`` (the change's
+median is worse than the parent's by more than the metric's relative
+``BENCHMARK.json`` bound) and ``unresolved`` (the parent's interquartile range
+exceeds that bound, relative to its median); the metrics claimed or failing
+are printed to stderr.  Each revision is recorded by its commit id and
 by the id of its ``src`` tree (``git rev-parse REV:src``).  The harness is
 run as a program only: nothing under ``perfbench/`` is imported or written.
 """
@@ -88,8 +94,13 @@ def summarize(pairs, metrics):
                                    for p, c in zip(sides["parent"], sides["change"]))
         entry["pairs"] = len(pairs)
         gain = entry["parent_median"] - entry["change_median"]
-        entry["median_gain_exceeds_parent_iqr"] = bool(
-            (gain if lower else -gain) > entry["parent_q3"] - entry["parent_q1"])
+        gain = gain if lower else -gain
+        iqr = entry["parent_q3"] - entry["parent_q1"]
+        entry["median_gain_exceeds_parent_iqr"] = bool(gain > iqr)
+        entry["claim_met"] = bool(10 * entry["change_wins"] >= 9 * len(pairs) and gain > iqr)
+        scale = abs(entry["parent_median"])
+        entry["worse_than_bound"] = bool(-gain > spec["bound"] * scale)
+        entry["unresolved"] = bool(iqr > spec["bound"] * scale)
         summary[name] = entry
     return summary
 
@@ -122,8 +133,14 @@ def main(argv=None):
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['cmd_p90_ms']['value']:.1f} ms p90"
                     for side in order), file=sys.stderr)
+            summary = summarize(pairs, metrics)
+            for name, entry in summary.items():
+                if entry["claim_met"] or entry["worse_than_bound"]:
+                    verdicts = [v for v in ("claim_met", "worse_than_bound", "unresolved")
+                                if entry[v]]
+                    print(f"{workload} {name}: " + ", ".join(verdicts), file=sys.stderr)
             workloads[workload] = {
-                "summary": summarize(pairs, metrics),
+                "summary": summary,
                 "correct": all(p[side]["correct"] for p in pairs for side in trees),
                 "pairs": pairs,
             }

@@ -12,10 +12,12 @@ on the newest slot pair, so the tower stores the factors N_p of
 W_p = (W_{p-1} (x) 1_n) N_p, each the null space of a D-sized matrix K_p:
 no step builds an n^p-row matrix.  N_2 is the relation span, conj(alpha).
 Each later rank decision first tries to prove that K_p has full rank, with a
-shifted Cholesky of its D-sized Gram (``linalg._full_rank``); then N_p comes
-from the Householder reflectors of a QR (``linalg._complement``), and the top
-degree needs nothing more.  Only a K_p that the proof does not cover takes an
-SVD.  A basis W_p (n^p x D_p) is
+shifted Cholesky (``linalg._full_rank``) of its Gram on the short side, which
+``_factor_gram`` contracts from two slot Grams, one of N_{p-1} and one of L,
+with a stated rounding bound, so no K_p is built for it; then N_p
+comes from the Householder reflectors of a QR of K_p (``linalg._complement``),
+and a proved top degree builds no K_p at all.  Only a K_p that the proof does
+not cover takes an SVD.  A basis W_p (n^p x D_p) is
 formed only when something first projects onto degree p
 (``FormTower.basis``), so ``forms``, which reads only the ranks, forms none;
 ``epsilon_check`` reads W_p off a tower built to degree p.
@@ -35,7 +37,8 @@ and projects it once.  The raw tables come from private kernels:
 ``_project`` projects a table its caller owns in place.
 ``generator_residuals`` decides d o d = 0 and the graded Leibniz rule
 exactly, in closed form from d^2 = ad_C + chi^2 (``_curvature``), on one
-(n, n, m, m) table C and scalar tables of n^3 entries per generator;
+(n, n, m, m) table C and scalar tables of n^3 entries per generator, projected
+through N_3 and W_2 (``_canonical_norms``), so no W_3 is lifted;
 ``check_structure_equations`` decides d theta^a on one scalar (n, n, n) table.
 """
 
@@ -44,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeError
-from .linalg import DEFAULT_TOL, _at_slot, _complement, _full_rank, _pair_products, _rank
+from .linalg import (DEFAULT_TOL, _at_slot, _complement, _full_rank, _gamma, _pair_products,
+                     _rank)
 
 __all__ = [
     "FormTower",
@@ -76,11 +80,13 @@ class FormTower:
     N_p, (D_{p-1} n) x D_p, for p = 1..max_degree - 1 and N_2 = conj(alpha),
     and ``relations`` holds L^dag as ``_pair_matrix`` reads it; else
     ``relations`` is None and every tensor is canonical.  ``ranks[p]`` is D_p
-    for p = 0..max_degree.  ``basis(p)`` forms W_p on first use, with N_max at
-    the top degree, and keeps both, so ``forms``, which reads only ``ranks``,
-    forms none.  N_max comes from a Householder QR when D_max says K_max has
-    full rank, else from an SVD (``_null_factor``).  Copies made by
-    ``dataclasses.replace`` share ``factors`` and ``bases``.
+    for p = 0..max_degree.  Every D_p above 2 was decided on a Gram formed from
+    N_{p-1} and L (``_factor_gram``), so a top degree proved of full rank
+    formed no K_max.  ``factor(max_degree)`` forms N_max on first use and
+    ``basis(p)`` forms W_p; both keep what they form, so ``forms``, which reads
+    only ``ranks``, forms neither.  N_max comes from a Householder QR of K_max
+    when D_max says K_max has full rank, else from an SVD (``_null_factor``).
+    Copies made by ``dataclasses.replace`` share ``factors`` and ``bases``.
     """
 
     ga: object
@@ -90,15 +96,19 @@ class FormTower:
     factors: dict = field(repr=False)
     bases: dict = field(default_factory=dict, repr=False)
 
+    def factor(self, p):
+        """N_p, p >= 1, of a tower with relations; N_max is formed on first use."""
+        if p not in self.factors:  # the top degree, whose rank is decided already
+            self.factors[p] = _null_factor(self.factors[p - 1], self.relations, self.n,
+                                           width=self.ranks[p])
+        return self.factors[p]
+
     def basis(self, p):
         """W_p, formed on first use with one GEMM per degree; None at a degree without relations."""
         if self.relations is None or p < 2:
             return None
         if p not in self.bases:
-            if p not in self.factors:  # the top degree, whose rank is decided already
-                self.factors[p] = _null_factor(self.factors[p - 1], self.relations, self.n,
-                                               width=self.ranks[p])
-            self.bases[p] = _lift(self.basis(p - 1), self.factors[p], self.n)
+            self.bases[p] = _lift(self.basis(p - 1), self.factor(p), self.n)
         return self.bases[p]
 
     @property
@@ -168,6 +178,70 @@ def _pair_matrix(N, Lr, n):
     return np.matmul(Nt, Lr).reshape(blocks * Lr.shape[0], D * n)
 
 
+def _slot_gram(T):
+    """G[x, (a, a'), x'] = sum_y T[x, a, y] conj(T[x', a', y]) for T of shape (X, n, Y).
+
+    One product of inner length Y per a', written straight into G's layout,
+    an (X, n^2, X) array.
+    """
+    X, n, Y = T.shape
+    T = np.ascontiguousarray(T)
+    G = np.empty((X * n, n, X), dtype=complex)
+    np.matmul(T.reshape(X * n, Y), T.conj().transpose(1, 2, 0), out=G.swapaxes(0, 1))
+    return G.reshape(X, n * n, X)
+
+
+def _factor_gram(N, Lr, n, tables=None):
+    """The Gram of K_p on its short side, from N = N_{p-1} and L, with no K_p formed.
+
+    ``Lr`` is L^dag as ``_pair_matrix`` reads it, with k rows.  K_p is
+    (D_{p-2} k) x (D_{p-1} n).  Where it is wide, H = K K^dag:
+
+        H[(i, r), (i', r')] = sum_{a, a'} P[(i, a), (i', a')] M[(a, r), (a', r')],
+
+    with P = N N^dag and M[(a, r), (a', r')] = sum_c conj(L[(a, c), r]) L[(a', c), r'];
+    else H = K^dag K:
+
+        H[(j, c), (j', c')] = sum_{a, a'} Q[(a, a'), (j, j')] Pi[(a, c), (a', c')],
+
+    with Q[(a, a'), (j, j')] = sum_i conj(N[(i, a), j]) N[(i, a'), j'] and
+    Pi = L L^dag.  Each of the two tables is one ``_slot_gram`` of its factor;
+    the tall case takes the conjugates of Q and Pi, so its product is conj(H),
+    conjugated in place.  M and Pi depend only on L: ``tables``, a dict the
+    caller keeps for one tower, holds each once formed.  H is one product of
+    inner length n^2 per row of H, written straight into H's layout.
+
+    Returns (H, bound): each of the three products, of inner length q, is
+    within ``linalg._gamma(q)`` times the Frobenius norms of its two factors,
+    which are at most |N|_F^2 and |L|_F^2 (D_{p-1} and k, read off the
+    factors), so |H - K K^dag|_2 (or K^dag K) is at most
+
+        (gamma(n^2) + gamma(q_N) + gamma(q_L)) (1 + gamma(q_N)) (1 + gamma(q_L)) |N|_F^2 |L|_F^2,
+
+    with q_N = D_{p-1} and q_L = n when K_p is wide, q_N = D_{p-2} and q_L = k
+    when it is tall.
+    """
+    blocks, D, k = N.shape[0] // n, N.shape[1], Lr.shape[0]
+    wide = blocks * k < D * n
+    Nt, Lt = N.reshape(blocks, n, D), Lr
+    if not wide:
+        Nt, Lt = Nt.transpose(2, 1, 0), Lr.transpose(2, 1, 0)
+    tables = {} if tables is None else tables
+    if wide not in tables:
+        tables[wide] = _slot_gram(Lt)
+    X, T = _slot_gram(Nt), tables[wide]
+    d, t = X.shape[0], T.shape[0]
+    H = np.empty((d * t, d * t), dtype=complex)
+    np.matmul(X.swapaxes(1, 2)[:, None], T, out=H.reshape(d, t, d, t))
+    del X
+    if not wide:
+        np.conjugate(H, out=H)
+    gN, gL = _gamma(Nt.shape[2]), _gamma(Lt.shape[2])
+    bound = ((_gamma(n * n) + gN + gL) * (1 + gN) * (1 + gL)
+             * np.linalg.norm(N) ** 2 * np.linalg.norm(Lr) ** 2)
+    return H, float(bound)
+
+
 def _null_rank(s, tol):
     """The rank of K_p from its singular values ``s``, the cosines of principal angles.
 
@@ -177,25 +251,28 @@ def _null_rank(s, tol):
     return _rank(s, tol) if s.size and s[0] > tol else 0
 
 
-def _null_factor(N, Lr, n, tol=None, width=None):
+def _null_factor(N, Lr, n, tol=None, width=None, tables=None):
     """N_p = null(K_p), orthonormal, from the factor ``N`` of degree p-1.
 
     The rank of K_p is decided at ``tol``; with ``width`` (a D_p decided
     before) given instead, N_p is ``width`` columns wide.  A K_p of full rank
-    d = min(shape), proved by ``_full_rank`` or given as width cols - d, has
-    N_p = the trailing cols - d columns of the complete Q of a QR of K_p^dag,
-    formed from its reflectors (``linalg._complement``), none when K_p is
-    tall.  Any other K_p takes the SVD: of the R factor of a QR when K_p is
-    tall, else of K_p^dag, and N_p is its last right singular vectors.
+    d = min(shape), proved by ``_full_rank`` on its ``_factor_gram`` (with
+    ``tables``) or given as width cols - d, has N_p = the trailing cols - d
+    columns of the complete Q of a QR of K_p^dag, formed from its reflectors
+    (``linalg._complement``), none when K_p is tall.  Any other K_p takes the
+    SVD: of the R factor of a QR when K_p is tall, else of K_p^dag, and N_p is
+    its last right singular vectors.  K_p is built only for that QR or SVD,
+    after the Gram is gone.
     """
-    K = _pair_matrix(N, Lr, n)
-    rows, cols = K.shape
+    rows, cols = N.shape[0] // n * Lr.shape[0], N.shape[1] * n
     full_width = cols - min(rows, cols)
-    if width == full_width or width is None and _full_rank(K, tol):
+    if width is None and _full_rank(*_factor_gram(N, Lr, n, tables), tol) or width == full_width:
         if full_width == 0:
             return np.empty((cols, 0), dtype=complex)
         # conjugated in place, K.T is K^dag
+        K = _pair_matrix(N, Lr, n)
         return _complement(np.conjugate(K, out=K).T)
+    K = _pair_matrix(N, Lr, n)
     # V from the SVD of a tall matrix with K's right singular vectors (a wide SVD
     # gives the vectors of a near-zero singular value less accurately): R of K = QR,
     # a cols x cols triangle, or K^dag, whose left singular vectors are K's right ones
@@ -241,14 +318,14 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     Lr = G.L.T.conj().reshape(-1, n, n) if max_degree >= 2 and G.L.shape[1] else None
     if Lr is not None:
         factors = {1: np.eye(n, dtype=complex), 2: G.alpha.conj()}
+        tables = {}
         for p in range(3, max_degree):
-            factors[p] = _null_factor(factors[p - 1], Lr, n, tol)
+            factors[p] = _null_factor(factors[p - 1], Lr, n, tol, tables=tables)
         ranks.update((p, N.shape[1]) for p, N in factors.items())
     if Lr is not None and max_degree > 2:
         N = factors[max_degree - 1]
         rows, cols = N.shape[0] // n * Lr.shape[0], N.shape[1] * n
-        # K_max goes in as a temporary, which _full_rank frees before its Cholesky
-        if _full_rank(_pair_matrix(N, Lr, n), tol):
+        if _full_rank(*_factor_gram(N, Lr, n, tables), tol):
             rank = min(rows, cols)
         else:  # values only, of whichever of K and K^T is tall
             K = _pair_matrix(N, Lr, n)
@@ -543,15 +620,23 @@ def _curvature(tower):
 
 
 def _canonical_norms(tower, p, rows):
-    """|pi_p x| = |W_p^dag x| for each row x of ``rows``, a (k, n^p) stack of scalar tables.
+    """|pi_p x| = |W_p^dag x| for each row x of ``rows``, a (k, n^p) stack of scalar tables, p >= 2.
 
-    Each norm, |W_p^T conj(x)|, is a real dot product of a row's float view
-    with itself, so W_p is not copied and the norm makes no table-sized temporary.
+    W_p^dag x is formed as N_p^dag (W_{p-1}^dag (x) 1_n) x: one product with
+    W_{p-1}^dag per row, into a (D_{p-1}, n) table, then one with N_p^dag, so
+    no W_p is lifted and no row is copied.  Each norm is a real dot product of
+    a projected row's float view with itself.
     """
     if tower.ranks[p] == 0:
         return np.zeros(len(rows))
-    W = tower.basis(p)
-    flat = np.ascontiguousarray(rows if W is None else rows.conj() @ W).view(float)
+    if tower.relations is None:
+        flat = np.ascontiguousarray(rows)
+    else:
+        W, x = tower.basis(p - 1), rows.reshape(len(rows), -1, tower.n)
+        if W is not None:
+            x = np.matmul(W.conj().T, x)
+        flat = x.reshape(len(rows), -1) @ tower.factor(p).conj()
+    flat = flat.view(float)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
@@ -586,12 +671,14 @@ def generator_residuals(tower):
     c = np.trace(C, axis1=-2, axis2=-1) / m
     C -= c[..., None, None] * np.eye(m)
     curvature = 2 * np.linalg.norm(_canonical_norms(tower, 2, C.reshape(n * n, m * m).T))
-    # chi of chi(e_a), then of L_r; a batch keeps a chi table, a slot GEMM and projected rows
+    # chi of chi(e_a), then of L_r; a batch keeps a chi table and the larger of a slot
+    # GEMM and the rows' two projections, D_2 n and D_3 entries each
     X = _raw_chi(F, np.eye(n, dtype=complex)[..., None, None], 1)
     if tower.relations is not None:  # the L_r are orthonormal
         X = np.concatenate([X, tower.relations.conj()[..., None, None]])
     norms = np.empty(len(X))
-    size = max(1, GENERATOR_BYTES // np.dtype(complex).itemsize // (2 * n ** 3 + tower.ranks[3]))
+    rows = n ** 3 + max(n ** 3, tower.ranks[2] * n + tower.ranks[3])
+    size = max(1, GENERATOR_BYTES // np.dtype(complex).itemsize // rows)
     for s in range(0, len(X), size):
         t = _raw_chi(F, X[s:s + size], 2)[..., 0, 0]
         a = np.arange(s, min(s + size, n))  # u_a = chi^2(e_a) + c (x) e_a - e_a (x) c

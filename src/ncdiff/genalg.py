@@ -59,12 +59,23 @@ def structure_constants(B):
     """F^a_bc = <lambda^a, lambda_b lambda_c>, t_bc = tr(lambda_b lambda_c),
     rho_bc = eta_perp(lambda_b lambda_c)."""
     prod = _pair_products(B.lambdas, B.lambdas)
-    F = np.einsum("aij,bcij->abc", B.dual.duals.conj(), prod)
+    F = _structure_F(B, prod)
     t = np.einsum("bcii->bc", prod)
     # eta_perp of every product: subtract its eta part F^a_bc lambda_a and its trace part
     rho = (prod - np.einsum("abc,aij->bcij", F, B.lambdas)
            - np.einsum("bc,ij->bcij", t / B.m, np.eye(B.m)))
     return F, t, rho
+
+
+def _structure_F(B, prod=None):
+    """F^a_bc = <lambda^a, lambda_b lambda_c> from the pair products ``prod`` (formed when None).
+
+    An einsum, as ``structure_constants`` keeps it: rho, and through it L and alpha,
+    follow the last bits of F.
+    """
+    if prod is None:
+        prod = _pair_products(B.lambdas, B.lambdas)
+    return np.einsum("aij,bcij->abc", B.dual.duals.conj(), prod)
 
 
 def _check_conditioning(B, tol):

@@ -13,8 +13,6 @@ from .errors import ShapeError
 
 DEFAULT_TOL = 1e-9
 EPS = np.finfo(float).eps
-# Least bytes of the conjugated block of K that one product of _full_rank's Gram reads.
-GRAM_BLOCK_BYTES = 1 << 18
 
 
 def inner(f, g):
@@ -103,46 +101,55 @@ def _rank(s, tol, floor=0.0):
     return int(np.count_nonzero(s > max(tol * s[0], floor)))
 
 
-def _full_rank(K, tol):
+def _gamma(q):
+    """A bound on the relative rounding of a complex inner product of length q.
+
+    gamma_{q+2} = (q + 2) u / (1 - (q + 2) u) bounds it in complex arithmetic
+    (u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.6); eps in place of u doubles that, which covers the sqrt(2) of
+    a complex product.  A product A B of inner length q, in any order of
+    summation, is then within gamma(q) |A|_F |B|_F of the exact one in
+    Frobenius norm, with |A| and |B| taken entrywise.
+    """
+    return (q + 2) * EPS / (1 - (q + 2) * EPS)
+
+
+def _full_rank(H, bound, tol):
     """True when a shifted Cholesky proves that every singular value of K exceeds tol s_max and tol.
 
-    Then ``_rank(s, tol, floor=tol)`` counts all d = min(K.shape) of them.
+    ``H`` is a computed d x d Gram of K on its short side (K K^dag or K^dag K,
+    whose eigenvalues are the squared singular values s of K, d = min(K.shape)),
+    within ``bound`` in 2-norm of the exact one; the caller passes it as a
+    temporary, whose diagonal is overwritten.  Then ``_rank(s, tol,
+    floor=tol)`` counts all d of them.  With t the computed trace of H, its
+    diagonal is lowered by
 
-    With X the short side of K as rows (K, or K^T when K is tall: d x k,
-    k = max(K.shape)), H = X X^dag is a d x d Hermitian Gram with the squared
-    singular values of K as eigenvalues.  It is formed in blocks of columns of
-    a quarter of K, or of GRAM_BLOCK_BYTES if that is more, so the conjugated
-    copy it makes is no larger; a K passed as a temporary is freed before the
-    Cholesky.  With t the computed trace of H and sigma = max(tol, c (d + k)
-    eps), c = 8, the diagonal of H is lowered by shift = sigma t, and
-    np.linalg.cholesky must succeed.  A False is no verdict: the caller's SVD
-    decides.
+        shift = max(tol t, 2 bound + 4 (d + 2) eps t)
 
-    The rounding terms (u = eps / 2, Rump, BIT 46 (2006) 433):
-    the computed Gram is within (k + 2) u tr(H) of H in 2-norm; the shifted
-    diagonal within 2 u t; a Cholesky of a d x d Hermitian A that succeeds in
-    floating point proves lambda_min(A) >= -(d + 1) u tr(A) (1 + O(d u)).  Their
-    sum, (d + k + 5) u t (1 + O((d + k) u)), is at most sigma t / 2 when
-    d >= 1 (then d + k >= 2, where c = 3.5 would do; the rest of c = 8 is margin
-    for the constants of complex arithmetic).  So success proves
-    lambda_min(H) >= shift / 2, hence
+    and np.linalg.cholesky must succeed.  A False is no verdict: the caller's
+    SVD decides.
 
-        s_min^2 >= shift / 2 >= (sigma / 2)(1 - (d + k) u) s_max^2,
+    The rounding terms (u = eps / 2, Rump, BIT 46 (2006) 433): the Gram
+    within ``bound``; the shifted diagonal within u (t + shift); a Cholesky of
+    a d x d Hermitian A that succeeds in floating point proves lambda_min(A) >=
+    -(d + 1) u tr(A) (1 + O(d u)), and tr(A) <= t.  A success needs every
+    diagonal entry above the shift, so shift < t and bound < t / 2, and the
+    sum, bound + u shift + (d + 2) u t (1 + O(d u)), is at most shift / 2: twice
+    the terms is 2 bound + 2 (d + 2) u t (1 + O(d u)) + 4 u t, and 4 (d + 2)
+    eps t leaves the rest of a factor of 4 as margin for the constants of
+    complex arithmetic.  So success proves lambda_min(H) >= shift / 2 >= bound,
+    hence, as s_max^2 <= tr(H) <= t + d bound (1 + O(d u)) by Weyl's inequality,
 
-    s_min / s_max > sqrt(tol / 3) > tol for tol < 1/3, and s_min > tol,
+        s_min^2 >= shift / 2 >= (2/3)(tol t / 2) + (1/3) bound >= (tol / 3) s_max^2
+
+    when tol d <= 1: s_min / s_max >= sqrt(tol / 3) > tol for tol < 1/3, and s_min > tol,
     which is checked as shift > 2 tol^2.  No Gram test can prove a rank
     deficiency at such a tol: eigenvalues of H near zero carry an error of
     about eps s_max^2, a singular value error of about 1e-8 s_max.
     """
-    X = K.T if K.shape[0] > K.shape[1] else K
-    d, k = X.shape
-    H = np.empty((d, d), dtype=complex)
-    step = max(1, -(-d // 4), GRAM_BLOCK_BYTES // (16 * k or 1))
-    for j in range(0, d, step):
-        np.matmul(X, X[j:j + step].conj().T, out=H[:, j:j + step])
-    # a caller that passed K as a temporary held it only through these names
-    del K, X
-    shift = max(tol, 8 * (d + k) * EPS) * float(H.trace().real)
+    d = H.shape[0]
+    t = float(H.trace().real)
+    shift = max(tol * t, 2 * bound + 4 * (d + 2) * EPS * t)
     if not shift > 2 * tol ** 2:  # also when d = 0 or H is not finite
         return False
     H.ravel()[::d + 1] -= shift

@@ -8,7 +8,7 @@ import numpy as np
 from .algebra import Subspace, validate_subspace
 from .calculus import Form, _canonical_norms, canonicalize
 from .errors import ConfigError, DegreeError, ShapeError, SingularTransform, ValidationError
-from .genalg import _check_conditioning, structure_constants
+from .genalg import _check_conditioning, _structure_F
 from .linalg import DEFAULT_TOL, _at_slot, gram
 
 __all__ = [
@@ -109,8 +109,8 @@ def check_equivalence(U, B, tower, tol=DEFAULT_TOL):
     bases W_p.  U^star maps its forms to B's by f -> u^-1 f u on the
     coefficients: that acts on the matrix indices only, so it commutes with
     every W_p W_p^dag.  With delta_a = u^-1 lambda'_a u - lambda_a, zero but
-    for rounding, and F' the structure constants of B', each residual is
-    read from n m^2 + n^3 numbers and no form:
+    for rounding, and F' the structure constants of B' (formed alone, without
+    its t and rho), each residual is read from n m^2 + n^3 numbers and no form:
 
     - ``coframe``: U^star theta'^a - theta^a = (u^-1 u - 1) theta^a, so
       |u^-1 u - 1|_F for every a;
@@ -143,7 +143,7 @@ def check_equivalence(U, B, tower, tol=DEFAULT_TOL):
     m, n = B.m, B.n
     lam = np.linalg.norm(B.lambdas)
     delta = np.linalg.norm(U.unapply(Bp.lambdas) - B.lambdas)
-    dF = (structure_constants(Bp)[0] - tower.ga.F).reshape(n, n * n)
+    dF = (_structure_F(Bp) - tower.ga.F).reshape(n, n * n)
     res_coframe = float(np.linalg.norm(U.u_inv @ U.u - np.eye(m)))
     res_theta = float(delta / lam)
     res_prod = float(np.linalg.norm(U.u_inv, axis=0).max()

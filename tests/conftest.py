@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ncdiff import algebra, calculus, catalog, detect_structure, maps, use_relations, build_tower
+from ncdiff import (algebra, calculus, catalog, detect_structure, genalg, maps, use_relations,
+                    build_tower)
 from ncdiff.errors import ShapeError
 from ncdiff.universal import theta_u
 
@@ -150,10 +151,11 @@ def ustar(U, tower, xi):
 
 def conjugated_tower(U, tower):
     """The calculus of the conjugated subspace as a copy of ``tower``: B's relations, so B's
-    bases, and the structure constants of ``maps.conjugate_subspace`` through
-    ``maps.structure_constants``, which the tests patch to plant defects."""
+    bases, and the structure constants of ``maps.conjugate_subspace``, F through
+    ``maps._structure_F``, which the tests patch to plant defects."""
     Bp = maps.conjugate_subspace(U, tower.ga.subspace)
-    F, t, rho = maps.structure_constants(Bp)
+    _, t, rho = genalg.structure_constants(Bp)
+    F = maps._structure_F(Bp)
     return dataclasses.replace(tower, ga=dataclasses.replace(tower.ga, subspace=Bp,
                                                              F=F, t=t, rho=rho))
 

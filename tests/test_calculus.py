@@ -705,6 +705,20 @@ def _spy_lift(monkeypatch):
     return widths
 
 
+def _spy_pair_matrix(monkeypatch):
+    """Record the shape of every K_p that ``calculus`` builds."""
+    shapes = []
+    pair_matrix = calculus._pair_matrix
+
+    def spy(N, Lr, n):
+        K = pair_matrix(N, Lr, n)
+        shapes.append(K.shape)
+        return K
+
+    monkeypatch.setattr(calculus, "_pair_matrix", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("top", [2, 3, 4])
 def test_top_degree_is_rank_only(monkeypatch, top):
     """build_tower decides D_max from a Cholesky alone and forms no W_p.
@@ -715,15 +729,19 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     reflectors give N_p, and a top degree above 2 a Cholesky only.  A first
     projection below the top forms W_p with GEMMs alone; the first at a top
     above 2 forms N_max with one such QR, and then W_max.  Each is formed
-    once.  su2(4), whose K_3 is rank-deficient, takes the fallbacks at the top:
-    the values-only SVD for D_3, and a QR's R factor and its SVD for N_3.
+    once.  Every Cholesky reads a Gram formed from the factors, so K_p is
+    built only for a QR or an SVD: none at a proved top.  su2(4), whose K_3
+    is rank-deficient, takes the fallbacks at the top: the values-only SVD
+    for D_3, and a QR's R factor and its SVD for N_3, each on a K_3 it builds.
     """
     G = _generic_structure(3, 4, 0)
     n, m = G.subspace.n, G.subspace.m
     calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
+    pairs = _spy_pair_matrix(monkeypatch)
     tower = build_tower(G, top)
     assert calls == ["qr-raw"] + ["chol", "qr-raw"] * (top - 3) + ["chol"] * (top > 2)
+    assert len(pairs) == max(top - 3, 0)
     assert tower.ranks[top] == (top + 1) * 2 ** top
     assert sorted(tower.factors) == list(range(1, max(top, 3)))
     assert tower.bases == {} and lifts == []
@@ -737,6 +755,7 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     once = canonicalize(tower, top, raw)
     top_qr = ["qr-raw"] * (top > 2)
     assert calls == top_qr and sorted(tower.bases) == list(range(2, top + 1))
+    assert len(pairs) == max(top - 2, 0)
     assert lifts == [tower.ranks[p] for p in range(2, top + 1)]
     assert tower.basis(top).shape == (n ** top, tower.ranks[top])
     assert np.array_equal(canonicalize(tower, top, raw), once)
@@ -744,11 +763,12 @@ def test_top_degree_is_rank_only(monkeypatch, top):
 
     G = _catalog_structure("su2", 4)
     calls.clear()
+    pairs.clear()
     tower = build_tower(G, 3)
-    assert calls == ["qr-raw", "chol-fail", "svd-values"]
+    assert calls == ["qr-raw", "chol-fail", "svd-values"] and len(pairs) == 1
     assert tower.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
     calls.clear()
-    assert tower.basis(3).shape == (27, 1) and calls == ["qr-r", "svd"]
+    assert tower.basis(3).shape == (27, 1) and calls == ["qr-r", "svd"] and len(pairs) == 2
 
 
 def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
@@ -789,20 +809,25 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     Householder QR each.  su2(4)'s rank-deficient K_3 fails its Cholesky; below
     the top it takes the R factor of a QR and its SVD, and at the top the
     tower's values-only SVD for D_3 comes first.  Its K_4, tall and of full
-    rank, needs no QR.
+    rank, has no null space and is never built.  Each other K_q is built once,
+    for its QR or SVD, and su2(4)'s K_3 at the top once more for N_3.
     """
     G = _generic_structure(3, 4, 0)
     calls = _spy_decompositions(monkeypatch)
+    pairs = _spy_pair_matrix(monkeypatch)
     exists, basis, dim = epsilon_check(G, p)
     assert calls == ["qr-raw"] + ["chol", "qr-raw"] * (p - 2)
+    assert len(pairs) == p - 2
     assert exists and dim == build_tower(G, p).ranks[p] == (p + 1) * 2 ** p
     assert basis.shape == ((p - 1) * G.subspace.n ** (p - 2) * G.R, dim)
     G = _catalog_structure("su2", 4)
     calls.clear()
+    pairs.clear()
     exists, _, dim = epsilon_check(G, p)
     expected = (["chol-fail", "svd-values", "qr-r", "svd"] if p == 3
                 else ["chol-fail", "qr-r", "svd", "chol"])
     assert calls == ["qr-raw"] + expected
+    assert len(pairs) == (2 if p == 3 else 1)
     assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
     calls.clear()
     build_tower(G, p).basis(p)
@@ -817,15 +842,18 @@ def test_degree_one_tower_has_no_bases(monkeypatch):
 
 def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
     """``forms`` reads D_2 = R off alpha's QR and every later D_p off a Cholesky, takes N_p
-    below the top from a QR, and forms no W_p."""
+    below the top from a QR, forms no W_p, and builds no K_p at its proved top."""
     G = _generic_structure(3, 4, 0)
     B = G.subspace
     path = tmp_path / "generic.json"
     formats.save_algebra(path, B.m, B.label, B.lambdas)
     calls = _spy_decompositions(monkeypatch)
     lifts = _spy_lift(monkeypatch)
+    pairs = _spy_pair_matrix(monkeypatch)
     assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
     assert calls == ["qr-raw", "chol", "qr-raw", "chol"] and lifts == []
+    # K_3 for its QR; the proved K_4 is never built
+    assert pairs == [(4 * 4, 12 * 4)]
     ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
     assert ranks == {"0": 1, "1": 4, "2": 12, "3": 32, "4": 80}
 
@@ -1208,3 +1236,121 @@ def test_raw_d_is_a_graded_derivation(make):
     scale = max(np.linalg.norm(tower.ga.subspace.lambdas), 1.0)
     assert raw_leibniz < 1e-14 * scale
     assert max(dd, leibniz) < 1e-12
+
+
+def _su3_commutator_structure():
+    """a0(3), the traceless M_3, with the 28 commutator relations e_ab - e_ba."""
+    B = catalog.universal_A0(3).subspace
+    n = B.n
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    alpha = np.zeros((n * n, len(pairs)), dtype=complex)
+    for r, (a, b) in enumerate(pairs):
+        alpha[a * n + b, r], alpha[b * n + a, r] = 1, -1
+    return genalg.use_relations(B, alpha)
+
+
+def _check_factor_gram(G, top):
+    """``_factor_gram`` at every degree 3..top against the short-side Gram of the built K_p.
+
+    The tall case (rows >= cols) is K^dag K, the wide one K K^dag.  The two
+    agree within 1e-13 tr(H), and the stated bound is at least 10x their
+    difference.
+    """
+    tower = build_tower(G, top)
+    if tower.relations is None:  # no K_p without relations
+        return
+    tables = {}
+    for p in range(3, top + 1):
+        N = tower.factor(p - 1)
+        H, bound = calculus._factor_gram(N, tower.relations, tower.n, tables)
+        K = calculus._pair_matrix(N, tower.relations, tower.n)
+        ref = K @ K.conj().T if K.shape[0] < K.shape[1] else K.conj().T @ K
+        assert H.shape == ref.shape
+        diff = np.linalg.norm(H - ref)
+        assert diff <= 1e-13 * ref.trace().real, (p, diff)
+        assert bound >= 10 * diff, (p, bound, diff)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(m=st.integers(2, 4), n=st.integers(2, 6), seed=st.integers(0, 2 ** 16))
+def test_factor_gram_equals_the_built_gram_generic(m, n, seed):
+    _check_factor_gram(_generic_structure(m, min(n, m * m - 1), seed), 4)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
+    pytest.param(lambda: _catalog_structure("ellipsoid", 4), id="ellipsoid-m4"),
+    pytest.param(lambda: _catalog_structure("clock-shift", 5), id="clock-shift-m5"),
+    pytest.param(_su3_commutator_structure, id="su3-commutator"),
+])
+def test_factor_gram_equals_the_built_gram(make):
+    _check_factor_gram(make(), 4)
+
+
+def test_build_tower_generic_m5_n8_memory():
+    """build_tower on generic (5, 8) to degree 4 peaks below 30 MiB traced.
+
+    Its proved top forms the 1280-wide Gram of K_4 from N_3 and L; K_4 itself
+    (640 x 2048 complex, 20 MiB) and a Gram formed from it are never made.
+    """
+    G = _generic_structure(5, 8, 0)
+    G.alpha
+    tracemalloc.start()
+    try:
+        tower = build_tower(G, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tower.ranks[4] == 1280
+    assert peak < 30 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _generic_structure(4, 6, 0), id="generic-m4-n6"),
+    pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
+])
+def test_verify_lifts_no_basis_above_degree_two(monkeypatch, tmp_path, capsys, make):
+    """verify projects degree 3 as N_3^dag (W_2^dag (x) 1_n): every W_p it lifts is W_2."""
+    G = make()
+    B = G.subspace
+    path = tmp_path / "algebra.json"
+    embedded = G.mode == "user-supplied"
+    formats.save_algebra(path, B.m, B.label, B.lambdas, alpha=G.alpha if embedded else None)
+    lifted = []
+    lift = calculus._lift
+    monkeypatch.setattr(calculus, "_lift",
+                        lambda W, N, n: lifted.append(W is None) or lift(W, N, n))
+    argv = ["verify", str(path), "--format", "json"] + ["--alpha", "embedded"] * embedded
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert lifted and all(lifted)
+
+
+def _lifted_norms(tower, p, rows):
+    """|W_p^dag x| for each row, with W_p lifted: the projection before the factored one."""
+    if tower.ranks[p] == 0:
+        return np.zeros(len(rows))
+    W = tower.basis(p)
+    return np.linalg.norm(rows if W is None else rows.conj() @ W, axis=1)
+
+
+@pytest.mark.parametrize("make", list(_workload_structures()))
+@pytest.mark.parametrize("negate_chi", [False, True])
+def test_generator_residuals_match_the_lifted_projection(monkeypatch, make, negate_chi):
+    """d_squared_zero and graded_leibniz read alike through W_3 and through N_3 and W_2.
+
+    Within 1e-14 of the reported (relative) residuals, and within 1e-14 of
+    their value when chi is negated and they are of order one (where F is
+    zero but for rounding; clock-shift's is).
+    """
+    G = make()
+    if negate_chi:
+        raw_chi = calculus._raw_chi
+        monkeypatch.setattr(calculus, "_raw_chi", lambda *args: -raw_chi(*args))
+    factored = calculus.generator_residuals(build_tower(G, 3))
+    monkeypatch.setattr(calculus, "_canonical_norms", _lifted_norms)
+    lifted = calculus.generator_residuals(build_tower(G, 3))
+    for a, b in zip(factored, lifted):
+        assert abs(a - b) <= 1e-14 * max(b, 1.0), (factored, lifted)
+    if negate_chi and np.abs(G.F).max() > 1e-8:
+        assert max(factored) > 1e-8

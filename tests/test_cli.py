@@ -1003,13 +1003,8 @@ def test_equiv_negative_controls_exit_3(monkeypatch, capsys, clock_file, tmp_pat
         mp.setattr(maps.Conjugation, "from_matrix",
                    classmethod(lambda cls, u, tol=None: cls(u=u, u_inv=u)))
         assert failing() == {"coframe", "theta", "products", "d_commutation"}
-    structure_constants = genalg.structure_constants
-
-    def negated_f(B):
-        F, t, rho = structure_constants(B)
-        return -F, t, rho
-
-    monkeypatch.setattr(maps, "structure_constants", negated_f)
+    structure_F = genalg._structure_F
+    monkeypatch.setattr(maps, "_structure_F", lambda B: -structure_F(B))
     assert failing() == {"d_commutation"}
 
 

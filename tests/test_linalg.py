@@ -7,6 +7,7 @@ from ncdiff.errors import ShapeError
 from ncdiff.linalg import (
     DEFAULT_TOL,
     _full_rank,
+    _gamma,
     _rank,
     gram,
     inner,
@@ -100,9 +101,9 @@ def _certificate_cases(draw):
 
     Besides log-uniform ratios, a ratio may be an exact zero, straddle tol (the
     SVD rule's cut) by 0.1-1%, or straddle the ratio at which the shifted Gram
-    stops being positive definite: s_min^2 = sigma (sum of s^2), with sigma as
-    ``_full_rank`` takes it.  The whole K is then scaled, so that the absolute
-    cut at tol can bind.
+    stops being positive definite: s_min^2 = sigma (sum of s^2), with sigma the
+    shift ``_full_rank`` takes over the trace for the bound ``_short_gram``
+    states.  The whole K is then scaled, so that the absolute cut at tol can bind.
     """
     shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     d, k = min(shape), max(shape)
@@ -120,7 +121,7 @@ def _certificate_cases(draw):
         else:
             s.append(np.nan)  # set below, from the other values
     s = np.array(s)
-    sigma = max(DEFAULT_TOL, 8 * (d + k) * EPS)
+    sigma = max(DEFAULT_TOL, (2 * (k + 2) + 4 * (d + 2)) * EPS)
     margin = np.sqrt(sigma * np.nansum(s ** 2) / (1 - sigma * np.isnan(s).sum()))
     for i in np.flatnonzero(np.isnan(s)):
         s[i] = margin * draw(st.floats(0.5, 2.0))
@@ -128,10 +129,17 @@ def _certificate_cases(draw):
     return _with_singular_values(np.sort(s)[::-1] * scale, shape, draw(st.integers(0, 2 ** 32 - 1)))
 
 
+def _short_gram(K):
+    """The Gram of K on its short side, one product of inner length max(K.shape), and the
+    bound on its rounding that ``linalg._gamma`` gives."""
+    X = K.T if K.shape[0] > K.shape[1] else K
+    return X @ X.conj().T, _gamma(X.shape[1]) * np.linalg.norm(K) ** 2
+
+
 def _check_certificate(K, certify, tol=DEFAULT_TOL):
     """A certified K meets the bound in ``_full_rank``'s docstring: all min(shape) values count."""
     s = np.linalg.svd(K, compute_uv=False)
-    if certify(K.copy(), tol):
+    if certify(*_short_gram(K), tol):
         assert s[-1] >= np.sqrt(tol / 3) * s[0] and s[-1] > tol
         assert _rank(s, tol, floor=tol) == min(K.shape)
 
@@ -141,8 +149,9 @@ def _check_certificate(K, certify, tol=DEFAULT_TOL):
 def test_full_rank_certificate_agrees_with_svd_rule(K):
     """Every certified K has all its values counted; the tower's rank is the SVD rule's on every K.
 
-    The tower's decision is ``calculus._null_factor`` on K: the certificate and a
-    QR, or the SVD.
+    The tower's decision is ``calculus._null_factor`` on K: the certificate on
+    K's Gram, which reaches it through ``calculus._factor_gram``, and a QR, or
+    the SVD.
     """
     _check_certificate(K, _full_rank)
     s = np.linalg.svd(K, compute_uv=False)
@@ -150,18 +159,19 @@ def test_full_rank_certificate_agrees_with_svd_rule(K):
     band = 1e-4 * DEFAULT_TOL
     assume(abs(s[0] - DEFAULT_TOL) > band and np.all(np.abs(s - DEFAULT_TOL * s[0]) > band * s[0]))
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "_factor_gram", lambda N, Lr, n, tables: _short_gram(K))
         mp.setattr(calculus, "_pair_matrix", lambda N, Lr, n: K.copy())
-        N = calculus._null_factor(None, None, None, tol=DEFAULT_TOL)
+        # placeholders of K's shape: D_{p-2} k = rows and D_{p-1} n = cols with n = k = 1
+        N = calculus._null_factor(np.empty(K.shape), np.empty((1, 1, 1)), 1, tol=DEFAULT_TOL)
     assert K.shape[1] - N.shape[1] == calculus._null_rank(s, DEFAULT_TOL)
     assert np.max(np.abs(N.conj().T @ N - np.eye(N.shape[1])), initial=0.0) < 1e-12
     assert np.linalg.norm(K @ N, 2) <= 1.01 * DEFAULT_TOL * max(s[0], 1.0) + 1e-13 * s[0]
 
 
-def _unshifted_certificate(K, tol):
+def _unshifted_certificate(H, bound, tol):
     """``_full_rank`` with the shift removed: a plain Cholesky of the Gram."""
-    X = K.T if K.shape[0] > K.shape[1] else K
     try:
-        np.linalg.cholesky(X @ X.conj().T)
+        np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -174,11 +184,12 @@ def test_full_rank_certificate_needs_its_shift():
     shifted certificate turns the same K down and proves a K at ratio 1e-2.
     """
     K = _with_singular_values(np.array([1.0, 1e-6]), (5, 2), 0)
-    assert not _full_rank(K.copy(), DEFAULT_TOL)
+    assert not _full_rank(*_short_gram(K), DEFAULT_TOL)
     _check_certificate(K, _full_rank)
     with pytest.raises(AssertionError):
         _check_certificate(K, _unshifted_certificate)
-    assert _full_rank(_with_singular_values(np.array([1.0, 1e-2]), (5, 2), 0), DEFAULT_TOL)
+    K = _with_singular_values(np.array([1.0, 1e-2]), (5, 2), 0)
+    assert _full_rank(*_short_gram(K), DEFAULT_TOL)
 
 
 def _at_slot_general(M, t, q):

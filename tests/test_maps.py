@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,9 +242,8 @@ def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, 
     trials fail d alone as well.
     """
     e, tower = _control_tower(maker, m)
-    real = genalg.structure_constants
-    monkeypatch.setattr(maps, "structure_constants",
-                        lambda B: (-real(B)[0],) + real(B)[1:])
+    real = genalg._structure_F
+    monkeypatch.setattr(maps, "_structure_F", lambda B: -real(B))
     U = Conjugation.from_matrix(np.random.default_rng(4).standard_normal((m, m)) + 2 * np.eye(m))
     rep = check_equivalence(U, e.subspace, tower)
     assert not rep["passed"]
@@ -262,7 +262,7 @@ def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
 
     N_2 is the structure's conj(alpha), kept by ``build_tower``.  The
     conjugated calculus shares B's bases, so ``check_equivalence`` projects
-    F' - F with B's own W_2: it is lifted once, and no factor is formed again.
+    F' - F on B's own N_2 = W_2: no basis is lifted and no factor is formed again.
     """
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
@@ -278,7 +278,7 @@ def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
         monkeypatch.setattr(calculus, step,
                             lambda *a, real=real, step=step, **k: made.append(step) or real(*a, **k))
     rep = check_equivalence(U, e.subspace, deferred)
-    assert made == ["_lift"] and 2 in deferred.bases
+    assert made == [] and deferred.bases == {}
     assert rep == check_equivalence(U, e.subspace, formed)
 
 
@@ -328,9 +328,8 @@ def _planted(B, defect):
         return "conjugate_subspace", lambda U, B, tol=DEFAULT_TOL: algebra.validate_subspace(
             B.m, list(real(U, B, tol=tol).lambdas + 1e-6 * lam * X / np.linalg.norm(X)), tol=tol)
     X = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    real = genalg.structure_constants
-    return "structure_constants", lambda B: (
-        (real(B)[0] + 1e-6 * lam * X / np.linalg.norm(X),) + real(B)[1:])
+    real = genalg._structure_F
+    return "_structure_F", lambda B: real(B) + 1e-6 * lam * X / np.linalg.norm(X)
 
 
 @pytest.mark.parametrize("defect", ["lambda", "F"])
@@ -399,3 +398,23 @@ def test_lie_derivative_commutes_with_d(maker, m):
             xi = random_form(tower, p, rng)
             res = lie_derivative(tower, h, exterior_d(xi)) - exterior_d(lie_derivative(tower, h, xi))
             assert form_norm(res) < 1e-12 * max(form_norm(xi), 1.0), (p, form_norm(res))
+
+
+def test_equivalence_forms_only_the_conjugated_structure_constants():
+    """check_equivalence on a0(7) forms F' alone: its traced peak stays below 3.65 MiB.
+
+    That is half of the 7.3 MiB it read when it formed F', t and rho through
+    ``structure_constants``; F' is one n^3 table beside the n^2 m^2 pair products.
+    """
+    e = universal_A0(7)
+    tower = calculus.build_tower(genalg.detect_structure(e.subspace), 2)
+    U = Conjugation.from_matrix(np.random.default_rng(0).standard_normal((7, 7)) + 2 * np.eye(7))
+    check_equivalence(U, e.subspace, tower)  # one-time allocations
+    tracemalloc.start()
+    try:
+        rep = check_equivalence(U, e.subspace, tower)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"]
+    assert peak <= 3.65 * 2 ** 20, peak / 2 ** 20
