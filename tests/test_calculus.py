@@ -1340,8 +1340,8 @@ def test_generator_residuals_match_the_lifted_projection(monkeypatch, make, nega
     """d_squared_zero and graded_leibniz read alike through W_3 and through N_3 and W_2.
 
     Within 1e-14 of the reported (relative) residuals, and within 1e-14 of
-    their value when chi is negated and they are of order one (where F is
-    zero but for rounding; clock-shift's is).
+    their value when chi is negated, where they are of order one unless F is
+    rounding only, as clock-shift's is.
     """
     G = make()
     if negate_chi:
