@@ -624,8 +624,8 @@ def _canonical_norms(tower, p, rows):
 
     W_p^dag x is formed as N_p^dag (W_{p-1}^dag (x) 1_n) x: one product with
     W_{p-1}^dag per row, into a (D_{p-1}, n) table, then one with N_p^dag, so
-    no W_p is lifted and no row is copied.  Each norm is a real dot product of
-    a projected row's float view with itself.
+    no W_p is lifted.  Each norm is a real dot product of a projected row's
+    float view with itself.
     """
     if tower.ranks[p] == 0:
         return np.zeros(len(rows))
