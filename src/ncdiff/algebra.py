@@ -84,7 +84,9 @@ def validate_subspace(m, basis, tol=DEFAULT_TOL, label=""):
         if not np.all(np.isfinite(b)):
             raise ValidationError(f"basis element {i} has a non-finite entry")
         norm = np.linalg.norm(b)
-        if norm == 0.0 or abs(np.trace(b)) > tol * norm:
+        if norm == 0.0:
+            raise DependentBasis(f"basis element {i} is zero")
+        if abs(np.trace(b)) > tol * norm:
             raise TracelessViolation(i, abs(np.trace(b)))
     lambdas = np.array(mats)
     return Subspace(m=m, lambdas=lambdas, dual=dual_data(lambdas, tol), label=label)

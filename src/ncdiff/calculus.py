@@ -8,19 +8,18 @@ the ideal generated by the quadratic relations: the structure's stored L,
 the n^2 x k orthonormal complement null(alpha^T), lifted to every
 adjacent slot pair; no n^2 x n^2 matrix is formed.  Its
 complement, the canonical space W_p, is W_{p-1} (x) C^n cut down by L^perp
-on the newest slot pair, so the tower stores the factors N_p of
+on the newest slot pair, so the tower stores W_p only as the factors N_p of
 W_p = (W_{p-1} (x) 1_n) N_p, each the null space of a D-sized matrix K_p:
-no step builds an n^p-row matrix.  N_2 is the relation span, conj(alpha).
+no step builds an n^p-row basis.  N_2 is the relation span, conj(alpha).
 Each later rank decision first tries to prove that K_p has full rank, with a
 shifted Cholesky (``linalg._full_rank``) of its Gram on the short side, which
 ``_factor_gram`` contracts from two slot Grams, one of N_{p-1} and one of L,
 with a stated rounding bound, so no K_p is built for it; then N_p
 comes from the Householder reflectors of a QR of K_p (``linalg._complement``),
 and a proved top degree builds no K_p at all.  Only a K_p that the proof does
-not cover takes an SVD.  A basis W_p (n^p x D_p) is
-formed only when something first projects onto degree p
-(``FormTower.basis``), so ``forms``, which reads only the ranks, forms none;
-``epsilon_check`` reads W_p off a tower built to degree p.
+not cover takes an SVD.  Projections go through the factors, by
+W_p^dag x = N_p^dag (W_{p-1}^dag (x) 1_n) x (``_coordinates``) and W_p c
+(``_embed``), so ``forms``, which reads only the ranks, forms no N_max.
 A degree-p form is stored by its canonical coefficient table: an array of
 shape (n,)*p + (m, m) whose pair-index content lies in range(W_p),
 so two coefficient tables describe the same form iff they canonicalize
@@ -38,7 +37,7 @@ and projects it once.  The raw tables come from private kernels:
 ``generator_residuals`` decides d o d = 0 and the graded Leibniz rule
 exactly, in closed form from d^2 = ad_C + chi^2 (``_curvature``), on one
 (n, n, m, m) table C and scalar tables of n^3 entries per generator, projected
-through N_3 and W_2 (``_canonical_norms``), so no W_3 is lifted;
+through the factors (``_canonical_norms``);
 ``check_structure_equations`` decides d theta^a on one scalar (n, n, n) table.
 """
 
@@ -73,7 +72,7 @@ GENERATOR_BYTES = 7 << 17
 
 @dataclass(frozen=True)
 class FormTower:
-    """Per-degree canonical ranks and bases for one calculus, stored as factors.
+    """Per-degree canonical ranks and the factors of the canonical bases of one calculus.
 
     Degree p has the orthonormal basis W_p = (W_{p-1} (x) 1_n) N_p, with
     W_1 = N_1 = I_n.  Where the structure's L has columns, ``factors`` holds
@@ -83,10 +82,9 @@ class FormTower:
     for p = 0..max_degree.  Every D_p above 2 was decided on a Gram formed from
     N_{p-1} and L (``_factor_gram``), so a top degree proved of full rank
     formed no K_max.  ``factor(max_degree)`` forms N_max on first use and
-    ``basis(p)`` forms W_p; both keep what they form, so ``forms``, which reads
-    only ``ranks``, forms neither.  N_max comes from a Householder QR of K_max
-    when D_max says K_max has full rank, else from an SVD (``_null_factor``).
-    Copies made by ``dataclasses.replace`` share ``factors`` and ``bases``.
+    keeps it.  N_max comes from a Householder QR of K_max when D_max says
+    K_max has full rank, else from an SVD (``_null_factor``).  No W_p is
+    stored.  Copies made by ``dataclasses.replace`` share ``factors``.
     """
 
     ga: object
@@ -94,7 +92,6 @@ class FormTower:
     ranks: dict
     relations: object = field(repr=False)
     factors: dict = field(repr=False)
-    bases: dict = field(default_factory=dict, repr=False)
 
     def factor(self, p):
         """N_p, p >= 1, of a tower with relations; N_max is formed on first use."""
@@ -102,14 +99,6 @@ class FormTower:
             self.factors[p] = _null_factor(self.factors[p - 1], self.relations, self.n,
                                            width=self.ranks[p])
         return self.factors[p]
-
-    def basis(self, p):
-        """W_p, formed on first use with one GEMM per degree; None at a degree without relations."""
-        if self.relations is None or p < 2:
-            return None
-        if p not in self.bases:
-            self.bases[p] = _lift(self.basis(p - 1), self.factor(p), self.n)
-        return self.bases[p]
 
     @property
     def n(self):
@@ -242,15 +231,6 @@ def _factor_gram(N, Lr, n, tables=None):
     return H, float(bound)
 
 
-def _null_rank(s, tol):
-    """The rank of K_p from its singular values ``s``, the cosines of principal angles.
-
-    A value counts when it exceeds ``tol`` times the largest one, and none
-    count when the largest is at most ``tol``.
-    """
-    return _rank(s, tol) if s.size and s[0] > tol else 0
-
-
 def _null_factor(N, Lr, n, tol=None, width=None, tables=None):
     """N_p = null(K_p), orthonormal, from the factor ``N`` of degree p-1.
 
@@ -261,8 +241,9 @@ def _null_factor(N, Lr, n, tol=None, width=None, tables=None):
     columns of the complete Q of a QR of K_p^dag, formed from its reflectors
     (``linalg._complement``), none when K_p is tall.  Any other K_p takes the
     SVD: of the R factor of a QR when K_p is tall, else of K_p^dag, and N_p is
-    its last right singular vectors.  K_p is built only for that QR or SVD,
-    after the Gram is gone.
+    its last right singular vectors; a rank counts the values above tol s_max
+    and tol, the rule ``_full_rank`` proves.  K_p is built only for that QR or
+    SVD, after the Gram is gone.
     """
     rows, cols = N.shape[0] // n * Lr.shape[0], N.shape[1] * n
     full_width = cols - min(rows, cols)
@@ -282,20 +263,41 @@ def _null_factor(N, Lr, n, tol=None, width=None, tables=None):
     else:
         V, s, _ = np.linalg.svd(np.conjugate(K, out=K).T)
     if width is None:
-        width = cols - _null_rank(s, tol)
+        width = cols - _rank(s, tol, floor=tol)
     # a copy, so that the factor does not keep all of V alive
     return V[:, cols - width:].copy()
 
 
-def _lift(W, N, n):
-    """W_p = (W_{p-1} (x) 1_n) N_p, an n^p x D_p matrix; ``W`` None stands for W_1 = I_n."""
-    if W is None:
-        return N
-    # W_p[(B, c), t] = sum_j W_{p-1}[B, j] N[(j, c), t]: one product per c, written
-    # straight into W_p's layout
-    Wp = np.empty((W.shape[0], n, N.shape[1]), dtype=complex)
-    np.matmul(W, N.reshape(W.shape[1], n, N.shape[1]).swapaxes(0, 1), out=Wp.swapaxes(0, 1))
-    return Wp.reshape(W.shape[0] * n, N.shape[1])
+def _coordinates(tower, p, x):
+    """W_p^dag x, shape stack + (D_p, Z), for x of shape stack + (n^p, Z), p >= 2, with relations.
+
+    Step q = 2..p is one GEMM of N_q^T, a view, with the leading (D_{q-1}, n)
+    index of conj(x), conjugated in place (a stack of rows, Z = 1, is one
+    GEMM at q = p, as in ``linalg._at_slot``); the result is conjugated back.
+    """
+    stack, Z, n = x.shape[:-2], x.shape[-1], tower.n
+    c = np.conjugate(x, out=x)
+    for q in range(2, p + 1):
+        N, rest = tower.factor(q), n ** (p - q) * Z
+        c = (np.matmul(c.reshape(stack + N.shape[:1]), N) if rest == 1
+             else np.matmul(N.T, c.reshape(stack + (N.shape[0], rest))))
+    c = c.reshape(stack + (N.shape[1], Z))
+    return np.conjugate(c, out=c)
+
+
+def _embed(tower, p, c, out=None):
+    """W_p c, shape stack + (n^p, Z), for c of shape stack + (D_p, Z), p >= 2, with relations.
+
+    Step q = p..2 is one GEMM of N_q with the leading D_q index; the last
+    writes into ``out``, a C-contiguous array of the result's size, if given.
+    """
+    stack, Z, n = c.shape[:-2], c.shape[-1], tower.n
+    for q in range(p, 1, -1):
+        N = tower.factor(q)
+        c = c.reshape(stack + (N.shape[1], n ** (p - q) * Z))
+        target = None if out is None or q > 2 else out.reshape(stack + (N.shape[0], c.shape[-1]))
+        c = np.matmul(N, c, out=target)
+    return c.reshape(stack + (n ** p, Z))
 
 
 def build_tower(G, max_degree, tol=DEFAULT_TOL):
@@ -306,7 +308,7 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
     Householder QR when the Cholesky proves K_p of full rank, else an SVD), since
     K_{p+1} is built on N_p.  At a top above 2, D_max = D_{max-1} n -
     rank(K_max) comes from the Cholesky alone when it proves full rank, else
-    from singular values alone.  No W_p is formed here (``FormTower.basis``).
+    from singular values alone, counted as ``_null_factor`` counts them.
     D_p is the width of N_p, or n^p at a degree without relations.
     """
     if max_degree < 1:
@@ -329,7 +331,7 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
             rank = min(rows, cols)
         else:  # values only, of whichever of K and K^T is tall
             K = _pair_matrix(N, Lr, n)
-            rank = _null_rank(np.linalg.svd(K if rows >= cols else K.T, compute_uv=False), tol)
+            rank = _rank(np.linalg.svd(K if rows >= cols else K.T, compute_uv=False), tol, tol)
         ranks[max_degree] = cols - rank
     return FormTower(ga=G, max_degree=max_degree, ranks=ranks, relations=Lr, factors=factors)
 
@@ -337,13 +339,13 @@ def build_tower(G, max_degree, tol=DEFAULT_TOL):
 def canonicalize(tower, degree, coeffs):
     """Project a raw coefficient table, or a stack of them, onto the canonical space: W_p W_p^dag.
 
-    The projection acts on a copy.  At a degree without a stored basis every
-    table is canonical and is returned as it is.
+    The projection acts on a copy.  Below degree 2, or in a tower without
+    relations, every table is canonical and is returned as it is.
     """
     _check_degree(tower, degree)
     coeffs = np.asarray(coeffs, dtype=complex)
     shape = _stack(coeffs, degree) + (tower.n,) * degree + (tower.m, tower.m)
-    if tower.basis(degree) is None:
+    if tower.relations is None or degree < 2:
         return coeffs.reshape(shape)
     return _project(tower, degree, np.array(coeffs, order="C").reshape(shape))
 
@@ -351,18 +353,13 @@ def canonicalize(tower, degree, coeffs):
 def _project(tower, degree, table):
     """Project the raw ``table`` (or stack), which the caller owns, onto the canonical space.
 
-    W W^dag t is formed as W conj(W^T conj(t)), conjugating the table and the
-    D_p-sized coefficients in place, so neither W nor a contiguous table is
-    copied.  Returns the projected table.
+    W_p W_p^dag t is ``_embed`` of ``_coordinates``, which conjugates the
+    table in place, written back into a contiguous table.  Returns the table.
     """
-    W = tower.basis(degree)
-    if W is None:
+    if tower.relations is None or degree < 2:
         return table
-    flat = table.reshape(_stack(table, degree) + (W.shape[0], -1))
-    np.conjugate(flat, out=flat)
-    coef = np.matmul(W.T, flat)
-    np.matmul(W, np.conjugate(coef, out=coef), out=flat)
-    return flat.reshape(table.shape)
+    flat = table.reshape(_stack(table, degree) + (tower.n ** degree, -1))
+    return _embed(tower, degree, _coordinates(tower, degree, flat), out=flat).reshape(table.shape)
 
 
 def _check_degree(tower, p):
@@ -504,8 +501,8 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     eps_t at adjacent slot pair (t, t+1) all agree.  alpha is injective, so
     the solutions are the X in every lifted range(alpha): conj(W_p), the
     canonical space of dimension D_p (X is every tensor at a degree without
-    relations).  W_p is ``build_tower(G, p, tol).basis(p)``, so D_p is decided
-    by the code that decides it for ``forms``.  Each eps_t = (1 (x) alpha^dag (x) 1) X.
+    relations).  W_p is ``_embed`` of I_{D_p} on ``build_tower(G, p, tol)``, so
+    D_p is decided as for ``forms``.  Each eps_t = (1 (x) alpha^dag (x) 1) X.
     Returns (exists, basis, dim) where ``exists`` means a nonzero solution
     exists at tolerance; basis columns use the unknown layout x[t, A, r]
     with A in n^(p-2) row-major.
@@ -516,12 +513,14 @@ def epsilon_check(G, p, tol=DEFAULT_TOL):
     R = G.R
     if R == 0:
         return False, None, 0
-    W = build_tower(G, p, tol).basis(p)
-    X = np.eye(n ** p, dtype=complex) if W is None else W.conj()
-    dim = X.shape[1]
+    tower = build_tower(G, p, tol)
+    dim = tower.ranks[p]
     if dim == 0:
         return False, None, 0
-    Xr = X.reshape((n,) * p + (dim,))
+    X = np.eye(dim, dtype=complex)
+    if tower.relations is not None:
+        X = _embed(tower, p, X)
+    Xr = np.conjugate(X, out=X).reshape((n,) * p + (dim,))
     beta = G.alpha.conj().T.reshape(R, n, n)  # alpha's left inverse
     eps = [np.moveaxis(np.tensordot(beta, Xr, axes=([1, 2], [t, t + 1])), 0, -2)
            .reshape(n ** (p - 2) * R, dim) for t in range(p - 1)]
@@ -622,20 +621,15 @@ def _curvature(tower):
 def _canonical_norms(tower, p, rows):
     """|pi_p x| = |W_p^dag x| for each row x of ``rows``, a (k, n^p) stack of scalar tables, p >= 2.
 
-    W_p^dag x is formed as N_p^dag (W_{p-1}^dag (x) 1_n) x: one product with
-    W_{p-1}^dag per row, into a (D_{p-1}, n) table, then one with N_p^dag, so
-    no W_p is lifted.  Each norm is a real dot product of a projected row's
-    float view with itself.
+    W_p^dag x is ``_coordinates``, which conjugates ``rows`` in place.  Each
+    norm is a real dot product of a projected row's float view with itself.
     """
     if tower.ranks[p] == 0:
         return np.zeros(len(rows))
     if tower.relations is None:
         flat = np.ascontiguousarray(rows)
     else:
-        W, x = tower.basis(p - 1), rows.reshape(len(rows), -1, tower.n)
-        if W is not None:
-            x = np.matmul(W.conj().T, x)
-        flat = x.reshape(len(rows), -1) @ tower.factor(p).conj()
+        flat = _coordinates(tower, p, rows[..., None])[..., 0]
     flat = flat.view(float)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 

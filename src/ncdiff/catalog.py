@@ -197,17 +197,13 @@ def fuzzy_ellipsoid(m, kappa=1.0, acoef=None, tol=DEFAULT_TOL):
     )
 
 
-NAMES = ("a0", "su2", "clock-shift", "ellipsoid")
+_CONSTRUCTORS = {"a0": universal_A0, "su2": su2, "clock-shift": clock_shift,
+                 "ellipsoid": fuzzy_ellipsoid}
+NAMES = tuple(_CONSTRUCTORS)
 
 
 def build_entry(name, m):
     """Dispatch by catalog name."""
-    if name == "a0":
-        return universal_A0(m)
-    if name == "su2":
-        return su2(m)
-    if name == "clock-shift":
-        return clock_shift(m)
-    if name == "ellipsoid":
-        return fuzzy_ellipsoid(m)
-    raise ValueError(f"unknown catalog entry {name!r}; choose from {NAMES}")
+    if name not in _CONSTRUCTORS:
+        raise ValueError(f"unknown catalog entry {name!r}; choose from {NAMES}")
+    return _CONSTRUCTORS[name](m)

@@ -97,8 +97,8 @@ def _complement(A):
 
 
 def _rank(s, tol, floor=0.0):
-    """Count of the descending singular values ``s`` above tol * s[0] and above ``floor``."""
-    return int(np.count_nonzero(s > max(tol * s[0], floor)))
+    """Count of the descending singular values ``s`` above tol * s[0] and ``floor``; 0 if none."""
+    return int(np.count_nonzero(s > max(tol * s.max(initial=0.0), floor)))
 
 
 def _gamma(q):

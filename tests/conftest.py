@@ -34,6 +34,17 @@ def dense_nullspace(M, rank=None, tol=1e-9):
     return vh[rank:].conj().T
 
 
+def dense_basis(tower, p):
+    """W_p = (W_{p-1} (x) 1_n) N_p as a dense n^p x D_p matrix, from Kronecker products of the
+    tower's factors; None below degree 2 or without relations, where every table is canonical."""
+    if tower.relations is None or p < 2:
+        return None
+    W = tower.factor(2)
+    for q in range(3, p + 1):
+        W = np.kron(W, np.eye(tower.n)) @ tower.factor(q)
+    return W
+
+
 def dense_projector(alpha):
     """P = alpha (alpha^dag alpha)^-1 alpha^dag, the n^2 x n^2 projector onto alpha's span."""
     a_dag = alpha.conj().T

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import (
     WORKLOAD_CATALOG,
     coframe_stack_residual,
+    dense_basis,
     dense_nullspace,
     dense_projector,
     generator_engine_residuals,
@@ -200,9 +202,9 @@ def test_tower_degree2_basis_is_alpha(make):
     tower = build_tower(G, 3)
     assert tower.ranks[2] == G.R
     if G.L.shape[1] == 0:
-        assert tower.basis(2) is None and "alpha" not in G.__dict__
+        assert dense_basis(tower, 2) is None and "alpha" not in G.__dict__
     else:
-        assert np.array_equal(tower.basis(2), G.alpha.conj())
+        assert np.array_equal(dense_basis(tower, 2), G.alpha.conj())
 
 
 def _chain_equations(G, p):
@@ -380,7 +382,7 @@ def test_tower_without_relations_skips_null_space(monkeypatch):
 
     monkeypatch.setattr(calculus, "_pair_matrix", fail)
     tower = build_tower(G, 3)
-    assert tower.relations is None and tower.factors == tower.bases == {}
+    assert tower.relations is None and tower.factors == {}
     assert tower.ranks == {p: n ** p for p in range(4)}
 
 
@@ -454,8 +456,8 @@ def test_tower_matches_dense_projectors(make):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dense = (pi @ raw.reshape(n ** p, m * m)).reshape(shape)
         # a basis W_p exists exactly at the degrees with relations: p >= 2 unless P = 1;
-        # read before any canonicalize at p, so the top degree's is formed by the accessor
-        W = tower.basis(p)
+        # read before any canonicalize at p, so the top degree's N_max is formed by ``factor``
+        W = dense_basis(tower, p)
         assert (W is not None) == (p >= 2 and G.R < n * n)
         if W is not None:
             assert W.shape == (n ** p, tower.ranks[p])
@@ -637,7 +639,7 @@ def test_factored_bases_match_eager_bases(make, top):
     ranks, bases = _reference_tower(G, top)
     assert tower.ranks == ranks
     for p in range(top + 1):
-        W, ref = tower.basis(p), bases.get(p)
+        W, ref = dense_basis(tower, p), bases.get(p)
         if ref is None:
             assert W is None
             continue
@@ -692,17 +694,22 @@ def _spy_decompositions(monkeypatch):
     return calls
 
 
-def _spy_lift(monkeypatch):
-    """Record the width of every W_p that ``calculus`` forms from its factors."""
-    widths = []
-    lift = calculus._lift
+def _spy_embeds(monkeypatch):
+    """Record (p, Z) for every W_p c that ``calculus`` forms from a stack of D_p x Z coordinates.
 
-    def spy(W, N, n):
-        widths.append(N.shape[1])
-        return lift(W, N, n)
+    Only an embedding makes n^p rows from the factors.  A projection of
+    coefficient tables has Z = m^2; an n^p x D_p basis, W_p I_{D_p}, would
+    have Z = D_p.
+    """
+    embeds = []
+    embed = calculus._embed
 
-    monkeypatch.setattr(calculus, "_lift", spy)
-    return widths
+    def spy(tower, p, c, out=None):
+        embeds.append((p, c.shape[-1]))
+        return embed(tower, p, c, out=out)
+
+    monkeypatch.setattr(calculus, "_embed", spy)
+    return embeds
 
 
 def _spy_pair_matrix(monkeypatch):
@@ -726,40 +733,42 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     N_2 is the structure's conj(alpha), from the one Householder QR that derives
     alpha from L, with no decision.  Generic K_p have full rank, so each degree
     from 3 below the top takes a Cholesky and the Householder QR whose
-    reflectors give N_p, and a top degree above 2 a Cholesky only.  A first
-    projection below the top forms W_p with GEMMs alone; the first at a top
-    above 2 forms N_max with one such QR, and then W_max.  Each is formed
-    once.  Every Cholesky reads a Gram formed from the factors, so K_p is
-    built only for a QR or an SVD: none at a proved top.  su2(4), whose K_3
-    is rank-deficient, takes the fallbacks at the top: the values-only SVD
-    for D_3, and a QR's R factor and its SVD for N_3, each on a K_3 it builds.
+    reflectors give N_p, and a top degree above 2 a Cholesky only.  A
+    projection below the top runs GEMMs alone; the first at a top above 2
+    forms N_max with one such QR, once.  No projection forms an n^p-row
+    basis: each embeds the coordinates of its table (Z = m^2).  Every
+    Cholesky reads a Gram formed from the factors, so K_p is built only for a
+    QR or an SVD: none at a proved top.  su2(4), whose K_3 is rank-deficient,
+    takes the fallbacks at the top: the values-only SVD for D_3, and a QR's R
+    factor and its SVD for N_3, each on a K_3 it builds.
     """
     G = _generic_structure(3, 4, 0)
     n, m = G.subspace.n, G.subspace.m
     calls = _spy_decompositions(monkeypatch)
-    lifts = _spy_lift(monkeypatch)
+    embeds = _spy_embeds(monkeypatch)
     pairs = _spy_pair_matrix(monkeypatch)
     tower = build_tower(G, top)
     assert calls == ["qr-raw"] + ["chol", "qr-raw"] * (top - 3) + ["chol"] * (top > 2)
     assert len(pairs) == max(top - 3, 0)
     assert tower.ranks[top] == (top + 1) * 2 ** top
-    assert sorted(tower.factors) == list(range(1, max(top, 3)))
-    assert tower.bases == {} and lifts == []
+    below = list(range(1, max(top, 3)))
+    assert sorted(tower.factors) == below
+    assert embeds == []
     calls.clear()
     rng = np.random.default_rng(0)
     if top > 2:
         raw = rng.standard_normal((n,) * (top - 1) + (m, m)).astype(complex)
         canonicalize(tower, top - 1, raw)
-        assert calls == [] and sorted(tower.bases) == list(range(2, top))
+        assert calls == [] and sorted(tower.factors) == below
     raw = rng.standard_normal((n,) * top + (m, m)).astype(complex)
     once = canonicalize(tower, top, raw)
     top_qr = ["qr-raw"] * (top > 2)
-    assert calls == top_qr and sorted(tower.bases) == list(range(2, top + 1))
+    assert calls == top_qr and sorted(tower.factors) == list(range(1, top + 1))
     assert len(pairs) == max(top - 2, 0)
-    assert lifts == [tower.ranks[p] for p in range(2, top + 1)]
-    assert tower.basis(top).shape == (n ** top, tower.ranks[top])
+    assert embeds == [(top - 1, m * m)] * (top > 2) + [(top, m * m)]
+    assert tower.factor(top).shape == (tower.ranks[top - 1] * n, tower.ranks[top])
     assert np.array_equal(canonicalize(tower, top, raw), once)
-    assert calls == top_qr and len(lifts) == top - 1
+    assert calls == top_qr and embeds[-1] == (top, m * m)
 
     G = _catalog_structure("su2", 4)
     calls.clear()
@@ -768,15 +777,16 @@ def test_top_degree_is_rank_only(monkeypatch, top):
     assert calls == ["qr-raw", "chol-fail", "svd-values"] and len(pairs) == 1
     assert tower.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
     calls.clear()
-    assert tower.basis(3).shape == (27, 1) and calls == ["qr-r", "svd"] and len(pairs) == 2
+    assert tower.factor(3).shape == (9, 1) and calls == ["qr-r", "svd"] and len(pairs) == 2
 
 
 def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
-    """A forming of W_max that raises, in its SVD or in a GEMM, is done again by the next call."""
+    """A projection onto the top degree that raises, in the SVD of N_max or in a GEMM of the
+    embedding, keeps no N_max half formed, and the next call projects as an untouched tower does."""
     G = _generic_structure(3, 4, 0)
     raw = np.random.default_rng(0).standard_normal((4,) * 3 + (3,) * 2)
     expected = canonicalize(build_tower(G, 3), 3, raw)
-    for step in ("_null_factor", "_lift"):
+    for step in ("_null_factor", "_embed"):
         tower = build_tower(G, 3)
         attempts = []
         real = getattr(calculus, step)
@@ -789,20 +799,21 @@ def test_failed_top_basis_is_formed_on_the_next_call(monkeypatch):
 
         monkeypatch.setattr(calculus, step, flaky)
         with pytest.raises(MemoryError):
-            tower.basis(3)
-        assert 3 not in tower.bases
-        W = tower.basis(3)
+            canonicalize(tower, 3, raw)
+        # the factor is stored only once formed; an embedding that raised ran after it
+        assert (3 in tower.factors) == (step == "_embed")
+        got = canonicalize(tower, 3, raw)
         monkeypatch.undo()
-        assert len(attempts) >= 2 and 3 in tower.bases and 3 in tower.factors
-        assert W.shape == (tower.n ** 3, tower.ranks[3])
-        assert np.allclose(canonicalize(tower, 3, raw), expected, rtol=0, atol=1e-12)
+        assert len(attempts) >= 2 and 3 in tower.factors
+        assert tower.factor(3).shape == (tower.ranks[2] * tower.n, tower.ranks[3])
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     """W_p for the chain takes one null-space factorization per degree, from the tower.
 
-    epsilon_check runs the decompositions of ``build_tower(G, p).basis(p)`` and
+    epsilon_check runs the decompositions of ``build_tower(G, p).factor(p)`` and
     no others: the one Householder QR that derives alpha from L
     (``GAStructure.alpha``, kept on G) gives both the tower's N_2 and the
     chain's left inverse.  Generic K_q, q >= 3, have full rank: a Cholesky and a
@@ -830,14 +841,17 @@ def test_epsilon_check_factors_each_degree_once(monkeypatch, p):
     assert len(pairs) == (2 if p == 3 else 1)
     assert (exists, dim) == ((True, 1) if p == 3 else (False, 0))
     calls.clear()
-    build_tower(G, p).basis(p)
+    build_tower(G, p).factor(p)
     assert calls == expected
 
 
 def test_degree_one_tower_has_no_bases(monkeypatch):
     calls = _spy_decompositions(monkeypatch)
+    embeds = _spy_embeds(monkeypatch)
     tower = build_tower(_generic_structure(3, 4, 0), 1)
-    assert calls == [] and tower.bases == tower.factors == {} and tower.basis(1) is None
+    raw = np.random.default_rng(0).standard_normal((4, 3, 3)).astype(complex)
+    assert np.array_equal(canonicalize(tower, 1, raw), raw)
+    assert calls == embeds == [] and tower.factors == {} and dense_basis(tower, 1) is None
 
 
 def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
@@ -848,10 +862,10 @@ def test_forms_never_forms_the_top_basis(monkeypatch, tmp_path, capsys):
     path = tmp_path / "generic.json"
     formats.save_algebra(path, B.m, B.label, B.lambdas)
     calls = _spy_decompositions(monkeypatch)
-    lifts = _spy_lift(monkeypatch)
+    embeds = _spy_embeds(monkeypatch)
     pairs = _spy_pair_matrix(monkeypatch)
     assert cli.main(["forms", str(path), "--max-degree", "4", "--format", "json"]) == 0
-    assert calls == ["qr-raw", "chol", "qr-raw", "chol"] and lifts == []
+    assert calls == ["qr-raw", "chol", "qr-raw", "chol"] and embeds == []
     # K_3 for its QR; the proved K_4 is never built
     assert pairs == [(4 * 4, 12 * 4)]
     ranks = json.loads(capsys.readouterr().out)["sections"][0]["D"]
@@ -879,8 +893,8 @@ def test_deferred_top_basis_matches_a_taller_tower(make, top, expected):
     G = make()
     tower = build_tower(G, top)
     assert tower.ranks[top] == expected
-    W = tower.basis(top)
-    taller = build_tower(G, top + 1).basis(top)
+    W = dense_basis(tower, top)
+    taller = dense_basis(build_tower(G, top + 1), top)
     if W is None:
         assert taller is None and tower.ranks[top] == tower.n ** top
         return
@@ -1305,32 +1319,62 @@ def test_build_tower_generic_m5_n8_memory():
     assert peak < 30 * 2 ** 20, peak / 2 ** 20
 
 
+def test_projection_keeps_no_basis_generic_m5_n8():
+    """After a degree-4 canonicalize on generic (5, 8) the tower holds less than one W_4.
+
+    W_4 would be an n^4 x D_4 = 4096 x 1280 complex matrix, 80 MiB; the tower
+    keeps only its factors, of which N_4 (2048 x 1280, 40 MiB) is the largest.
+    """
+    G = _generic_structure(5, 8, 0)
+    G.alpha
+    raw = np.random.default_rng(0).standard_normal((8,) * 4 + (5, 5))
+    tracemalloc.start()
+    try:
+        tower = build_tower(G, 4)
+        canonicalize(tower, 4, raw)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tower.ranks[4] == 1280 and 4 in tower.factors
+    assert held < 8 ** 4 * 1280 * 16, held / 2 ** 20
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _generic_structure(4, 6, 0), id="generic-m4-n6"),
     pytest.param(lambda: _catalog_structure("su2", 4), id="su2-m4"),
 ])
 def test_verify_lifts_no_basis_above_degree_two(monkeypatch, tmp_path, capsys, make):
-    """verify projects degree 3 as N_3^dag (W_2^dag (x) 1_n): every W_p it lifts is W_2."""
+    """verify projects degree 3 as N_3^dag (N_2^dag (x) 1_n) and forms no n^p-row basis.
+
+    Every embedding it forms is of a coefficient table's coordinates (Z = m^2),
+    and degree 3 is reached by coordinates of scalar rows (Z = 1) alone.
+    """
     G = make()
     B = G.subspace
+    m = B.m
     path = tmp_path / "algebra.json"
     embedded = G.mode == "user-supplied"
     formats.save_algebra(path, B.m, B.label, B.lambdas, alpha=G.alpha if embedded else None)
-    lifted = []
-    lift = calculus._lift
-    monkeypatch.setattr(calculus, "_lift",
-                        lambda W, N, n: lifted.append(W is None) or lift(W, N, n))
+    embeds = _spy_embeds(monkeypatch)
+    coords = []
+    coordinates = calculus._coordinates
+    monkeypatch.setattr(calculus, "_coordinates",
+                        lambda tower, p, x: coords.append((p, x.shape[-1]))
+                        or coordinates(tower, p, x))
     argv = ["verify", str(path), "--format", "json"] + ["--alpha", "embedded"] * embedded
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert lifted and all(lifted)
+    assert embeds and all(Z == m * m for _, Z in embeds)
+    assert (3, 1) in coords and all(Z in (1, m * m) for _, Z in coords)
+    assert all(Z == 1 for p, Z in coords if p == 3)
 
 
 def _lifted_norms(tower, p, rows):
     """|W_p^dag x| for each row, with W_p lifted: the projection before the factored one."""
     if tower.ranks[p] == 0:
         return np.zeros(len(rows))
-    W = tower.basis(p)
+    W = dense_basis(tower, p)
     return np.linalg.norm(rows if W is None else rows.conj() @ W, axis=1)
 
 

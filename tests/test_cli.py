@@ -597,6 +597,9 @@ def bad_inputs(tmp_path, clock_file, pauli_file):
                               ("NAN_ALPHA", nan_alpha, e.subspace.lambdas)):
         paths[key] = str(tmp_path / f"{key}.json")
         formats.save_algebra(paths[key], 3, key, basis, alpha=alpha)
+    paths["ZERO_BASIS"] = str(tmp_path / "ZERO_BASIS.json")
+    formats.save_algebra(paths["ZERO_BASIS"], 2, "ZERO_BASIS",
+                         [np.zeros((2, 2)), np.diag([1.0, -1.0])])
     for key, u in (("WIDE_U", np.eye(3, 4)), ("SMALL_U", np.eye(2)), ("NAN_U", nan_u),
                    ("NEAR_SINGULAR_U", np.diag([1.0, 1.0, 1e-4]))):
         paths[key] = str(tmp_path / f"{key}.json")
@@ -605,28 +608,30 @@ def bad_inputs(tmp_path, clock_file, pauli_file):
     return paths
 
 
-@pytest.mark.parametrize("argv, ncg_tol", [
-    (["forms", "FILE", "--max-degree", "0"], None),
-    (["verify", "FILE", "--max-degree", "1"], None),
-    (["verify", "FILE", "--trials", "0"], None),
-    (["equiv", "FILE", "FILE", "--trials", "0"], None),
-    (["catalog", "su2", "--m", "1"], None),
-    (["catalog", "ellipsoid", "--m", "2"], None),
-    (["analyze", "NAN_BASIS"], None),
-    (["forms", "SHORT_ALPHA", "--alpha", "embedded"], None),
-    (["forms", "NAN_ALPHA", "--alpha", "embedded"], None),
-    (["equiv", "FILE", "WIDE_U"], None),
-    (["equiv", "FILE", "SMALL_U"], None),
-    (["equiv", "FILE", "NAN_U"], None),
-    (["analyze", "PAULI", "--tol", "0"], None),
-    (["analyze", "FILE"], "abc"),
-    (["verify", "FILE", "--seed", "-1"], None),
-    (["equiv", "FILE", "FILE", "--seed", "-5"], None),
+@pytest.mark.parametrize("argv, ncg_tol, message", [
+    (["forms", "FILE", "--max-degree", "0"], None, None),
+    (["verify", "FILE", "--max-degree", "1"], None, None),
+    (["verify", "FILE", "--trials", "0"], None, None),
+    (["equiv", "FILE", "FILE", "--trials", "0"], None, None),
+    (["catalog", "su2", "--m", "1"], None, None),
+    (["catalog", "ellipsoid", "--m", "2"], None, None),
+    (["analyze", "NAN_BASIS"], None, None),
+    (["forms", "SHORT_ALPHA", "--alpha", "embedded"], None, None),
+    (["forms", "NAN_ALPHA", "--alpha", "embedded"], None, None),
+    (["equiv", "FILE", "WIDE_U"], None, None),
+    (["equiv", "FILE", "SMALL_U"], None, None),
+    (["equiv", "FILE", "NAN_U"], None, None),
+    (["analyze", "PAULI", "--tol", "0"], None, None),
+    (["analyze", "FILE"], "abc", None),
+    (["verify", "FILE", "--seed", "-1"], None, None),
+    (["equiv", "FILE", "FILE", "--seed", "-5"], None, None),
+    (["analyze", "ZERO_BASIS"], None, "DependentBasis: basis element 0 is zero"),
 ], ids=["forms-max-degree-0", "verify-max-degree-1", "verify-trials-0", "equiv-trials-0",
         "catalog-su2-m1", "catalog-ellipsoid-m2", "nan-basis-entry", "alpha-row-count",
         "nan-alpha-entry", "equiv-non-square-u", "equiv-u-wrong-size", "equiv-nan-u", "tol-0",
-        "ncg-tol-not-a-number", "verify-negative-seed", "equiv-negative-seed"])
-def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol):
+        "ncg-tol-not-a-number", "verify-negative-seed", "equiv-negative-seed",
+        "zero-basis-element"])
+def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol, message):
     if ncg_tol is not None:
         monkeypatch.setenv("NCG_TOL", ncg_tol)
     try:
@@ -637,6 +642,7 @@ def test_bad_arguments_exit_2(monkeypatch, capsys, bad_inputs, argv, ncg_tol):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert message is None or message in err
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncdiff import calculus
+from conftest import generic_subspace
+
+from ncdiff import calculus, genalg
 from ncdiff.errors import ShapeError
 from ncdiff.linalg import (
     DEFAULT_TOL,
@@ -157,15 +159,40 @@ def test_full_rank_certificate_agrees_with_svd_rule(K):
     s = np.linalg.svd(K, compute_uv=False)
     # within rounding of a cut, two SVDs of K (the tower's and this one) may disagree
     band = 1e-4 * DEFAULT_TOL
-    assume(abs(s[0] - DEFAULT_TOL) > band and np.all(np.abs(s - DEFAULT_TOL * s[0]) > band * s[0]))
+    assume(np.all(np.abs(s - DEFAULT_TOL) > band)
+           and np.all(np.abs(s - DEFAULT_TOL * s[0]) > band * s[0]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calculus, "_factor_gram", lambda N, Lr, n, tables: _short_gram(K))
         mp.setattr(calculus, "_pair_matrix", lambda N, Lr, n: K.copy())
         # placeholders of K's shape: D_{p-2} k = rows and D_{p-1} n = cols with n = k = 1
         N = calculus._null_factor(np.empty(K.shape), np.empty((1, 1, 1)), 1, tol=DEFAULT_TOL)
-    assert K.shape[1] - N.shape[1] == calculus._null_rank(s, DEFAULT_TOL)
+    assert K.shape[1] - N.shape[1] == _rank(s, DEFAULT_TOL, floor=DEFAULT_TOL)
     assert np.max(np.abs(N.conj().T @ N - np.eye(N.shape[1])), initial=0.0) < 1e-12
     assert np.linalg.norm(K @ N, 2) <= 1.01 * DEFAULT_TOL * max(s[0], 1.0) + 1e-13 * s[0]
+
+
+@pytest.mark.parametrize("shape", [(16, 48), (48, 16)], ids=["wide", "tall"])
+def test_svd_fallbacks_count_with_the_floor_rule(shape):
+    """A planted K with s_max = 0.5 and one value 0.7e-9 in (tol s_max, tol]: neither SVD fallback
+    of the tower counts that value, the rule ``_full_rank`` proves and ``detect_structure`` uses.
+
+    K stands for K_3 of generic (3, 4), whose 16 x 48 shape the top degree of
+    ``build_tower`` reads off the factors; ``_null_factor`` reads it off
+    placeholders.  The Gram of K fails the certificate, so both take the SVD.
+    """
+    s = np.concatenate([np.linspace(0.5, 0.1, 15), [0.7e-9]])
+    K = _with_singular_values(s, shape, 0)
+    rank = _rank(s, DEFAULT_TOL, floor=DEFAULT_TOL)
+    assert rank == 15 and _rank(s, DEFAULT_TOL) == 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "_factor_gram", lambda N, Lr, n, tables=None: _short_gram(K))
+        mp.setattr(calculus, "_pair_matrix", lambda N, Lr, n: K.copy())
+        N = calculus._null_factor(np.empty(shape), np.empty((1, 1, 1)), 1, tol=DEFAULT_TOL)
+        assert N.shape[1] == shape[1] - rank
+        if shape[0] < shape[1]:
+            G = genalg.detect_structure(generic_subspace(3, 4, 0))
+            assert calculus.build_tower(G, 3).ranks[3] == shape[1] - rank
+    assert _rank(np.empty(0), DEFAULT_TOL, floor=DEFAULT_TOL) == 0
 
 
 def _unshifted_certificate(H, bound, tol):

@@ -258,27 +258,28 @@ def test_equivalence_fails_with_negated_structure_constants(monkeypatch, maker, 
 
 @pytest.mark.parametrize("maker, m", [(su2, 3), (clock_shift, 3)])
 def test_equivalence_forms_the_deferred_basis_once(monkeypatch, maker, m):
-    """A degree-2 tower whose W_2 is not formed yet gives the residuals of one whose W_2 is.
+    """A degree-2 tower that has not projected yet gives the residuals of one that has.
 
     N_2 is the structure's conj(alpha), kept by ``build_tower``.  The
-    conjugated calculus shares B's bases, so ``check_equivalence`` projects
-    F' - F on B's own N_2 = W_2: no basis is lifted and no factor is formed again.
+    conjugated calculus shares B's factors, so ``check_equivalence`` projects
+    F' - F on B's own N_2 = W_2: no basis is embedded and no factor is formed again.
     """
     e = maker(m)
     G = (genalg.use_relations(e.subspace, e.suggested_alpha) if maker is su2
          else genalg.detect_structure(e.subspace))
     U = Conjugation.from_matrix(np.random.default_rng(5).standard_normal((m, m)) + 2 * np.eye(m))
     formed = calculus.build_tower(G, 2)
-    assert formed.basis(2) is not None
+    raw = np.random.default_rng(0).standard_normal((G.subspace.n,) * 2 + (m, m))
+    assert calculus.canonicalize(formed, 2, raw).shape == raw.shape
     deferred = calculus.build_tower(G, 2)
-    assert deferred.bases == {} and 2 in deferred.factors
+    assert sorted(deferred.factors) == [1, 2]
     made = []
-    for step in ("_null_factor", "_lift"):
+    for step in ("_null_factor", "_embed"):
         real = getattr(calculus, step)
         monkeypatch.setattr(calculus, step,
                             lambda *a, real=real, step=step, **k: made.append(step) or real(*a, **k))
     rep = check_equivalence(U, e.subspace, deferred)
-    assert made == [] and deferred.bases == {}
+    assert made == [] and sorted(deferred.factors) == [1, 2]
     assert rep == check_equivalence(U, e.subspace, formed)
 
 

@@ -5,7 +5,9 @@ The call graph is read from the source with the standard library's ``ast``, by
 name.  A definition reaches each top-level definition it names: bare, as one of
 its own module or one it imports (``from .calculus import wedge``), or as an
 attribute of an imported package module (``calculus.build_tower``).  A class
-reaches everything its body names, methods included.  The roots are
+reaches everything its body names, methods included.  A module-level
+assignment is seen through: naming it names what its value names, so a
+dispatch table reaches its functions once something names the table.  The roots are
 ``cli.main``, every ``cli.cmd_*`` (``main`` dispatches through ``globals()``),
 and the module-level code of ``cli`` and ``__main__``, which calls ``run``, the
 console script.  A local variable that shares a definition's name counts as a
@@ -68,20 +70,28 @@ def call_graph(sources):
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     defs = {mod: _definitions(tree) for mod, tree in trees.items()}
     imports = {mod: _imports(tree, trees) for mod, tree in trees.items()}
+    tables = {mod: {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+              for mod, tree in trees.items()}
 
     def named(mod, nodes):
         names, aliases = imports[mod]
         out = set()
         for node in (n for top in nodes for n in ast.walk(top)):
             if isinstance(node, ast.Name):
-                target = (mod, node.id) if node.id in defs[mod] else names.get(node.id)
+                local = node.id in defs[mod] or node.id in tables[mod]
+                target = (mod, node.id) if local else names.get(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in aliases:
                 target = (aliases[node.value.id], node.attr)
             else:
                 continue
-            if target is not None and target[1] in defs.get(target[0], {}):
+            if target is None:
+                continue
+            if target[1] in defs.get(target[0], {}):
                 out.add(target)
+            elif target[1] in tables.get(target[0], {}):
+                out |= named(target[0], [tables[target[0]][target[1]]])
         return out
 
     edges = {(mod, name): named(mod, [node]) for mod in defs for name, node in defs[mod].items()}
@@ -142,6 +152,18 @@ def test_unreached_definition_is_flagged():
     assert "calculus.synthetic_orphan" in unreached(sources)
     sources["cli"] = sources["cli"].replace(
         "def cmd_forms(args):\n", "def cmd_forms(args):\n    calculus.synthetic_orphan()\n")
+    assert "calculus.synthetic_orphan" not in unreached(sources)
+
+
+def test_dispatch_table_reaches_its_functions_only_when_named():
+    """Negative control: a function in a module-level table is flagged until a command names
+    the table."""
+    sources = package_sources()
+    sources["calculus"] += ("\n\ndef synthetic_orphan():\n    return 0\n"
+                            "\n\n_SYNTHETIC = {\"x\": synthetic_orphan}\n")
+    assert "calculus.synthetic_orphan" in unreached(sources)
+    sources["cli"] = sources["cli"].replace(
+        "def cmd_forms(args):\n", "def cmd_forms(args):\n    calculus._SYNTHETIC\n")
     assert "calculus.synthetic_orphan" not in unreached(sources)
 
 
