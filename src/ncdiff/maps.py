@@ -106,7 +106,7 @@ def check_equivalence(U, B, tower, tol=DEFAULT_TOL):
 
     The conjugated subspace B', lambda'_a = u lambda_a u^-1, keeps B's L, as
     conjugation is multiplicative and fixes 1, so its calculus shares B's
-    bases W_p.  U^star maps its forms to B's by f -> u^-1 f u on the
+    factors N_p.  U^star maps its forms to B's by f -> u^-1 f u on the
     coefficients: that acts on the matrix indices only, so it commutes with
     every W_p W_p^dag.  With delta_a = u^-1 lambda'_a u - lambda_a, zero but
     for rounding, and F' the structure constants of B' (formed alone, without
